@@ -13,7 +13,7 @@ import sys
 
 from .config import SUITES, RunConfig
 from .reporting import emit_report, format_value, make_run_dir
-from .suites import run_suite
+from .suites import pool_size, run_suite, suite_checks
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -48,6 +48,11 @@ def main(argv=None) -> int:
         config = _resolved_config(args)
     except (OSError, ValueError) as exc:
         print(f"chaoskit: invalid config: {exc}", file=sys.stderr)
+        return 2
+    try:
+        pool_size(len(suite_checks(config.suite)))
+    except ValueError as exc:
+        print(f"chaoskit: invalid environment: {exc}", file=sys.stderr)
         return 2
     records = run_suite(config)
     run_dir = make_run_dir(config.resolve_out_dir())

@@ -10,9 +10,13 @@ remaining bins partition the atoms. Cell masses are
 
 and only positive-mass cells embed into the one-particle space. Simulation is
 exact: Gaussian increments per time cell plus per-atom Poisson counts with
-uniform jump times in (0, T]. Per-path randomness comes from a counter-based
-generator keyed by the seed and jumped by the path index, so path i is
-identical no matter how the ensemble is batched.
+uniform jump times in (0, T].
+
+The stream: path i draws from Philox with key `seed` and counter (0, 0, i, 0),
+the state `Philox(key=seed).jumped(i)` starts from (path_rng). It draws its
+Gaussian increments first, then per atom in order a Poisson count and that
+many uniforms. An ensemble repositions one generator to each path's state, so
+path i is identical no matter how the ensemble is batched.
 """
 from __future__ import annotations
 
@@ -335,34 +339,55 @@ class PathEnsemble:
 def sample_ensemble(
     model: LevyModel, grid: CellGrid, seed: int, n_paths: int
 ) -> PathEnsemble:
-    """Draw paths 0..n_paths-1; bitwise identical to per-path sample_path."""
+    """Draw paths 0..n_paths-1; bitwise identical to per-path sample_path.
+
+    One generator is repositioned to path i's state, the one path_rng(seed, i)
+    starts from, by writing i into its counter; the draws then follow
+    _draw_path call for call. Jump records are packed once for the ensemble.
+    """
     if n_paths < 1:
         raise ValueError("need at least one path")
     if grid.model != model:
         raise ValueError("grid was built for a different model")
+    T = model.horizon
+    rates = [lam * T for _, lam in model.atoms]
+    bitgen = np.random.Philox(key=seed)
+    rng = np.random.Generator(bitgen)
+    state = bitgen.state
+    counter = state["state"]["counter"]
     brownian = (
         np.empty((n_paths, grid.n_time)) if model.sigma > 0 else None
     )
-    times_parts = []
-    atoms_parts = []
-    counts = np.zeros(n_paths, dtype=np.int64)
+    sd = np.sqrt(grid.dt)
+    counts = np.zeros((n_paths, len(rates)), dtype=np.int64)
+    uniforms = []
     for i in range(n_paths):
-        b, t, a = _draw_path(model, grid, path_rng(seed, i))
+        counter[2] = i
+        bitgen.state = state
         if brownian is not None:
-            brownian[i] = b
-        counts[i] = t.size
-        if t.size:
-            times_parts.append(t)
-            atoms_parts.append(a)
+            brownian[i] = rng.normal(0.0, sd, grid.n_time)
+        for j, rate in enumerate(rates):
+            count = int(rng.poisson(rate))
+            if count:
+                counts[i, j] = count
+                uniforms.append(rng.random(count))
+    per_path = counts.sum(axis=1)
     offsets = np.zeros(n_paths + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    if times_parts:
-        jump_times = np.concatenate(times_parts)
-        jump_atoms = np.concatenate(atoms_parts)
+    np.cumsum(per_path, out=offsets[1:])
+    jump_paths = np.repeat(np.arange(n_paths, dtype=np.int64), per_path)
+    if uniforms:
+        # uniform on (0, T]; drawn path-major, atom by atom within a path
+        times = T * (1.0 - np.concatenate(uniforms))
+        atoms = np.repeat(
+            np.tile(np.arange(len(rates), dtype=np.int64), n_paths), counts.ravel()
+        )
+        # stable within a path, so tied times keep atom order as in _draw_path
+        order = np.lexsort((times, jump_paths))
+        jump_times = times[order]
+        jump_atoms = atoms[order]
     else:
         jump_times = np.zeros(0)
         jump_atoms = np.zeros(0, dtype=np.int64)
-    jump_paths = np.repeat(np.arange(n_paths, dtype=np.int64), counts)
     return PathEnsemble(
         model, grid, seed, n_paths, brownian, jump_times, jump_atoms, jump_paths, offsets
     )
@@ -398,17 +423,15 @@ def cell_increments(source, grid: CellGrid | None = None) -> np.ndarray:
         for k, b in zip(cells, bins):
             out[grid.cell_index[(int(k), int(b))]] += 1.0
         return out
+    # cells run k-major over the retained bins, which time cell 0 lists
+    n_retained = grid.n_cells // grid.n_time
     out = np.tile(-comp, (ens.n_paths, 1))
-    col_of = {}
-    for ci, (k, b) in enumerate(grid.cells):
-        col_of[(k, b)] = ci
-        if b == 0:
-            out[:, ci] = model.sigma * ens.brownian[:, k]
+    if grid.cells[0][1] == 0:
+        out[:, ::n_retained] = model.sigma * ens.brownian
     if ens.jump_times.size:
-        cols = np.array(
-            [col_of[(int(k), int(b))] for k, b in zip(ens.jump_cells, ens.jump_bins)],
-            dtype=np.int64,
-        )
+        rank = np.zeros(grid.n_bins, dtype=np.int64)
+        rank[[b for _, b in grid.cells[:n_retained]]] = np.arange(n_retained)
+        cols = ens.jump_cells * n_retained + rank[ens.jump_bins]
         np.add.at(out, (ens.jump_paths, cols), 1.0)
     return out
 

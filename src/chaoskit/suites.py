@@ -1361,11 +1361,27 @@ def _run_one(fn, cfg: RunConfig) -> list[CheckRecord]:
     return records
 
 
+def pool_size(n_checks: int) -> int:
+    """Worker threads for n_checks checks: CHAOSKIT_WORKERS, capped at n_checks.
+
+    The variable defaults to 1; any value other than a positive integer
+    raises ValueError.
+    """
+    raw = os.environ.get("CHAOSKIT_WORKERS", "1")
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"CHAOSKIT_WORKERS must be a positive integer, got {raw!r}")
+    return min(workers, n_checks)
+
+
 def run_suite(config: RunConfig) -> list[CheckRecord]:
     """All records of the configured suite, in registry order.
 
-    Worker fan-out comes from the CHAOSKIT_WORKERS environment variable and
-    changes wall time only; record content is identical at any worker count.
+    Worker fan-out comes from CHAOSKIT_WORKERS (see pool_size) and changes
+    wall time only; record content is identical at any worker count.
     """
     try:
         config.validate_guards()
@@ -1376,10 +1392,7 @@ def run_suite(config: RunConfig) -> list[CheckRecord]:
             )
         ]
     checks = suite_checks(config.suite)
-    try:
-        workers = int(os.environ.get("CHAOSKIT_WORKERS", "1"))
-    except ValueError:
-        workers = 1
+    workers = pool_size(len(checks))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             batches = list(pool.map(lambda fn: _run_one(fn, config), checks))

@@ -93,6 +93,17 @@ def test_invalid_config_exits_two(tmp_path, capsys):
     assert main(["fock", "--config", os.fspath(tmp_path / "missing.json")]) == 2
 
 
+def test_invalid_worker_count_exits_two(tmp_path, cfg_path, capsys, monkeypatch):
+    monkeypatch.setenv("CHAOSKIT_WORKERS", "0")
+    out = tmp_path / "runs"
+    code = main(["fock", "--config", cfg_path, "--out", os.fspath(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "CHAOSKIT_WORKERS must be a positive integer, got '0'" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_unknown_suite_is_refused_by_the_parser(capsys):
     with pytest.raises(SystemExit):
         main(["warp"])

@@ -4,6 +4,7 @@ The characteristic-exponent reference values were computed to 40 digits
 with an independent high-precision script and pasted in as literals.
 """
 import io
+from hashlib import sha256
 
 import numpy as np
 import pytest
@@ -23,6 +24,10 @@ from chaoskit.levy import (
 )
 
 MIXED = LevyModel(b=0.0, sigma=1.0, atoms=((1.0, 1.0),), horizon=1.0)
+# jump-dominated: about 14 jumps per path, two atoms, a small diffusion part
+JUMPY = LevyModel(sigma=0.3, atoms=((1.0, 8.0), (-0.5, 6.0)))
+# a seed in the upper half of the 64-bit range, as suites._check_seed yields
+BIG_SEED = 2**64 - 59
 
 # eta(u) for MIXED at u = 0.5, 1, 2
 ETA_REF = {
@@ -96,15 +101,48 @@ def test_grid_hash_tracks_the_spec():
 
 
 def test_ensemble_matches_per_path_sampling():
-    model = MIXED
-    grid = CellGrid(model, 8)
-    ens = sample_ensemble(model, grid, seed=77, n_paths=12)
-    for i in (0, 5, 11):
-        solo = sample_path(model, grid, seed=77, index=i)
-        batched = ens.path(i)
-        assert np.array_equal(solo.brownian, batched.brownian)
-        assert np.array_equal(solo.jump_times, batched.jump_times)
-        assert np.array_equal(solo.jump_atoms, batched.jump_atoms)
+    models = {
+        "poisson": poisson_preset(1.0, 1.0),
+        "brownian": brownian_preset(),
+        "mixed": MIXED,
+        "jumpy": JUMPY,
+        "no jumps drawn": LevyModel(sigma=0.5, atoms=((1.0, 1e-12),)),
+    }
+    for name, model in models.items():
+        grid = CellGrid(model, 8)
+        for seed in (77, BIG_SEED):
+            ens = sample_ensemble(model, grid, seed=seed, n_paths=24)
+            assert ens.offsets[0] == 0, name
+            assert ens.offsets[-1] == ens.jump_times.size, name
+            for i in range(ens.n_paths):
+                solo = sample_path(model, grid, seed=seed, index=i)
+                batched = ens.path(i)
+                lo, hi = ens.offsets[i], ens.offsets[i + 1]
+                assert hi - lo == solo.jump_times.size, (name, seed, i)
+                assert np.array_equal(ens.jump_paths[lo:hi], np.full(hi - lo, i))
+                if solo.brownian is None:
+                    assert batched.brownian is None
+                else:
+                    assert np.array_equal(solo.brownian, batched.brownian)
+                assert np.array_equal(solo.jump_times, batched.jump_times)
+                assert np.array_equal(solo.jump_atoms, batched.jump_atoms)
+            assert ens.jump_atoms.dtype == np.int64
+            if name == "no jumps drawn":
+                assert ens.jump_times.size == 0
+
+
+def test_ensemble_stream_is_pinned():
+    # Pins the stream: a new digest means a stream change, which must be
+    # deliberate and recorded with a stream version bump.
+    grid = CellGrid(JUMPY, 8)
+    ens = sample_ensemble(JUMPY, grid, seed=BIG_SEED, n_paths=16)
+    digest = sha256()
+    for arr in (ens.brownian, ens.jump_times, ens.jump_atoms, ens.jump_paths, ens.offsets):
+        digest.update(np.ascontiguousarray(arr).tobytes())
+    assert ens.jump_times.size == 204
+    assert digest.hexdigest() == (
+        "3820b2c2f58c1e568376308cc1436011f2ae399af3a03c3e16a298683edad08a"
+    )
 
 
 def test_seed_controls_the_draw():
@@ -142,6 +180,28 @@ def test_cell_increments_follow_the_compensated_formula():
         want[grid.cell_index[(k, int(grid.atom_bin[a]))]] += 1.0
     assert path.jump_times.size > 0
     assert np.allclose(inc, want, atol=1e-12)
+
+
+def test_ensemble_increments_match_the_per_path_route():
+    grids = [
+        CellGrid(MIXED, 4),
+        CellGrid(JUMPY, 4),
+        CellGrid(JUMPY, 4, atom_groups=((0, 1),)),
+        # pure jump: the diffusion bin is dropped, so columns shift
+        CellGrid(LevyModel(atoms=((1.0, 5.0), (2.0, 3.0))), 4),
+    ]
+    for grid in grids:
+        ens = sample_ensemble(grid.model, grid, seed=BIG_SEED, n_paths=30)
+        rows = cell_increments(ens)
+        assert rows.shape == (30, grid.n_cells)
+        shared = 0
+        for i in range(ens.n_paths):
+            path = ens.path(i)
+            assert np.array_equal(rows[i], cell_increments(path))
+            keys = list(zip(path.jump_cells.tolist(), path.jump_bins.tolist()))
+            shared += len(keys) - len(set(keys))
+        if grid.model is not MIXED:
+            assert shared > 0  # some cell holds two jumps of one bin
 
 
 def test_terminal_value_reconstructs_drift_diffusion_and_jumps():

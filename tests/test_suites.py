@@ -6,7 +6,7 @@ import pytest
 
 from chaoskit.config import SUITES, RunConfig
 from chaoskit.indices import GuardLimitError
-from chaoskit.suites import _check_seed, run_suite, suite_checks
+from chaoskit.suites import _check_seed, pool_size, run_suite, suite_checks
 
 SMALL = dict(
     d=2,
@@ -87,3 +87,21 @@ def test_worker_count_changes_wall_time_only(monkeypatch):
     monkeypatch.setenv("CHAOSKIT_WORKERS", "3")
     threaded = run_suite(config)
     assert [r.row() for r in threaded] == [r.row() for r in serial]
+
+
+def test_pool_size_reads_and_caps_the_worker_count(monkeypatch):
+    monkeypatch.delenv("CHAOSKIT_WORKERS", raising=False)
+    assert pool_size(11) == 1
+    monkeypatch.setenv("CHAOSKIT_WORKERS", "2")
+    assert pool_size(11) == 2
+    monkeypatch.setenv("CHAOSKIT_WORKERS", "10000")
+    assert pool_size(11) == 11
+
+
+@pytest.mark.parametrize("raw", ["0", "-3", "two", "1.5", ""])
+def test_bad_worker_counts_are_refused(monkeypatch, raw):
+    monkeypatch.setenv("CHAOSKIT_WORKERS", raw)
+    with pytest.raises(ValueError, match="CHAOSKIT_WORKERS must be a positive integer"):
+        pool_size(11)
+    with pytest.raises(ValueError, match="CHAOSKIT_WORKERS"):
+        run_suite(RunConfig(suite="fock", **SMALL))
