@@ -33,7 +33,6 @@ from .fock import split as fock_split
 from .indices import (
     check_level,
     level_dim,
-    lower_maps,
     multiplicities,
     occ_array,
     position,
@@ -324,14 +323,11 @@ def gradient(F: ChaosCoefficients) -> MarkedChaos:
 def _symmetrize(grid: CellGrid, g: np.ndarray, m: int) -> np.ndarray:
     """Average the mark into the closed arguments: order m -> order m + 1."""
     c = grid.n_cells
-    occ = occ_array(c, m + 1)
-    low_t = lower_maps(c, m + 1)[0]
-    out = np.zeros(occ.shape[0], dtype=np.complex128)
+    occ = occ_array(c, m)
+    up_t = raise_maps(c, m)[0]
+    out = np.zeros(level_dim(c, m + 1), dtype=np.complex128)
     for s in range(c):
-        col = low_t[:, s]
-        hot = col >= 0
-        if np.any(hot):
-            out[hot] += occ[hot, s] * g[col[hot], s]
+        out[up_t[:, s]] += (occ[:, s] + 1) * g[:, s]
     return out / (m + 1)
 
 

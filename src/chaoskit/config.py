@@ -8,11 +8,14 @@ produced it.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from hashlib import sha256
 
-from .indices import check_level
+import numpy as np
+
+from .indices import MAX_LEVEL_COEFFS, check_level
 from .levy import CellGrid, LevyModel
 
 __all__ = ["DEFAULT_TOLERANCES", "SUITES", "RunConfig"]
@@ -29,6 +32,15 @@ DEFAULT_TOLERANCES = {
     "euler_slope": 0.3,
     "gram_ratio": 1.0,
 }
+
+
+def _finite_real(value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 @dataclass
@@ -62,28 +74,69 @@ class RunConfig:
             ("n_paths", 2),
             ("seed", 0),
         ):
-            if int(getattr(self, name)) < lo:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < lo:
                 raise ValueError(f"{name} must be >= {lo}")
+        for name in ("n_time", "chaos_n_time"):
+            # each time step is at least one grid cell; the cap keeps the grids
+            # built below within the coefficient budget
+            if getattr(self, name) > MAX_LEVEL_COEFFS:
+                raise ValueError(f"{name} must be <= {MAX_LEVEL_COEFFS}")
+        for name in ("b", "sigma", "horizon"):
+            value = getattr(self, name)
+            if not _finite_real(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.horizon <= 0:
             raise ValueError("horizon must be positive")
         if self.sigma < 0:
             raise ValueError("sigma must be >= 0")
+        if not isinstance(self.atoms, (list, tuple)) or not all(
+            isinstance(a, (list, tuple)) and len(a) == 2 and all(map(_finite_real, a))
+            for a in self.atoms
+        ):
+            raise ValueError(
+                f"atoms must be a list of [size, intensity] pairs of finite numbers, "
+                f"got {self.atoms!r}"
+            )
         if self.sigma == 0 and not self.atoms:
             raise ValueError("model needs a diffusion part or at least one atom")
+        if not isinstance(self.out_dir, str):
+            raise ValueError(f"out_dir must be a string, got {self.out_dir!r}")
+        if not isinstance(self.tolerances, dict):
+            raise ValueError(f"tolerances must be an object, got {self.tolerances!r}")
         unknown = set(self.tolerances) - set(DEFAULT_TOLERANCES)
         if unknown:
-            raise ValueError(f"unknown tolerance keys {sorted(unknown)}")
+            raise ValueError(f"unknown tolerance keys {sorted(unknown, key=str)}")
+        for key, value in self.tolerances.items():
+            if not _finite_real(value):
+                raise ValueError(
+                    f"tolerance {key} must be a finite number, got {value!r}"
+                )
         merged = dict(DEFAULT_TOLERANCES)
         merged.update({k: float(v) for k, v in self.tolerances.items()})
         self.tolerances = merged
         self.atoms = [[float(x), float(lam)] for x, lam in self.atoms]
+        # LevyModel and CellGrid own the remaining model rules (distinct
+        # nonzero sizes, positive intensities); meet them here, not mid-run
+        model = self.mixed_model()
+        try:
+            finite = all(
+                np.all(np.isfinite(CellGrid(model, n_time).cell_masses))
+                for n_time in (self.n_time, self.chaos_n_time)
+            )
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError("the model's cell masses overflow the float range")
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
         known = set(cls.__dataclass_fields__)
         unknown = set(data) - known
         if unknown:
-            raise ValueError(f"unknown config fields {sorted(unknown)}")
+            raise ValueError(f"unknown config fields {sorted(unknown, key=str)}")
         return cls(**data)
 
     @classmethod

@@ -267,16 +267,24 @@ class MarkedFock:
     __rmul__ = __mul__
 
 
+def _power_table(fa: np.ndarray, n: int) -> np.ndarray:
+    """table[i, k] = f_i ** k for k = 0..n, by the same ufunc as fa ** occ."""
+    return fa[:, None] ** np.arange(n + 1)
+
+
+def _tensor_coeffs(table: np.ndarray, n: int) -> np.ndarray:
+    # coefficient at alpha: sqrt(n!/alpha!) * prod_i f_i^alpha_i
+    d = table.shape[0]
+    powers = np.prod(table[np.arange(d), occ_array(d, n)], axis=1)
+    return factorial_ratio_sqrt(d, n) * powers
+
+
 def tensor_power(f, n: int) -> SymTensor:
     """n-fold tensor power of f, so <tensor_power(f,n), tensor_power(g,n)> = <f,g>^n."""
     fa = as_mode_vector(f)
-    d = fa.shape[0]
     if n < 0:
         raise ValueError("tensor power degree must be >= 0")
-    occ = occ_array(d, n)
-    # coefficient at alpha: sqrt(n!/alpha!) * prod_i f_i^alpha_i
-    powers = np.prod(fa[None, :] ** occ, axis=1)
-    return SymTensor(d, n, factorial_ratio_sqrt(d, n) * powers)
+    return SymTensor(fa.shape[0], n, _tensor_coeffs(_power_table(fa, n), n))
 
 
 def exp_vector(f, truncation: int) -> FockVector:
@@ -290,9 +298,10 @@ def exp_vector(f, truncation: int) -> FockVector:
 
     fa = as_mode_vector(f)
     d = fa.shape[0]
-    levels = []
-    for n in range(truncation + 1):
-        levels.append(tensor_power(fa, n).coeffs / math.sqrt(factorial(n)))
+    table = _power_table(fa, truncation)
+    levels = [
+        _tensor_coeffs(table, n) / math.sqrt(factorial(n)) for n in range(truncation + 1)
+    ]
     return FockVector(d, truncation, levels, source=ExpCombo(d, [(1.0 + 0j, fa)]))
 
 
@@ -338,14 +347,11 @@ def annihilate(f, psi: FockVector) -> FockVector:
     d, M = psi.d, psi.truncation
     out = _zero_levels(d, M)
     for n in range(1, M + 1):
-        target, weight = lower_maps(d, n)
+        target, weight = raise_maps(d, n - 1)
         src = psi.levels[n]
         dst = out[n - 1]
         for i in range(d):
-            valid = target[:, i] >= 0
-            if not np.any(valid):
-                continue
-            dst[target[valid, i]] += np.conj(fa[i]) * weight[valid, i] * src[valid]
+            dst += np.conj(fa[i]) * weight[:, i] * src[target[:, i]]
     return FockVector(d, M, out)
 
 
@@ -383,14 +389,8 @@ def gradient(psi: FockVector) -> MarkedFock:
     d, M = psi.d, psi.truncation
     out = MarkedFock.zero(d, M)
     for n in range(1, M + 1):
-        target, weight = lower_maps(d, n)
-        src = psi.levels[n]
-        dst = out.levels[n - 1]
-        for i in range(d):
-            valid = target[:, i] >= 0
-            if not np.any(valid):
-                continue
-            dst[target[valid, i], i] = weight[valid, i] * src[valid]
+        target, weight = raise_maps(d, n - 1)
+        out.levels[n - 1][:] = weight * psi.levels[n][target]
     return out
 
 
@@ -765,17 +765,10 @@ def marked_lower(phi: MarkedFock) -> list[np.ndarray]:
     Output[n] has shape (dim_n, d, d); axis 1 is the new mark from lowering,
     axis 2 the original mark.
     """
-    d, M = phi.d, phi.truncation
-    out = [np.zeros((level_dim(d, n), d, d), dtype=np.complex128) for n in range(M)]
-    for n in range(1, M + 1):
-        target, weight = lower_maps(d, n)
-        src = phi.levels[n]
-        dst = out[n - 1]
-        for i in range(d):
-            valid = target[:, i] >= 0
-            if not np.any(valid):
-                continue
-            dst[target[valid, i], i, :] = weight[valid, i, None] * src[valid, :]
+    out = []
+    for n in range(1, phi.truncation + 1):
+        target, weight = raise_maps(phi.d, n - 1)
+        out.append(weight[:, :, None] * phi.levels[n][target])
     return out
 
 

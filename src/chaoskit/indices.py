@@ -4,6 +4,14 @@ A degree-n symmetric level over d modes is coordinatized by occupation vectors
 alpha = (alpha_1, ..., alpha_d) with sum(alpha) = n, enumerated in ascending
 lexicographic order. The level dimension is C(n + d - 1, n); requests beyond
 the coefficient budget raise GuardLimitError instead of allocating.
+
+The raise tables also serve lowering. Every level-n vector alpha with
+alpha_i >= 1 is beta + e_i for exactly one level-(n-1) beta, and the raise
+weight sqrt(beta_i + 1) is the lower weight sqrt(alpha_i). So the vector
+kernels in `fock` and `chaos` lower by gathering through raise_maps(d, n-1),
+with no mask for empty modes. `lower_maps` stays as the reference table that
+the dense matrices and the split route read, so those independent checks do
+not share a table with the kernels they check.
 """
 from __future__ import annotations
 

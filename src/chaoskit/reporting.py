@@ -4,7 +4,9 @@ Reports are append-only: every run gets a fresh timestamped directory and
 nothing inside an existing run directory is ever rewritten.  The report
 files themselves (report.jsonl, report.csv, manifest.json) are byte-stable
 for a fixed config and seed; wall-clock data lives in timing.jsonl only, so
-identical runs can be diffed file by file.
+identical runs can be diffed file by file. One registered check can emit
+several records; each timing line names that check in its `check` field and
+carries the check's batch total, so time sums per check, not per record.
 
 Complex values are serialized as "re+imi" with full-precision float reprs;
 parse_value is the reference parser and round-trips everything format_value
@@ -46,17 +48,20 @@ class CheckRecord:
     se: float | None = None
     runtime_ms: float = 0.0
     note: str = ""
+    check: str = ""
 
     def __post_init__(self):
         if self.status not in ("pass", "fail"):
             raise ValueError(f"status must be pass or fail, got {self.status!r}")
+        if not self.check:
+            self.check = self.check_id
 
     @property
     def passed(self) -> bool:
         return self.status == "pass"
 
     def row(self) -> dict:
-        """Deterministic payload: runtime_ms is deliberately excluded."""
+        """Deterministic payload: runtime_ms and check are deliberately excluded."""
         return {
             "check_id": self.check_id,
             "status": self.status,
@@ -145,13 +150,12 @@ def emit_report(records, run_dir: str, manifest: dict) -> str:
 
     with open(os.path.join(run_dir, "timing.jsonl"), "w") as fh:
         for r in records:
-            fh.write(
-                json.dumps(
-                    {"check_id": r.check_id, "runtime_ms": round(r.runtime_ms, 3)},
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+            timing = {
+                "check": r.check,
+                "check_id": r.check_id,
+                "runtime_ms": round(r.runtime_ms, 3),
+            }
+            fh.write(json.dumps(timing, sort_keys=True) + "\n")
     return summary_line(records)
 
 

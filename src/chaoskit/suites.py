@@ -1358,6 +1358,7 @@ def _run_one(fn, cfg: RunConfig) -> list[CheckRecord]:
     elapsed = (time.perf_counter() - start) * 1000.0
     for record in records:
         record.runtime_ms = elapsed
+        record.check = fn.check_id
     return records
 
 

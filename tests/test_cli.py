@@ -93,6 +93,29 @@ def test_invalid_config_exits_two(tmp_path, capsys):
     assert main(["fock", "--config", os.fspath(tmp_path / "missing.json")]) == 2
 
 
+@pytest.mark.parametrize(
+    "probe",
+    [
+        {"atoms": 5},
+        {"horizon": "1"},
+        {"d": "2"},
+        {"atoms": [[1, 1], [1, 2]]},
+        {"sigma": float("nan")},
+        {"n_time": 2.5},
+    ],
+)
+def test_bad_config_values_exit_two_without_a_traceback(tmp_path, capsys, probe):
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps(dict(SMALL, **probe)))
+    out = tmp_path / "runs"
+    code = main(["fock", "--config", os.fspath(path), "--out", os.fspath(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "invalid config" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_invalid_worker_count_exits_two(tmp_path, cfg_path, capsys, monkeypatch):
     monkeypatch.setenv("CHAOSKIT_WORKERS", "0")
     out = tmp_path / "runs"

@@ -3,6 +3,8 @@ import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chaoskit.config import DEFAULT_TOLERANCES, SUITES, RunConfig
 from chaoskit.indices import GuardLimitError
@@ -38,6 +40,102 @@ def test_defaults_are_complete():
 def test_field_validation(field, bad):
     with pytest.raises(ValueError, match=field):
         RunConfig(**{field: bad})
+
+
+@pytest.mark.parametrize(
+    "field,bad",
+    [
+        ("d", "2"),
+        ("d", 2.0),
+        ("n_paths", True),
+        ("seed", None),
+        ("n_time", 2.5),
+        ("n_time", 10**30),
+        ("horizon", "1"),
+        ("sigma", float("nan")),
+        ("b", float("inf")),
+        ("b", 10**400),
+        ("atoms", 5),
+        ("atoms", [[1.0]]),
+        ("atoms", [[1.0, "2"]]),
+        ("atoms", [[1.0, float("nan")]]),
+        ("out_dir", 5),
+        ("tolerances", [1e-12]),
+    ],
+)
+def test_field_types_are_checked(field, bad):
+    with pytest.raises(ValueError, match=field):
+        RunConfig(**{field: bad})
+
+
+def test_model_and_grids_are_built_during_validation():
+    with pytest.raises(ValueError, match="distinct"):
+        RunConfig(atoms=[[1, 1], [1, 2]])
+    with pytest.raises(ValueError, match="intensity"):
+        RunConfig(atoms=[[1.0, 0.0]])
+    with pytest.raises(ValueError, match="overflow"):
+        RunConfig(sigma=1e200)
+
+
+def test_tolerance_values_must_be_finite_numbers():
+    with pytest.raises(ValueError, match="algebraic"):
+        RunConfig(tolerances={"algebraic": "1e-9"})
+    with pytest.raises(ValueError, match="mc_sigmas"):
+        RunConfig(tolerances={"mc_sigmas": float("inf")})
+
+
+def test_validation_keeps_config_hashes():
+    # hashes pinned before the type checks were added: manifests stay the same
+    assert RunConfig().config_hash() == (
+        "b2c4595ed31f0c0fd13f66b786fe82ffb6af9bbde2de8d04457431a893733a82"
+    )
+    as_ints = RunConfig(horizon=1, sigma=1, atoms=[[1, 1]])
+    assert as_ints.to_dict()["horizon"] == 1
+    assert as_ints.to_dict()["atoms"] == [[1.0, 1.0]]
+    assert as_ints.config_hash() == (
+        "b75a0f4c8e5858a99560aefcefbac82a7c886cb703e9ae1a7b1ef84c16d6b070"
+    )
+
+
+_FIELDS = sorted(RunConfig.__dataclass_fields__) + ["velocity"]
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-3, max_value=40)
+    | st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=6)
+    | st.sampled_from(SUITES)
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(
+        st.sampled_from(sorted(DEFAULT_TOLERANCES)) | st.text(max_size=4),
+        inner,
+        max_size=3,
+    ),
+    max_leaves=8,
+)
+
+
+def _bounded(data: dict) -> dict:
+    # keep grids small: the time counts build one cell per time step and bin
+    for name in ("n_time", "chaos_n_time"):
+        value = data.get(name)
+        if isinstance(value, int) and not isinstance(value, bool) and value > 64:
+            data[name] = value % 64
+    return data
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.sampled_from(_FIELDS), _VALUES, max_size=6).map(_bounded))
+def test_from_dict_returns_or_raises_value_error(data):
+    try:
+        cfg = RunConfig.from_dict(data)
+    except ValueError:
+        return
+    assert cfg.config_hash() == RunConfig.from_dict(cfg.to_dict()).config_hash()
 
 
 def test_some_noise_source_is_required():

@@ -107,6 +107,27 @@ def test_emit_report_bytes_ignore_runtime(tmp_path):
     with open(os.path.join(run_a, "timing.jsonl")) as fh:
         timings = [json.loads(line) for line in fh]
     assert [t["runtime_ms"] for t in timings] == [1.0, 1.0, 1.0]
+    assert [t["check"] for t in timings] == ["alg.one", "mc.two", "bad.three"]
+
+
+def test_timing_names_the_check_that_timed_each_record(tmp_path):
+    batch = [
+        CheckRecord(f"sim.m.{k}", "pass", 0.0, 0.0, 1.0, runtime_ms=40.0, check="sim.m")
+        for k in ("poisson", "brownian")
+    ]
+    records = batch + [CheckRecord("fock.ccr", "pass", 0.0, 0.0, 1.0, runtime_ms=2.5)]
+    run_dir = os.fspath(tmp_path / "r")
+    os.makedirs(run_dir)
+    emit_report(records, run_dir, {"suite": "all", "seed": 1})
+    with open(os.path.join(run_dir, "timing.jsonl")) as fh:
+        timings = [json.loads(line) for line in fh]
+    assert [t["check"] for t in timings] == ["sim.m", "sim.m", "fock.ccr"]
+    per_check = {t["check"]: t["runtime_ms"] for t in timings}
+    assert per_check == {"sim.m": 40.0, "fock.ccr": 2.5}
+    with open(os.path.join(run_dir, "report.jsonl")) as fh:
+        assert all("check" not in json.loads(line) for line in fh)
+    rows = read_report_csv(os.path.join(run_dir, "report.csv"))
+    assert all("check" not in row for row in rows)
 
 
 def test_manifest_carries_counts_and_format(tmp_path):

@@ -66,6 +66,10 @@ def test_fock_suite_passes_and_stamps_runtimes():
     for r in records:
         assert r.passed, f"{r.check_id}: {r.value} vs {r.expected}"
         assert r.runtime_ms > 0.0
+    # one registered check times both Skorohod records as a batch
+    assert records[8].check == records[9].check == "fock.ito_skorohod"
+    assert records[9].runtime_ms == records[8].runtime_ms
+    assert {r.check for r in records} == {fn.check_id for fn in suite_checks("fock")}
 
 
 def test_guard_breach_becomes_a_single_failing_record():
