@@ -70,7 +70,8 @@ class RunConfig:
             ("max_degree", 1),
             ("n_time", 1),
             ("chaos_n_time", 1),
-            ("chaos_truncation", 0),
+            # chaos.engines expands a second-order power of a field
+            ("chaos_truncation", 2),
             ("n_paths", 2),
             ("seed", 0),
         ):
@@ -110,9 +111,11 @@ class RunConfig:
         if unknown:
             raise ValueError(f"unknown tolerance keys {sorted(unknown, key=str)}")
         for key, value in self.tolerances.items():
-            if not _finite_real(value):
+            # a record passes when its gap is <= its tolerance, so a negative
+            # tolerance fails every record
+            if not _finite_real(value) or value < 0:
                 raise ValueError(
-                    f"tolerance {key} must be a finite number, got {value!r}"
+                    f"tolerance {key} must be a finite number >= 0, got {value!r}"
                 )
         merged = dict(DEFAULT_TOLERANCES)
         merged.update({k: float(v) for k, v in self.tolerances.items()})

@@ -6,7 +6,6 @@ in `fock` never build them.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,8 +17,6 @@ __all__ = [
     "operator_matrix",
     "operator_norm",
     "isometry_residual",
-    "write_csv",
-    "read_csv",
 ]
 
 _KNOWN = ("lower", "raise", "isometry", "number", "conservation")
@@ -116,23 +113,3 @@ def isometry_residual(op: DenseOperator) -> float:
     m = op.matrix
     g = m.conj().T @ m - np.eye(m.shape[1])
     return float(np.linalg.norm(g, ord=2))
-
-
-def write_csv(op: DenseOperator, path) -> None:
-    """Row-major CSV; each cell is "re,im" (quoted by the writer)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in op.matrix:
-            writer.writerow([f"{complex(z).real!r},{complex(z).imag!r}" for z in row])
-
-
-def read_csv(path) -> np.ndarray:
-    with open(path, newline="") as fh:
-        rows = []
-        for record in csv.reader(fh):
-            vals = []
-            for cell in record:
-                re_s, im_s = cell.split(",")
-                vals.append(complex(float(re_s), float(im_s)))
-            rows.append(vals)
-    return np.array(rows, dtype=np.complex128)

@@ -53,9 +53,7 @@ __all__ = [
     "create",
     "gradient",
     "divergence",
-    "project_level",
     "number_apply",
-    "number_expectation",
     "number_semigroup",
     "sobolev_scale",
     "graph_inner",
@@ -416,24 +414,10 @@ def divergence(phi: MarkedFock) -> tuple[FockVector, float]:
     return FockVector(d, M, out), float(np.linalg.norm(spill))
 
 
-def project_level(psi: FockVector, n: int) -> FockVector:
-    if not 0 <= n <= psi.truncation:
-        raise ValueError(f"level {n} outside 0..{psi.truncation}")
-    out = FockVector.zero(psi.d, psi.truncation)
-    out.levels[n] = psi.levels[n].copy()
-    return out
-
 def number_apply(psi: FockVector) -> FockVector:
     """Number operator: multiplies level n by n."""
     return FockVector(
         psi.d, psi.truncation, [n * lev for n, lev in enumerate(psi.levels)]
-    )
-
-
-def number_expectation(psi: FockVector) -> float:
-    """sum_n n ||psi_n||^2, the squared graph seminorm of the lowering map."""
-    return float(
-        sum(n * np.vdot(lev, lev).real for n, lev in enumerate(psi.levels))
     )
 
 

@@ -41,7 +41,6 @@ from .levy import (
 
 __all__ = [
     "stochastic_integral",
-    "stochastic_process",
     "product_integral",
     "iterated_chain",
     "iterated_integral",
@@ -83,27 +82,6 @@ def stochastic_integral(field: StepField, source):
     inc = cell_increments(ens)
     out = inc.astype(np.complex128) @ vals
     return complex(out[0]) if scalar else out
-
-
-def stochastic_process(field: StepField, source) -> np.ndarray:
-    """First-order integral at the grid times t_0..t_K, shape (P, K + 1).
-
-    Exact at grid points: each time cell contributes its full compensated
-    increment once the cell is complete.
-    """
-    ens, _ = _as_ensemble(source)
-    grid = ens.grid
-    if field.grid.spec() != grid.spec():
-        raise ValueError("field and paths live on different grids")
-    vals = field.cell_values()
-    inc = cell_increments(ens).astype(np.complex128)
-    per_cell = inc * vals[None, :]
-    steps = np.zeros((ens.n_paths, grid.n_time), dtype=np.complex128)
-    for i, (k, _) in enumerate(grid.cells):
-        steps[:, k] += per_cell[:, i]
-    out = np.zeros((ens.n_paths, grid.n_time + 1), dtype=np.complex128)
-    np.cumsum(steps, axis=1, out=out[:, 1:])
-    return out
 
 
 def product_integral(kernel, source, validate: bool = True):

@@ -39,8 +39,6 @@ __all__ = [
     "terminal_value",
     "brownian_preset",
     "poisson_preset",
-    "export_paths",
-    "import_paths",
 ]
 
 
@@ -473,46 +471,3 @@ def brownian_preset(horizon: float = 1.0) -> LevyModel:
 def poisson_preset(lam: float = 1.0, horizon: float = 1.0) -> LevyModel:
     """Compensated standard Poisson: single atom at x = 1 with intensity lam."""
     return LevyModel(b=0.0, sigma=0.0, atoms=((1.0, float(lam)),), horizon=horizon)
-
-
-def export_paths(source: PathEnsemble, fh) -> None:
-    """One JSON record per path: grid hash, increments, jump list."""
-    h = source.grid.grid_hash()
-    for i in range(source.n_paths):
-        p = source.path(i)
-        rec = {
-            "path": i,
-            "grid": h,
-            "brownian": None if p.brownian is None else [float(x) for x in p.brownian],
-            "jumps": [
-                [float(t), int(a)] for t, a in zip(p.jump_times, p.jump_atoms)
-            ],
-        }
-        fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
-
-
-def import_paths(fh, grid: CellGrid) -> list[SamplePath]:
-    """Read records written by export_paths; validates the grid hash."""
-    h = grid.grid_hash()
-    out = []
-    for line in fh:
-        line = line.strip()
-        if not line:
-            continue
-        rec = json.loads(line)
-        if rec["grid"] != h:
-            raise ValueError("path record was produced on a different grid")
-        jumps = rec["jumps"]
-        times = np.array([t for t, _ in jumps], dtype=np.float64)
-        atoms = np.array([a for _, a in jumps], dtype=np.int64)
-        noise = rec["brownian"]
-        out.append(
-            SamplePath(
-                grid,
-                int(rec["path"]),
-                None if noise is None else np.asarray(noise, dtype=np.float64),
-                times,
-                atoms,
-            )
-        )
-    return out

@@ -13,9 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .levy import CellGrid, LevyModel, sample_ensemble
-
-__all__ = ["MCStat", "summarize", "mc_estimate"]
+__all__ = ["MCStat", "summarize"]
 
 
 @dataclass(frozen=True)
@@ -70,20 +68,3 @@ def summarize(values: np.ndarray, seed: int = -1) -> MCStat:
         n_paths=n,
         seed=seed,
     )
-
-
-def mc_estimate(
-    functional,
-    model: LevyModel,
-    grid: CellGrid,
-    n_paths: int,
-    seed: int,
-) -> MCStat:
-    """Draw an ensemble and summarize functional(ensemble) -> (P,) values."""
-    ens = sample_ensemble(model, grid, seed, n_paths)
-    values = np.asarray(functional(ens))
-    if values.shape != (n_paths,):
-        raise ValueError(
-            f"functional returned shape {values.shape}, expected ({n_paths},)"
-        )
-    return summarize(values, seed=seed)

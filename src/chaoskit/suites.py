@@ -6,6 +6,11 @@ simulation suites measure Monte Carlo z-scores against exact targets.  Every
 record's random stream is derived from (config seed, record id) so reruns are
 bit-identical and records can be reproduced in isolation.
 
+A check is a function of the config that returns its records. Decorating it
+with @_registered("<suite>.<name>") appends it to that suite, so a suite runs
+its checks in definition order. A Monte Carlo check over the models returns
+_mc_per_model(...); a check over seeded random trials returns _trials(...).
+
 A guard-rail breach inside a check becomes a failing record, not a crash;
 anything else propagating out of a check is a bug and is allowed to surface.
 """
@@ -183,14 +188,6 @@ def _random_marked_chaos(rng, grid: CellGrid, truncation: int, scale: float = 0.
     return MarkedChaos(grid, truncation, kernels)
 
 
-def _models(cfg: RunConfig) -> dict:
-    return {
-        "poisson": poisson_preset(1.0, cfg.horizon),
-        "brownian": brownian_preset(cfg.horizon),
-        "mixed": cfg.mixed_model(),
-    }
-
-
 def _profile_a(K: int) -> np.ndarray:
     k = np.arange(K)
     return (
@@ -230,12 +227,63 @@ def _series_tail(x: float, roof: int) -> float:
     return exp_tail_bound(np.array([math.sqrt(x)]), roof)
 
 
+_SUITE_CHECKS = {"fock": [], "sim": [], "chaos": [], "malliavin": []}
+
+
 def _registered(check_id: str):
+    """Tag a check with its id and append it to the suite its id names."""
+
     def deco(fn):
         fn.check_id = check_id
+        _SUITE_CHECKS[check_id.split(".")[0]].append(fn)
         return fn
 
     return deco
+
+
+def _mc_per_model(
+    cfg: RunConfig, family: str, stats, note, models=("poisson", "brownian", "mixed")
+) -> list[CheckRecord]:
+    """One mc_sigmas record per model, id f"{family}.{model}": the worst z over
+    the (MCStat, target) pairs that stats(model, grid, ens) returns, the first
+    one on a tie. note is a string or a function of the grid."""
+    by_name = {
+        "poisson": poisson_preset(1.0, cfg.horizon),
+        "brownian": brownian_preset(cfg.horizon),
+        "mixed": cfg.mixed_model(),
+    }
+    records = []
+    for name in models:
+        model = by_name[name]
+        check_id = f"{family}.{name}"
+        grid = CellGrid(model, cfg.n_time)
+        ens = sample_ensemble(model, grid, _check_seed(cfg.seed, check_id), cfg.n_paths)
+        z, se = _worst(
+            [(_zscore(stat, target), stat.se) for stat, target in stats(model, grid, ens)]
+        )
+        records.append(
+            _make_record(
+                check_id,
+                z,
+                0.0,
+                cfg.tolerances["mc_sigmas"],
+                se=se,
+                note=note(grid) if callable(note) else note,
+            )
+        )
+    return records
+
+
+def _trials(
+    cfg: RunConfig, check_id: str, n: int, residual, tol: str, note: str
+) -> list[CheckRecord]:
+    """The check's one record: the worst residual(rng) over n trials drawn from
+    the check's own stream."""
+    rng = _trial_rng(cfg, check_id)
+    worst = 0.0
+    for _ in range(n):
+        worst = max(worst, residual(rng))
+    return [_make_record(check_id, worst, 0.0, cfg.tolerances[tol], note=note)]
 
 
 # ---------------------------------------------------------------------------
@@ -244,34 +292,32 @@ def _registered(check_id: str):
 
 @_registered("fock.exp_gram")
 def _check_exp_gram(cfg: RunConfig):
-    rng = _trial_rng(cfg, "fock.exp_gram")
     roof = 30
-    worst = 0.0
-    for _ in range(200):
+
+    def residual(rng):
         d = int(rng.integers(1, 5))
         f = _unit_modes(rng, d, 0.1, 1.5)
         g = _unit_modes(rng, d, 0.1, 1.5)
         approx = exp_vector(f, roof).inner(exp_vector(g, roof))
         exact = complex(np.exp(np.vdot(f, g)))
         allowed = gram_tail_bound(f, g, roof) + 1e-12 * (1.0 + abs(exact))
-        worst = max(worst, abs(approx - exact) / allowed)
-    return [
-        _make_record(
-            "fock.exp_gram",
-            worst,
-            0.0,
-            cfg.tolerances["gram_ratio"],
-            note="worst kernel error over (tail bound + float allowance), 200 trials, roof 30",
-        )
-    ]
+        return abs(approx - exact) / allowed
+
+    return _trials(
+        cfg,
+        "fock.exp_gram",
+        200,
+        residual,
+        "gram_ratio",
+        "worst kernel error over (tail bound + float allowance), 200 trials, roof 30",
+    )
 
 
 @_registered("fock.ccr")
 def _check_ccr(cfg: RunConfig):
-    rng = _trial_rng(cfg, "fock.ccr")
     d, M = cfg.d, max(cfg.truncation, 3)
-    worst = 0.0
-    for _ in range(200):
+
+    def residual(rng):
         psi = _random_fock(rng, d, M, zero_top=2)
         f = _unit_modes(rng, d)
         g = _unit_modes(rng, d)
@@ -279,16 +325,16 @@ def _check_ccr(cfg: RunConfig):
         left = annihilate(f, raised)
         right, _ = create(g, annihilate(f, psi))
         comm = left - right - psi * complex(np.vdot(f, g))
-        worst = max(worst, comm.norm() / psi.norm(), spill)
-    return [
-        _make_record(
-            "fock.ccr",
-            worst,
-            0.0,
-            cfg.tolerances["algebraic"],
-            note=f"commutator residual / norm, 200 trials, d={d}, roof {M}",
-        )
-    ]
+        return max(comm.norm() / psi.norm(), spill)
+
+    return _trials(
+        cfg,
+        "fock.ccr",
+        200,
+        residual,
+        "algebraic",
+        f"commutator residual / norm, 200 trials, d={d}, roof {M}",
+    )
 
 
 @_registered("fock.ladder_norms")
@@ -321,23 +367,22 @@ def _check_ladder_norms(cfg: RunConfig):
 
 @_registered("fock.number_factorization")
 def _check_number_factorization(cfg: RunConfig):
-    rng = _trial_rng(cfg, "fock.number_factorization")
     d, M = cfg.d, cfg.truncation
-    worst = 0.0
-    for _ in range(100):
+
+    def residual(rng):
         psi = _random_fock(rng, d, M)
         assembled, dropped = fock_divergence(fock_gradient(psi))
         res = (assembled - number_apply(psi)).norm() / psi.norm()
-        worst = max(worst, res, dropped)
-    return [
-        _make_record(
-            "fock.number_factorization",
-            worst,
-            0.0,
-            cfg.tolerances["algebraic"],
-            note="divergence(gradient) vs number operator, 100 random vectors",
-        )
-    ]
+        return max(res, dropped)
+
+    return _trials(
+        cfg,
+        "fock.number_factorization",
+        100,
+        residual,
+        "algebraic",
+        "divergence(gradient) vs number operator, 100 random vectors",
+    )
 
 
 @_registered("fock.q_isometry")
@@ -411,10 +456,9 @@ def _check_ito_skorohod(cfg: RunConfig):
 
 @_registered("fock.exp_adjunction")
 def _check_exp_adjunction(cfg: RunConfig):
-    rng = _trial_rng(cfg, "fock.exp_adjunction")
     d = cfg.d
-    worst = 0.0
-    for _ in range(100):
+
+    def residual(rng):
         f = _unit_modes(rng, d)
         g = _unit_modes(rng, d)
         h = _unit_modes(rng, d)
@@ -426,19 +470,22 @@ def _check_exp_adjunction(cfg: RunConfig):
         rhs = exp_gram(cf, pair_merge(t, cgh))
         closed = complex(np.exp(np.vdot(f, g) + t * np.vdot(f, h)))
         scale = max(1.0, abs(closed))
-        worst = max(worst, abs(lhs - rhs) / scale, abs(lhs - closed) / scale)
         lhs2 = exp_gram(exp_shift(h, cf, adjoint=True), cg)
         rhs2 = exp_gram(cf, exp_shift(h, cg))
-        worst = max(worst, abs(lhs2 - rhs2) / max(1.0, abs(lhs2)))
-    return [
-        _make_record(
-            "fock.exp_adjunction",
-            worst,
-            0.0,
-            cfg.tolerances["algebraic"],
-            note="pairing and shift adjunctions vs kernel closed form, 100 random (f,g,h,t)",
+        return max(
+            abs(lhs - rhs) / scale,
+            abs(lhs - closed) / scale,
+            abs(lhs2 - rhs2) / max(1.0, abs(lhs2)),
         )
-    ]
+
+    return _trials(
+        cfg,
+        "fock.exp_adjunction",
+        100,
+        residual,
+        "algebraic",
+        "pairing and shift adjunctions vs kernel closed form, 100 random (f,g,h,t)",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -447,86 +494,53 @@ def _check_exp_adjunction(cfg: RunConfig):
 
 @_registered("sim.cell_moments")
 def _check_cell_moments(cfg: RunConfig):
-    records = []
-    for name, model in _models(cfg).items():
-        check_id = f"sim.cell_moments.{name}"
-        grid = CellGrid(model, cfg.n_time)
-        ens = sample_ensemble(model, grid, _check_seed(cfg.seed, check_id), cfg.n_paths)
+    def probes(grid):
+        return sorted({0, grid.n_cells // 2, grid.n_cells - 1})
+
+    def stats(model, grid, ens):
         inc = cell_increments(ens)
-        probes = sorted({0, grid.n_cells // 2, grid.n_cells - 1})
-        stats = []
-        for ci in probes:
-            first = summarize(inc[:, ci])
-            stats.append((_zscore(first, 0.0), first.se))
-            second = summarize(inc[:, ci] ** 2)
-            stats.append((_zscore(second, grid.cell_masses[ci]), second.se))
-        z, se = _worst(stats)
-        records.append(
-            _make_record(
-                check_id,
-                z,
-                0.0,
-                cfg.tolerances["mc_sigmas"],
-                se=se,
-                note=f"max |z| over mean and second moment at cells {probes}, "
-                f"{cfg.n_paths} paths",
-            )
-        )
-    return records
+        for ci in probes(grid):
+            yield summarize(inc[:, ci]), 0.0
+            yield summarize(inc[:, ci] ** 2), grid.cell_masses[ci]
+
+    return _mc_per_model(
+        cfg,
+        "sim.cell_moments",
+        stats,
+        lambda grid: f"max |z| over mean and second moment at cells {probes(grid)}, "
+        f"{cfg.n_paths} paths",
+    )
 
 
 @_registered("sim.characteristic")
 def _check_characteristic(cfg: RunConfig):
-    records = []
-    for name, model in _models(cfg).items():
-        check_id = f"sim.characteristic.{name}"
-        grid = CellGrid(model, cfg.n_time)
-        ens = sample_ensemble(model, grid, _check_seed(cfg.seed, check_id), cfg.n_paths)
+    def stats(model, grid, ens):
         x = terminal_value(ens)
-        stats = []
         for u in (0.5, 1.0, 2.0):
-            stat = summarize(np.exp(1j * u * x))
             target = complex(np.exp(-model.horizon * model.symbol(u)))
-            stats.append((_zscore(stat, target), stat.se))
-        z, se = _worst(stats)
-        records.append(
-            _make_record(
-                check_id,
-                z,
-                0.0,
-                cfg.tolerances["mc_sigmas"],
-                se=se,
-                note="max |z| of the terminal characteristic function at u in {0.5, 1, 2}",
-            )
-        )
-    return records
+            yield summarize(np.exp(1j * u * x)), target
+
+    return _mc_per_model(
+        cfg,
+        "sim.characteristic",
+        stats,
+        "max |z| of the terminal characteristic function at u in {0.5, 1, 2}",
+    )
 
 
 @_registered("sim.sample_moments")
 def _check_sample_moments(cfg: RunConfig):
-    records = []
-    for name, model in _models(cfg).items():
-        check_id = f"sim.sample_moments.{name}"
-        grid = CellGrid(model, cfg.n_time)
-        ens = sample_ensemble(model, grid, _check_seed(cfg.seed, check_id), cfg.n_paths)
-        stats = []
-        mean_stat = summarize(terminal_value(ens))
-        stats.append((_zscore(mean_stat, model.mean_slope * model.horizon), mean_stat.se))
-        counts = summarize(np.diff(ens.offsets).astype(float))
+    def stats(model, grid, ens):
+        yield summarize(terminal_value(ens)), model.mean_slope * model.horizon
         rate = sum(lam for _, lam in model.atoms) * model.horizon
-        stats.append((_zscore(counts, rate), counts.se))
-        z, se = _worst(stats)
-        records.append(
-            _make_record(
-                check_id,
-                z,
-                0.0,
-                cfg.tolerances["mc_sigmas"],
-                se=se,
-                note="max |z| over terminal mean and total jump count",
-            )
-        )
-    return records
+        yield summarize(np.diff(ens.offsets).astype(float)), rate
+
+    return _mc_per_model(
+        cfg,
+        "sim.sample_moments",
+        stats,
+        "max |z| over terminal mean and total jump count",
+    )
 
 
 @_registered("sim.chain_power")
@@ -661,61 +675,35 @@ def _check_doleans_closed(cfg: RunConfig):
 
 @_registered("sim.doleans_martingale")
 def _check_doleans_martingale(cfg: RunConfig):
-    records = []
-    K = cfg.n_time
-    for name, model in _models(cfg).items():
-        check_id = f"sim.doleans_martingale.{name}"
-        grid = CellGrid(model, K)
-        ens = sample_ensemble(model, grid, _check_seed(cfg.seed, check_id), cfg.n_paths)
+    def stats(model, grid, ens):
+        K = grid.n_time
         prof = 0.8 * _profile_a(K)
-        stats = []
-        full = summarize(doleans_exp(_field_profiles(grid, prof), ens))
-        stats.append((_zscore(full, 1.0), full.se))
         half_prof = prof.copy()
         half_prof[K // 2 :] = 0.0
-        half = summarize(doleans_exp(_field_profiles(grid, half_prof), ens))
-        stats.append((_zscore(half, 1.0), half.se))
-        z, se = _worst(stats)
-        records.append(
-            _make_record(
-                check_id,
-                z,
-                0.0,
-                cfg.tolerances["mc_sigmas"],
-                se=se,
-                note="unit mean of the stochastic exponential at the horizon and midway",
-            )
-        )
-    return records
+        yield summarize(doleans_exp(_field_profiles(grid, prof), ens)), 1.0
+        yield summarize(doleans_exp(_field_profiles(grid, half_prof), ens)), 1.0
+
+    return _mc_per_model(
+        cfg,
+        "sim.doleans_martingale",
+        stats,
+        "unit mean of the stochastic exponential at the horizon and midway",
+    )
 
 
 @_registered("sim.exp_martingale")
 def _check_exp_martingale(cfg: RunConfig):
-    records = []
-    K = cfg.n_time
-    prof = _profile_real(K)
-    for name, model in _models(cfg).items():
-        check_id = f"sim.exp_martingale.{name}"
-        grid = CellGrid(model, K)
-        ens = sample_ensemble(model, grid, _check_seed(cfg.seed, check_id), cfg.n_paths)
-        stats = []
-        terminal = summarize(exp_martingale_terminal(prof, ens))
-        stats.append((_zscore(terminal, 1.0), terminal.se))
-        midway = summarize(exp_martingale_grid(prof, ens)[:, K // 2])
-        stats.append((_zscore(midway, 1.0), midway.se))
-        z, se = _worst(stats)
-        records.append(
-            _make_record(
-                check_id,
-                z,
-                0.0,
-                cfg.tolerances["mc_sigmas"],
-                se=se,
-                note="unit mean of the symbol-compensated exponential at the horizon "
-                "and midway",
-            )
-        )
-    return records
+    def stats(model, grid, ens):
+        prof = _profile_real(grid.n_time)
+        yield summarize(exp_martingale_terminal(prof, ens)), 1.0
+        yield summarize(exp_martingale_grid(prof, ens)[:, grid.n_time // 2]), 1.0
+
+    return _mc_per_model(
+        cfg,
+        "sim.exp_martingale",
+        stats,
+        "unit mean of the symbol-compensated exponential at the horizon and midway",
+    )
 
 
 @_registered("sim.representation")
@@ -746,70 +734,45 @@ def _check_representation(cfg: RunConfig):
 
 @_registered("chaos.orthogonality")
 def _check_orthogonality(cfg: RunConfig):
-    records = []
-    K = cfg.n_time
-    for name in ("poisson", "brownian"):
-        model = _models(cfg)[name]
-        check_id = f"chaos.orthogonality.{name}"
-        grid = CellGrid(model, K)
-        ens = sample_ensemble(model, grid, _check_seed(cfg.seed, check_id), cfg.n_paths)
-        fa = _field_profiles(grid, _profile_a(K))
-        fb = _field_profiles(grid, _profile_b(K))
+    def stats(model, grid, ens):
+        fa = _field_profiles(grid, _profile_a(grid.n_time))
+        fb = _field_profiles(grid, _profile_b(grid.n_time))
         pa = power_integrals(fa, 3, ens)
         pb = power_integrals(fb, 3, ens)
         ip = complex(fa.inner(fb))
-        stats = []
         for m in range(4):
             for n in range(4):
-                stat = summarize(np.conj(pa[:, m]) * pb[:, n])
                 target = math.factorial(n) * ip**n if m == n else 0.0
-                stats.append((_zscore(stat, target), stat.se))
-        z, se = _worst(stats)
-        records.append(
-            _make_record(
-                check_id,
-                z,
-                0.0,
-                cfg.tolerances["mc_sigmas"],
-                se=se,
-                note=f"max |z| over order pairs m,n <= 3, {cfg.n_paths} paths",
-            )
-        )
-    return records
+                yield summarize(np.conj(pa[:, m]) * pb[:, n]), target
+
+    return _mc_per_model(
+        cfg,
+        "chaos.orthogonality",
+        stats,
+        f"max |z| over order pairs m,n <= 3, {cfg.n_paths} paths",
+        models=("poisson", "brownian"),
+    )
 
 
 @_registered("chaos.duality_tail")
 def _check_duality_tail(cfg: RunConfig):
-    records = []
-    K = cfg.n_time
-    for name in ("poisson", "brownian"):
-        model = _models(cfg)[name]
-        check_id = f"chaos.duality_tail.{name}"
-        grid = CellGrid(model, K)
-        ens = sample_ensemble(model, grid, _check_seed(cfg.seed, check_id), cfg.n_paths)
-        field = _field_profiles(grid, 0.9 * _profile_winding(K))
+    def stats(model, grid, ens):
+        field = _field_profiles(grid, 0.9 * _profile_winding(grid.n_time))
         big = doleans_exp(field, ens)
         powers = power_integrals(field, 4, ens)
         energy = field.norm_sq()
-        stats = []
         for roof in (2, 3, 4):
             partial = sum(powers[:, n] / math.factorial(n) for n in range(roof + 1))
             dist = np.abs(big - partial) ** 2
-            stat = summarize(dist)
-            stats.append((_zscore(stat, _series_tail(energy, roof)), stat.se))
-        z, se = _worst(stats)
-        records.append(
-            _make_record(
-                check_id,
-                z,
-                0.0,
-                cfg.tolerances["mc_sigmas"],
-                se=se,
-                note="L2 distance to the truncated chaos sum vs the exact series tail, "
-                "roofs 2..4",
-            )
-        )
-    return records
+            yield summarize(dist), _series_tail(energy, roof)
+
+    return _mc_per_model(
+        cfg,
+        "chaos.duality_tail",
+        stats,
+        "L2 distance to the truncated chaos sum vs the exact series tail, roofs 2..4",
+        models=("poisson", "brownian"),
+    )
 
 
 @_registered("chaos.engines")
@@ -944,121 +907,104 @@ def _check_eigen_relation(cfg: RunConfig):
 
 @_registered("malliavin.embed")
 def _check_embed(cfg: RunConfig):
-    check_id = "malliavin.embed"
-    rng = _trial_rng(cfg, check_id)
-    model = cfg.mixed_model()
-    grid = CellGrid(model, cfg.chaos_n_time)
+    grid = CellGrid(cfg.mixed_model(), cfg.chaos_n_time)
     M = min(cfg.chaos_truncation, 3)
-    worst = 0.0
-    for _ in range(40):
+
+    def residual(rng):
         C = _random_chaos(rng, grid, M)
         D = _random_chaos(rng, grid, M)
         psi = embed_chaos(C)
         chi = embed_chaos(D)
         pair = C.inner(D)
-        worst = max(worst, abs(psi.inner(chi) - pair) / max(1.0, abs(pair)))
         grad = fock_gradient(psi)
-        worst = max(
-            worst,
-            (embed_marked(chaos_gradient(C)) - grad).norm() / max(1.0, grad.norm()),
-        )
         u = _random_marked_chaos(rng, grid, M)
         div_c, drop_c = chaos_divergence(u)
         div_f, drop_f = fock_divergence(embed_marked(u))
-        worst = max(
-            worst,
+        return max(
+            abs(psi.inner(chi) - pair) / max(1.0, abs(pair)),
+            (embed_marked(chaos_gradient(C)) - grad).norm() / max(1.0, grad.norm()),
             (embed_chaos(div_c) - div_f).norm() / max(1.0, div_f.norm()),
             abs(drop_c - drop_f) / max(1.0, drop_f),
         )
-    return [
-        _make_record(
-            check_id,
-            worst,
-            0.0,
-            cfg.tolerances["algebraic"],
-            note="embedding intertwines inner products, derivative, divergence and "
-            "dropped mass, 40 random draws",
-        )
-    ]
+
+    return _trials(
+        cfg,
+        "malliavin.embed",
+        40,
+        residual,
+        "algebraic",
+        "embedding intertwines inner products, derivative, divergence and "
+        "dropped mass, 40 random draws",
+    )
 
 
 @_registered("malliavin.number_factorization")
 def _check_number_chaos(cfg: RunConfig):
-    check_id = "malliavin.number_factorization"
-    rng = _trial_rng(cfg, check_id)
-    model = poisson_preset(1.0, cfg.horizon)
-    grid = CellGrid(model, cfg.chaos_n_time)
+    grid = CellGrid(poisson_preset(1.0, cfg.horizon), cfg.chaos_n_time)
     M = min(cfg.chaos_truncation, 4)
-    worst = 0.0
-    for _ in range(100):
+
+    def residual(rng):
         C = _random_chaos(rng, grid, M)
-        worst = max(worst, number_factorization_residual(C) / max(1.0, C.norm()))
-    return [
-        _make_record(
-            check_id,
-            worst,
-            0.0,
-            cfg.tolerances["algebraic"],
-            note="divergence of the derivative equals the number operator, 100 draws",
-        )
-    ]
+        return number_factorization_residual(C) / max(1.0, C.norm())
+
+    return _trials(
+        cfg,
+        "malliavin.number_factorization",
+        100,
+        residual,
+        "algebraic",
+        "divergence of the derivative equals the number operator, 100 draws",
+    )
 
 
 @_registered("malliavin.duality")
 def _check_duality_adjoint(cfg: RunConfig):
-    check_id = "malliavin.duality"
-    rng = _trial_rng(cfg, check_id)
-    model = poisson_preset(1.0, cfg.horizon)
-    grid = CellGrid(model, cfg.chaos_n_time)
+    grid = CellGrid(poisson_preset(1.0, cfg.horizon), cfg.chaos_n_time)
     M = min(cfg.chaos_truncation, 3)
-    worst = 0.0
-    for _ in range(100):
+
+    def residual(rng):
         u = _random_marked_chaos(rng, grid, M)
         F = _random_chaos(rng, grid, M)
         div, _ = chaos_divergence(u)
         lhs = div.inner(F)
         rhs = process_inner(u, chaos_gradient(F))
-        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
-    return [
-        _make_record(
-            check_id,
-            worst,
-            0.0,
-            cfg.tolerances["identity"],
-            note="divergence pairing vs process pairing with the derivative, "
-            "100 random pairs",
-        )
-    ]
+        return abs(lhs - rhs) / max(1.0, abs(lhs))
+
+    return _trials(
+        cfg,
+        "malliavin.duality",
+        100,
+        residual,
+        "identity",
+        "divergence pairing vs process pairing with the derivative, "
+        "100 random pairs",
+    )
 
 
 @_registered("malliavin.skorohod_kernel")
 def _check_skorohod_kernel(cfg: RunConfig):
-    check_id = "malliavin.skorohod_kernel"
-    rng = _trial_rng(cfg, check_id)
-    model = poisson_preset(1.0, cfg.horizon)
-    grid = CellGrid(model, cfg.chaos_n_time)
+    grid = CellGrid(poisson_preset(1.0, cfg.horizon), cfg.chaos_n_time)
     M = min(cfg.chaos_truncation, 3)
-    worst = 0.0
-    for _ in range(100):
+
+    def residual(rng):
         u = _random_marked_chaos(rng, grid, M)
         v = _random_marked_chaos(rng, grid, M)
         sk = ito_skorohod_chaos(u, v, fock_route=True)
         scale = max(1.0, abs(sk.lhs))
-        worst = max(
-            worst,
+        return max(
             sk.defect / scale,
             abs(sk.lhs - sk.fock.lhs) / scale,
             abs(sk.rhs - sk.fock.rhs) / scale,
         )
-    return [
-        _make_record(
-            check_id,
-            worst,
-            0.0,
-            cfg.tolerances["spectral"],
-            note="kernel route vs abstract ladder route, both sides, 100 random pairs",
-        )
-    ]
+
+    return _trials(
+        cfg,
+        "malliavin.skorohod_kernel",
+        100,
+        residual,
+        "spectral",
+        "kernel route vs abstract ladder route, both sides, 100 random pairs",
+    )
 
 
 def _lift_marked(u: MarkedChaos) -> MarkedChaos:
@@ -1283,59 +1229,11 @@ def _check_ou(cfg: RunConfig):
 # registry and runner
 
 
-_FOCK = (
-    _check_exp_gram,
-    _check_ccr,
-    _check_ladder_norms,
-    _check_number_factorization,
-    _check_q,
-    _check_ito_skorohod,
-    _check_exp_adjunction,
-)
-_SIM = (
-    _check_cell_moments,
-    _check_characteristic,
-    _check_sample_moments,
-    _check_chain_power,
-    _check_euler_order,
-    _check_doleans_closed,
-    _check_doleans_martingale,
-    _check_exp_martingale,
-    _check_representation,
-)
-_CHAOS = (
-    _check_orthogonality,
-    _check_duality_tail,
-    _check_engines,
-    _check_projection,
-    _check_serialization,
-)
-_MALLIAVIN = (
-    _check_eigen_relation,
-    _check_embed,
-    _check_number_chaos,
-    _check_duality_adjoint,
-    _check_skorohod_kernel,
-    _check_skorohod_mc,
-    _check_adapted_ito,
-    _check_split,
-    _check_dom_monotone,
-    _check_ou,
-)
-
-_SUITE_CHECKS = {
-    "fock": _FOCK,
-    "sim": _SIM,
-    "chaos": _CHAOS,
-    "malliavin": _MALLIAVIN,
-}
-
-
 def suite_checks(suite: str):
     if suite == "all":
-        return _FOCK + _SIM + _CHAOS + _MALLIAVIN
+        return tuple(fn for checks in _SUITE_CHECKS.values() for fn in checks)
     try:
-        return _SUITE_CHECKS[suite]
+        return tuple(_SUITE_CHECKS[suite])
     except KeyError:
         raise ValueError(f"unknown suite {suite!r}") from None
 

@@ -3,8 +3,11 @@ import json
 import os
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chaoskit.cli import main
+from chaoskit.config import DEFAULT_TOLERANCES, SUITES
 
 SMALL = {
     "d": 2,
@@ -102,6 +105,9 @@ def test_invalid_config_exits_two(tmp_path, capsys):
         {"atoms": [[1, 1], [1, 2]]},
         {"sigma": float("nan")},
         {"n_time": 2.5},
+        {"chaos_truncation": 0},
+        {"chaos_truncation": 1},
+        {"tolerances": {"mc_sigmas": -1}},
     ],
 )
 def test_bad_config_values_exit_two_without_a_traceback(tmp_path, capsys, probe):
@@ -130,3 +136,56 @@ def test_invalid_worker_count_exits_two(tmp_path, cfg_path, capsys, monkeypatch)
 def test_unknown_suite_is_refused_by_the_parser(capsys):
     with pytest.raises(SystemExit):
         main(["warp"])
+
+
+# every size field is set and small, so an accepted config runs its suite in
+# a few seconds; at most one field is then spoilt by a value of the wrong type
+# or out of range
+_SIZES = st.fixed_dictionaries(
+    {
+        "d": st.integers(1, 3),
+        "truncation": st.integers(0, 4),
+        "max_degree": st.integers(1, 4),
+        "n_time": st.integers(1, 8),
+        "chaos_n_time": st.integers(1, 4),
+        "chaos_truncation": st.integers(0, 4),
+        "n_paths": st.integers(2, 60),
+        "seed": st.integers(0, 2**32),
+    },
+    optional={
+        "sigma": st.sampled_from([0.0, 0.5, 1.0]),
+        "atoms": st.sampled_from([[], [[1.0, 1.0]], [[1.0, 2.0], [-0.5, 1.0]]]),
+        "tolerances": st.dictionaries(
+            st.sampled_from(sorted(DEFAULT_TOLERANCES)),
+            st.sampled_from([0.0, 1e-12, 4.0]),
+            max_size=2,
+        ),
+    },
+)
+_JUNK = st.tuples(
+    st.sampled_from(["d", "truncation", "n_time", "n_paths", "sigma", "atoms"]),
+    st.sampled_from([None, True, "2", 2.5, -1, [], {}]),
+)
+
+
+def _spoil(pair):
+    data, junk = pair
+    if junk is not None:
+        data[junk[0]] = junk[1]
+    return data
+
+
+_CONFIGS = st.tuples(_SIZES, st.none() | _JUNK).map(_spoil)
+
+
+@settings(max_examples=20, deadline=None)
+@given(suite=st.sampled_from(SUITES), data=_CONFIGS)
+@example(suite="chaos", data={"chaos_truncation": 0, "n_paths": 50})
+@example(suite="all", data={"chaos_truncation": 1, "n_paths": 50})
+def test_main_exits_with_a_status_and_never_raises(tmp_path_factory, suite, data):
+    tmp = tmp_path_factory.mktemp("probe")
+    path = tmp / "cfg.json"
+    path.write_text(json.dumps(data))
+    out = os.fspath(tmp / "runs")
+    assert main([suite, "--config", os.fspath(path), "--out", out]) in (0, 1, 2)
+

@@ -31,6 +31,7 @@ def test_defaults_are_complete():
         ("n_time", 0),
         ("chaos_n_time", 0),
         ("chaos_truncation", -1),
+        ("chaos_truncation", 1),
         ("n_paths", 1),
         ("seed", -1),
         ("horizon", 0.0),
@@ -82,6 +83,9 @@ def test_tolerance_values_must_be_finite_numbers():
         RunConfig(tolerances={"algebraic": "1e-9"})
     with pytest.raises(ValueError, match="mc_sigmas"):
         RunConfig(tolerances={"mc_sigmas": float("inf")})
+    with pytest.raises(ValueError, match="mc_sigmas"):
+        RunConfig(tolerances={"mc_sigmas": -1})
+    assert RunConfig(tolerances={"mc_sigmas": 0}).tolerances["mc_sigmas"] == 0.0
 
 
 def test_validation_keeps_config_hashes():

@@ -6,8 +6,6 @@ from chaoskit.dense import (
     isometry_residual,
     operator_matrix,
     operator_norm,
-    read_csv,
-    write_csv,
 )
 from chaoskit.indices import level_dim, occ_array
 
@@ -59,23 +57,3 @@ def test_operator_matrix_validation():
         operator_matrix("conservation", 2, 2, A=np.eye(3))
     with pytest.raises(ValueError):
         operator_matrix("lower", 0, 2)
-
-
-def test_csv_round_trip_is_exact(tmp_path):
-    rng = np.random.default_rng(13)
-    herm = np.array(
-        [[1.0, 0.2 + 0.3j, 0.0], [0.2 - 0.3j, 0.5, -0.1j], [0.0, 0.1j, 2.0]]
-    )
-    op = operator_matrix("conservation", 2, 3, A=herm)
-    op.matrix += 1e-17 * rng.standard_normal(op.matrix.shape)
-    path = tmp_path / "op.csv"
-    write_csv(op, path)
-    back = read_csv(path)
-    assert np.array_equal(back, op.matrix)
-
-
-def test_csv_cells_carry_no_array_scalars(tmp_path):
-    op = operator_matrix("number", 2, 2)
-    path = tmp_path / "num.csv"
-    write_csv(op, path)
-    assert "np." not in path.read_text()

@@ -14,7 +14,6 @@ from chaoskit.integrals import (
     product_integral,
     representation_residual,
     stochastic_integral,
-    stochastic_process,
 )
 from chaoskit.levy import (
     CellGrid,
@@ -47,7 +46,6 @@ def test_first_order_integral_is_the_weighted_increment_sum():
     got = stochastic_integral(field, ens)
     assert np.allclose(got, want, atol=1e-12)
     assert np.allclose(iterated_chain([field], ens), want, atol=1e-12)
-    assert np.allclose(stochastic_process(field, ens)[:, -1], want, atol=1e-12)
 
 
 def test_single_path_input_returns_a_scalar():

@@ -3,7 +3,6 @@
 The characteristic-exponent reference values were computed to 40 digits
 with an independent high-precision script and pasted in as literals.
 """
-import io
 from hashlib import sha256
 
 import numpy as np
@@ -14,8 +13,6 @@ from chaoskit.levy import (
     LevyModel,
     brownian_preset,
     cell_increments,
-    export_paths,
-    import_paths,
     path_rng,
     poisson_preset,
     sample_ensemble,
@@ -227,30 +224,3 @@ def test_jump_times_stay_inside_the_horizon():
     ens = sample_ensemble(model, grid, seed=2, n_paths=200)
     assert np.all(ens.jump_times >= 0.0)
     assert np.all(ens.jump_times < model.horizon)
-
-
-def test_path_export_import_round_trip():
-    model = MIXED
-    grid = CellGrid(model, 6)
-    ens = sample_ensemble(model, grid, seed=44, n_paths=5)
-    buf = io.StringIO()
-    export_paths(ens, buf)
-    buf.seek(0)
-    back = import_paths(buf, grid)
-    assert len(back) == 5
-    for i, p in enumerate(back):
-        orig = ens.path(i)
-        assert np.allclose(p.brownian, orig.brownian, atol=1e-15)
-        assert np.allclose(p.jump_times, orig.jump_times, atol=1e-15)
-        assert np.array_equal(p.jump_atoms, orig.jump_atoms)
-
-
-def test_import_refuses_a_foreign_grid():
-    model = MIXED
-    grid = CellGrid(model, 6)
-    ens = sample_ensemble(model, grid, seed=44, n_paths=2)
-    buf = io.StringIO()
-    export_paths(ens, buf)
-    buf.seek(0)
-    with pytest.raises(ValueError, match="different grid"):
-        import_paths(buf, CellGrid(model, 12))

@@ -2,8 +2,7 @@
 import numpy as np
 import pytest
 
-from chaoskit.levy import CellGrid, poisson_preset, terminal_value
-from chaoskit.montecarlo import mc_estimate, summarize
+from chaoskit.montecarlo import summarize
 
 
 def test_mean_is_bitwise_order_independent():
@@ -44,22 +43,6 @@ def test_summarize_input_validation():
         summarize(np.zeros((3, 3)))
     with pytest.raises(ValueError):
         summarize(np.array([]))
-
-
-def test_mc_estimate_runs_a_functional_over_an_ensemble():
-    model = poisson_preset(1.0, 1.0)
-    grid = CellGrid(model, 4)
-    stat = mc_estimate(terminal_value, model, grid, n_paths=500, seed=99)
-    assert stat.n_paths == 500
-    assert stat.seed == 99
-    assert abs(stat.mean - 1.0) <= 6.0 * stat.se
-
-
-def test_mc_estimate_rejects_misshaped_functionals():
-    model = poisson_preset(1.0, 1.0)
-    grid = CellGrid(model, 4)
-    with pytest.raises(ValueError):
-        mc_estimate(lambda ens: np.zeros(3), model, grid, n_paths=5, seed=1)
 
 
 def test_report_dict_is_plain_floats():

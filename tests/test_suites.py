@@ -1,4 +1,5 @@
 """Suite registry and runner behavior at a small configuration."""
+import json
 import math
 from hashlib import sha256
 
@@ -18,6 +19,17 @@ SMALL = dict(
     n_paths=400,
     seed=7,
 )
+
+# sha256 of each suite's report.jsonl payload at SMALL, taken before the suites
+# were made table-driven (numpy 2.4.6, scipy 1.17.1). A refactor of the checks
+# must keep every byte; a deliberate change of a record updates the digest and
+# says so in CHANGES.md.
+REPORT_SHA256 = {
+    "fock": "a1635c6223166616353d53393b6339e318a9251c228332b2c88535be823681f3",
+    "sim": "dd6ccec3cfaa6e26fcc0ce3df55196a5609f1c54ebcde0b31aef0b355e42dc5f",
+    "chaos": "728f05eaca7f4196c751f1b772b247b5eaeb029225fa21fd4dfa65c92a194c4f",
+    "malliavin": "24310f948ac131af746227e8b8b9e6579d586ef161e666a44e81af8c4445cab3",
+}
 
 
 def test_all_is_the_concatenation_of_the_four_suites():
@@ -70,6 +82,13 @@ def test_fock_suite_passes_and_stamps_runtimes():
     assert records[8].check == records[9].check == "fock.ito_skorohod"
     assert records[9].runtime_ms == records[8].runtime_ms
     assert {r.check for r in records} == {fn.check_id for fn in suite_checks("fock")}
+
+
+@pytest.mark.parametrize("suite", sorted(REPORT_SHA256))
+def test_report_bytes_are_pinned_per_suite(suite):
+    records = run_suite(RunConfig(suite=suite, **SMALL))
+    payload = "".join(json.dumps(r.row(), sort_keys=True) + "\n" for r in records)
+    assert sha256(payload.encode()).hexdigest() == REPORT_SHA256[suite]
 
 
 def test_guard_breach_becomes_a_single_failing_record():
