@@ -28,7 +28,7 @@ from math import factorial
 
 import numpy as np
 
-from .fock import FockVector, MarkedFock, SkorohodIdentity, ito_skorohod
+from .fock import FockVector, Graded, MarkedFock, SkorohodIdentity, ito_skorohod
 from .fock import split as fock_split
 from .indices import (
     check_level,
@@ -84,15 +84,19 @@ def kernel_inner(grid: CellGrid, n: int, f: np.ndarray, g: np.ndarray) -> comple
     return complex(np.sum(np.conj(f) * g * w))
 
 
-def _zero_kernels(c: int, truncation: int) -> list[np.ndarray]:
-    return [
-        np.zeros(check_level(c, n), dtype=np.complex128)
-        for n in range(truncation + 1)
-    ]
+class _OnGrid(Graded):
+    """Graded value over a grid's retained cells, one kernel per order."""
+
+    _SPACE = "grid"
+    _LEVELS = "kernels"
+
+    @staticmethod
+    def _same_space(a: CellGrid, b: CellGrid) -> bool:
+        return a is b or a.spec() == b.spec()
 
 
 @dataclass(eq=False)
-class ChaosCoefficients:
+class ChaosCoefficients(_OnGrid):
     """Truncated chaos expansion sum_n I_n(kernels[n]).
 
     source, when present, records the expansion as power terms
@@ -106,28 +110,12 @@ class ChaosCoefficients:
     kernels: list[np.ndarray]
     source: list | None = None
 
-    def __post_init__(self):
-        if self.truncation < 0:
-            raise ValueError("truncation must be >= 0")
-        if len(self.kernels) != self.truncation + 1:
-            raise ValueError(
-                f"expected {self.truncation + 1} kernels, got {len(self.kernels)}"
-            )
-        c = self.grid.n_cells
-        casted = []
-        for n, k in enumerate(self.kernels):
-            dim = check_level(c, n)
-            arr = np.asarray(k, dtype=np.complex128)
-            if arr.shape != (dim,):
-                raise ValueError(
-                    f"order-{n} kernel expects shape ({dim},), got {arr.shape}"
-                )
-            casted.append(arr)
-        self.kernels = casted
+    @staticmethod
+    def _shape(grid: CellGrid, n: int) -> tuple[int, ...]:
+        return (check_level(grid.n_cells, n),)
 
-    @classmethod
-    def zero(cls, grid: CellGrid, truncation: int) -> "ChaosCoefficients":
-        return cls(grid, truncation, _zero_kernels(grid.n_cells, truncation), [])
+    def _scaled_source(self, z: complex) -> list:
+        return [(z * c, f, n) for c, f, n in self.source]
 
     @classmethod
     def constant(cls, grid: CellGrid, truncation: int, value) -> "ChaosCoefficients":
@@ -173,51 +161,12 @@ class ChaosCoefficients:
     def doleans(cls, field: StepField, truncation: int) -> "ChaosCoefficients":
         """Chaos kernels of the stochastic exponential, field^n / n! per order."""
         out = cls.zero(field.grid, truncation)
+        out.source = []
         for n in range(truncation + 1):
             term = cls.from_power(field, n, truncation, 1.0 / factorial(n))
             out.kernels[n][:] = term.kernels[n]
             out.source.extend(term.source)
         return out
-
-    def _check_compatible(self, other: "ChaosCoefficients"):
-        if self.truncation != other.truncation or (
-            other.grid is not self.grid and other.grid.spec() != self.grid.spec()
-        ):
-            raise ValueError("chaos expansions are not compatible")
-
-    def copy(self) -> "ChaosCoefficients":
-        return ChaosCoefficients(
-            self.grid,
-            self.truncation,
-            [k.copy() for k in self.kernels],
-            None if self.source is None else list(self.source),
-        )
-
-    def __add__(self, other: "ChaosCoefficients") -> "ChaosCoefficients":
-        self._check_compatible(other)
-        src = None
-        if self.source is not None and other.source is not None:
-            src = list(self.source) + list(other.source)
-        return ChaosCoefficients(
-            self.grid,
-            self.truncation,
-            [a + b for a, b in zip(self.kernels, other.kernels)],
-            src,
-        )
-
-    def __sub__(self, other: "ChaosCoefficients") -> "ChaosCoefficients":
-        return self + (-1.0) * other
-
-    def __mul__(self, scalar) -> "ChaosCoefficients":
-        z = complex(scalar)
-        src = None
-        if self.source is not None:
-            src = [(z * c, f, n) for c, f, n in self.source]
-        return ChaosCoefficients(
-            self.grid, self.truncation, [z * k for k in self.kernels], src
-        )
-
-    __rmul__ = __mul__
 
     def inner(self, other: "ChaosCoefficients") -> complex:
         """E[conj(self) * other] under the chaos isometry."""
@@ -227,12 +176,6 @@ class ChaosCoefficients:
             total += factorial(n) * kernel_inner(self.grid, n, f, g)
         return complex(total)
 
-    def norm_sq(self) -> float:
-        return float(self.inner(self).real)
-
-    def norm(self) -> float:
-        return float(np.sqrt(self.norm_sq()))
-
     def level_norm_sq(self, n: int) -> float:
         return float(
             (factorial(n) * kernel_inner(self.grid, n, self.kernels[n], self.kernels[n])).real
@@ -240,7 +183,7 @@ class ChaosCoefficients:
 
 
 @dataclass(eq=False)
-class MarkedChaos:
+class MarkedChaos(_OnGrid):
     """Cell-indexed process with chaos kernels per mark.
 
     kernels[n] has shape (dim_n, n_cells); column s holds the order-n kernel
@@ -252,58 +195,27 @@ class MarkedChaos:
     truncation: int
     kernels: list[np.ndarray]
 
-    def __post_init__(self):
-        if len(self.kernels) != self.truncation + 1:
-            raise ValueError(
-                f"expected {self.truncation + 1} marked kernels, got {len(self.kernels)}"
-            )
-        c = self.grid.n_cells
-        casted = []
-        for n, k in enumerate(self.kernels):
-            dim = check_level(c, n)
-            arr = np.asarray(k, dtype=np.complex128)
-            if arr.shape != (dim, c):
-                raise ValueError(
-                    f"marked order-{n} kernel expects shape ({dim}, {c}), got {arr.shape}"
-                )
-            casted.append(arr)
-        self.kernels = casted
-
-    @classmethod
-    def zero(cls, grid: CellGrid, truncation: int) -> "MarkedChaos":
+    @staticmethod
+    def _shape(grid: CellGrid, n: int) -> tuple[int, ...]:
         c = grid.n_cells
-        return cls(
-            grid,
-            truncation,
-            [
-                np.zeros((check_level(c, n), c), dtype=np.complex128)
-                for n in range(truncation + 1)
-            ],
-        )
+        return (check_level(c, n), c)
 
-    def section(self, cell: int) -> ChaosCoefficients:
-        """The functional at one cell: kernels[n][:, cell] as an expansion."""
-        if not 0 <= cell < self.grid.n_cells:
-            raise ValueError(f"cell {cell} out of range")
-        return ChaosCoefficients(
-            self.grid,
-            self.truncation,
-            [k[:, cell].copy() for k in self.kernels],
-        )
+    def inner(self, other: "MarkedChaos") -> complex:
+        """L2(mu; chaos) pairing: sum over cells of mass times section pairings."""
+        self._check_compatible(other)
+        grid = self.grid
+        total = 0.0 + 0.0j
+        for n, (g, h) in enumerate(zip(self.kernels, other.kernels)):
+            w = multiplicities(grid.n_cells, n) * _mass_weights(grid, n)
+            total += factorial(n) * np.einsum(
+                "a,s,as,as->", w, grid.cell_masses, np.conj(g), h
+            )
+        return complex(total)
 
 
 def process_inner(u: MarkedChaos, v: MarkedChaos) -> complex:
-    """L2(mu; chaos) pairing: sum over cells of mass times section pairings."""
-    if u.truncation != v.truncation or u.grid.spec() != v.grid.spec():
-        raise ValueError("marked expansions are not compatible")
-    grid = u.grid
-    total = 0.0 + 0.0j
-    for n, (g, h) in enumerate(zip(u.kernels, v.kernels)):
-        w = multiplicities(grid.n_cells, n) * _mass_weights(grid, n)
-        total += factorial(n) * np.einsum(
-            "a,s,as,as->", w, grid.cell_masses, np.conj(g), h
-        )
-    return complex(total)
+    """L2(mu; chaos) pairing of two processes, `MarkedChaos.inner`."""
+    return u.inner(v)
 
 
 def gradient(F: ChaosCoefficients) -> MarkedChaos:
@@ -339,7 +251,6 @@ def divergence(u: MarkedChaos) -> tuple[ChaosCoefficients, float]:
     """
     grid, M = u.grid, u.truncation
     out = ChaosCoefficients.zero(grid, M)
-    out.source = None
     dropped = 0.0
     for m in range(M + 1):
         tilde = _symmetrize(grid, u.kernels[m], m)
@@ -352,9 +263,7 @@ def divergence(u: MarkedChaos) -> tuple[ChaosCoefficients, float]:
 
 
 def number_apply(F: ChaosCoefficients) -> ChaosCoefficients:
-    return ChaosCoefficients(
-        F.grid, F.truncation, [n * k for n, k in enumerate(F.kernels)], None
-    )
+    return F._map_levels(lambda n, k: n * k)
 
 
 def number_factorization_residual(F: ChaosCoefficients) -> float:
@@ -392,22 +301,12 @@ def ou_semigroup(F: ChaosCoefficients, t: float) -> ChaosCoefficients:
     """Ornstein-Uhlenbeck flow: order n decays as exp(-t n)."""
     if t < 0:
         raise ValueError("semigroup time must be >= 0")
-    return ChaosCoefficients(
-        F.grid,
-        F.truncation,
-        [np.exp(-t * n) * k for n, k in enumerate(F.kernels)],
-        None,
-    )
+    return F._map_levels(lambda n, k: np.exp(-t * n) * k)
 
 
 def sobolev_scale(F: ChaosCoefficients) -> ChaosCoefficients:
     """Scale order n by (1 + n)^(-1/2); trades plain norm for graph norm."""
-    return ChaosCoefficients(
-        F.grid,
-        F.truncation,
-        [k / np.sqrt(1.0 + n) for n, k in enumerate(F.kernels)],
-        None,
-    )
+    return F._map_levels(lambda n, k: k / np.sqrt(1.0 + n))
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +347,7 @@ def extract_chaos(psi: FockVector, grid: CellGrid) -> ChaosCoefficients:
     kernels = [
         psi.levels[n] / _embed_scale(grid, n) for n in range(psi.truncation + 1)
     ]
-    return ChaosCoefficients(grid, psi.truncation, kernels, None)
+    return ChaosCoefficients(grid, psi.truncation, kernels)
 
 
 def embed_marked(u: MarkedChaos, truncation: int | None = None) -> MarkedFock:
@@ -501,8 +400,7 @@ class ChaosSkorohod:
 def ito_skorohod_chaos(
     u: MarkedChaos, v: MarkedChaos, fock_route: bool = True
 ) -> ChaosSkorohod:
-    if u.truncation != v.truncation or u.grid.spec() != v.grid.spec():
-        raise ValueError("marked expansions are not compatible")
+    u._check_compatible(v)
     grid, M = u.grid, u.truncation
     c = grid.n_cells
     masses = grid.cell_masses
@@ -754,7 +652,7 @@ def project_mc(
         var_im = np.maximum(sq_im[n] / P - mean.imag**2, 0.0) * P / denom
         se = np.sqrt((var_re + var_im) / P)
         se_max[n] = float(se.max(initial=0.0))
-    return ChaosCoefficients(grid, truncation, kernels, None), se_max
+    return ChaosCoefficients(grid, truncation, kernels), se_max
 
 
 # ---------------------------------------------------------------------------
@@ -818,7 +716,6 @@ def load_chaos(src, grid: CellGrid) -> ChaosCoefficients:
     if c != grid.n_cells:
         raise ValueError("cell count mismatch")
     out = ChaosCoefficients.zero(grid, truncation)
-    out.source = None
     for line in lines[4:-1]:
         parts = line.split()
         if parts[0] != "term" or len(parts) != 5:

@@ -9,9 +9,14 @@ term rewriting:
     pair(t):        e(f) -> e(f) (x) e(t f)
     pair(t) adjoint: e(f) (x) e(g) -> e(f + t g)
 
+A combination has one or more legs: a term (c, f_1, ..., f_k) stands for
+c e(f_1) (x) ... (x) e(f_k). The shift family acts on one leg, the pairing
+family maps one leg to two and its adjoint two legs back to one.
+
 Only recorded combinations can be shifted or paired; a plain truncated vector
-carries no exponential structure to rewrite (exp_vector stamps its source, so
-its truncations remain usable).
+carries no exponential structure to rewrite (exp_vector stamps its source,
+and sums and multiples of stamped vectors stay stamped, so their truncations
+remain usable).
 """
 from __future__ import annotations
 
@@ -23,9 +28,7 @@ from .fock import FockVector, as_mode_vector, exp_vector
 
 __all__ = [
     "ExpCombo",
-    "ExpCombo2",
     "exp_gram",
-    "exp_gram2",
     "exp_shift",
     "pair_map",
     "pair_merge",
@@ -34,30 +37,43 @@ __all__ = [
 
 @dataclass(eq=False)
 class ExpCombo:
-    """Finite combination sum_k c_k e(f_k)."""
+    """Finite combination sum_k c_k e(f_k1) (x) ... (x) e(f_k,legs)."""
 
     d: int
-    terms: list[tuple[complex, np.ndarray]]
+    terms: list[tuple]
+    legs: int = 1
 
     def __post_init__(self):
+        if self.legs < 1:
+            raise ValueError("a combination needs at least one leg")
         fixed = []
-        for c, f in self.terms:
-            fixed.append((complex(c), as_mode_vector(f, self.d)))
+        for c, *fs in self.terms:
+            if len(fs) != self.legs:
+                raise ValueError(f"expected {self.legs} legs per term, got {len(fs)}")
+            fixed.append((complex(c), *(as_mode_vector(f, self.d) for f in fs)))
         self.terms = fixed
 
     @classmethod
-    def single(cls, f) -> "ExpCombo":
-        fa = as_mode_vector(f)
-        return cls(fa.shape[0], [(1.0 + 0j, fa)])
+    def single(cls, f, *more) -> "ExpCombo":
+        """The one-term combination e(f) (x) e(more[0]) (x) ..."""
+        return cls(as_mode_vector(f).shape[0], [(1.0 + 0j, f, *more)], 1 + len(more))
+
+    def _require_legs(self, legs: int) -> "ExpCombo":
+        if self.legs != legs:
+            raise TypeError(f"expected a {legs}-leg combination, got {self.legs} legs")
+        return self
+
+    def _check_compatible(self, other: "ExpCombo"):
+        if (self.d, self.legs) != (other.d, other.legs):
+            raise ValueError("combinations differ in mode dimension or leg count")
 
     def __add__(self, other: "ExpCombo") -> "ExpCombo":
-        if self.d != other.d:
-            raise ValueError("mode dimension mismatch")
-        return ExpCombo(self.d, list(self.terms) + list(other.terms))
+        self._check_compatible(other)
+        return ExpCombo(self.d, self.terms + other.terms, self.legs)
 
     def __mul__(self, scalar) -> "ExpCombo":
-        c = complex(scalar)
-        return ExpCombo(self.d, [(c * a, f) for a, f in self.terms])
+        z = complex(scalar)
+        return ExpCombo(self.d, [(z * c, *fs) for c, *fs in self.terms], self.legs)
 
     __rmul__ = __mul__
 
@@ -69,6 +85,7 @@ class ExpCombo:
 
     def to_fock(self, truncation: int) -> FockVector:
         """Truncate to levels 0..M; the result records this combo as source."""
+        self._require_legs(1)
         out = FockVector.zero(self.d, truncation)
         for c, f in self.terms:
             ef = exp_vector(f, truncation)
@@ -78,66 +95,21 @@ class ExpCombo:
         return out
 
 
-@dataclass(eq=False)
-class ExpCombo2:
-    """Finite combination sum_k c_k e(f_k) (x) e(g_k) on the doubled space."""
-
-    d: int
-    terms: list[tuple[complex, np.ndarray, np.ndarray]]
-
-    def __post_init__(self):
-        fixed = []
-        for c, f, g in self.terms:
-            fixed.append(
-                (complex(c), as_mode_vector(f, self.d), as_mode_vector(g, self.d))
-            )
-        self.terms = fixed
-
-    @classmethod
-    def single(cls, f, g) -> "ExpCombo2":
-        fa = as_mode_vector(f)
-        return cls(fa.shape[0], [(1.0 + 0j, fa, as_mode_vector(g, fa.shape[0]))])
-
-    def __add__(self, other: "ExpCombo2") -> "ExpCombo2":
-        if self.d != other.d:
-            raise ValueError("mode dimension mismatch")
-        return ExpCombo2(self.d, list(self.terms) + list(other.terms))
-
-    def __mul__(self, scalar) -> "ExpCombo2":
-        c = complex(scalar)
-        return ExpCombo2(self.d, [(c * a, f, g) for a, f, g in self.terms])
-
-    __rmul__ = __mul__
-
-    def gram(self, other: "ExpCombo2") -> complex:
-        return exp_gram2(self, other)
-
-
 def exp_gram(a: ExpCombo, b: ExpCombo) -> complex:
-    """<a, b> via the exponential kernel, exact."""
-    if a.d != b.d:
-        raise ValueError("mode dimension mismatch")
+    """<a, b> via the exponential kernel, exact; over several legs the kernel
+    factorizes, so its exponent sums the legs' pairings."""
+    a._check_compatible(b)
     total = 0.0 + 0.0j
-    for ca, fa in a.terms:
-        for cb, fb in b.terms:
-            total += np.conj(ca) * cb * np.exp(np.vdot(fa, fb))
-    return complex(total)
-
-
-def exp_gram2(a: ExpCombo2, b: ExpCombo2) -> complex:
-    """Pairing on the doubled space: the kernel factorizes over the legs."""
-    if a.d != b.d:
-        raise ValueError("mode dimension mismatch")
-    total = 0.0 + 0.0j
-    for ca, fa, ga in a.terms:
-        for cb, fb, gb in b.terms:
-            total += np.conj(ca) * cb * np.exp(np.vdot(fa, fb) + np.vdot(ga, gb))
+    for ca, *fa in a.terms:
+        for cb, *fb in b.terms:
+            ip = sum(np.vdot(f, g) for f, g in zip(fa, fb))
+            total += np.conj(ca) * cb * np.exp(ip)
     return complex(total)
 
 
 def _require_combo(x) -> ExpCombo:
     if isinstance(x, ExpCombo):
-        return x
+        return x._require_legs(1)
     if isinstance(x, FockVector):
         if isinstance(x.source, ExpCombo):
             return x.source
@@ -152,8 +124,8 @@ def exp_shift(f, x, adjoint: bool = False):
     """Exponential shift family along f.
 
     Plain mode: e(g) -> exp(<f, g>) e(g). Adjoint mode: e(g) -> e(g + f).
-    Accepts a combination, or a Fock vector stamped by one (the result is then
-    re-truncated at the same roof).
+    Accepts a one-leg combination, or a Fock vector stamped by one (the
+    result is then re-truncated at the same roof).
     """
     combo = _require_combo(x)
     fa = as_mode_vector(f, combo.d)
@@ -168,16 +140,17 @@ def exp_shift(f, x, adjoint: bool = False):
     return shifted
 
 
-def pair_map(t: float, x) -> ExpCombo2:
-    """Pairing family: e(f) -> e(f) (x) e(t f)."""
+def pair_map(t: float, x) -> ExpCombo:
+    """Pairing family: e(f) -> e(f) (x) e(t f), a two-leg combination."""
     combo = _require_combo(x)
     s = float(t)
-    return ExpCombo2(combo.d, [(c, f, s * f) for c, f in combo.terms])
+    return ExpCombo(combo.d, [(c, f, s * f) for c, f in combo.terms], 2)
 
 
-def pair_merge(t: float, x2: ExpCombo2) -> ExpCombo:
+def pair_merge(t: float, x2: ExpCombo) -> ExpCombo:
     """Adjoint of the pairing family: e(f) (x) e(g) -> e(f + t g)."""
-    if not isinstance(x2, ExpCombo2):
-        raise TypeError(f"expected ExpCombo2, got {type(x2).__name__}")
+    if not isinstance(x2, ExpCombo):
+        raise TypeError(f"expected ExpCombo, got {type(x2).__name__}")
+    x2._require_legs(2)
     s = float(t)
     return ExpCombo(x2.d, [(c, f + s * g) for c, f, g in x2.terms])

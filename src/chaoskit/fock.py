@@ -12,10 +12,15 @@ tensor_power(f, n) to sqrt(n) * tensor_power(f, n-1) (x) f.
 One-particle inner products are conjugate linear in the left argument, as is
 every inner product in this package.
 
-Values are plain dataclasses holding numpy arrays; treat them as immutable
-(operations always allocate fresh output). Level-raising operations cannot
-write above the truncation roof: the would-be top content is dropped and its
-norm is returned to the caller, never silently discarded.
+Values are dataclasses on the `Graded` base, which the chaos expansions of
+`chaos` share: levels 0..M of fixed shapes, validated and cast to complex on
+construction, with `zero`, `copy`, linear arithmetic and the plain pairing.
+Treat them as immutable (operations always allocate fresh output). A value
+may record its generator in `source` (for a Fock vector, the exponential
+combination it truncates); the record follows `+`, `-` and scalar `*` when
+every operand carries one and is dropped otherwise. Level-raising operations
+cannot write above the truncation roof: the would-be top content is dropped
+and its norm is returned to the caller, never silently discarded.
 """
 from __future__ import annotations
 
@@ -115,38 +120,131 @@ class SymTensor:
         return float(np.linalg.norm(self.coeffs))
 
 
-def _zero_levels(d: int, truncation: int) -> list[np.ndarray]:
-    return [np.zeros(level_dim(d, n), dtype=np.complex128) for n in range(truncation + 1)]
+class Graded:
+    """Levels 0..truncation of one graded value, over a one-particle space.
+
+    Subclasses are dataclasses whose fields start with the space (named by
+    `_SPACE`), `truncation` and the level list (named by `_LEVELS`); level n
+    is a complex array of shape `_shape(space, n)`. This base validates and
+    casts the levels and supplies `zero`, `copy`, the linear arithmetic and
+    the plain coefficient pairing.
+
+    Source rule: a value may record how it was generated in `source`. The
+    record follows `+`, `-` and scalar `*` when every operand carries one and
+    becomes None otherwise; `copy` keeps it.
+    """
+
+    _SPACE = "d"
+    _LEVELS = "levels"
+    source = None
+
+    @staticmethod
+    def _shape(space, n: int) -> tuple[int, ...]:
+        raise NotImplementedError
+
+    @staticmethod
+    def _same_space(a, b) -> bool:
+        return a == b
+
+    def _scaled_source(self, z: complex):
+        return z * self.source
+
+    def __post_init__(self):
+        space, M = getattr(self, self._SPACE), self.truncation
+        levels = getattr(self, self._LEVELS)
+        if M < 0:
+            raise ValueError("truncation must be >= 0")
+        if len(levels) != M + 1:
+            raise ValueError(f"expected {M + 1} levels, got {len(levels)}")
+        shape_of = self._shape
+        casted = []
+        for n, lev in enumerate(levels):
+            shape = shape_of(space, n)
+            arr = np.asarray(lev, dtype=np.complex128)
+            if arr.shape != shape:
+                raise ValueError(f"level {n} expects shape {shape}, got {arr.shape}")
+            casted.append(arr)
+        setattr(self, self._LEVELS, casted)
+
+    @classmethod
+    def zero(cls, space, truncation: int):
+        return cls(
+            space,
+            truncation,
+            [
+                np.zeros(cls._shape(space, n), dtype=np.complex128)
+                for n in range(truncation + 1)
+            ],
+        )
+
+    def _new(self, levels: list[np.ndarray], source=None):
+        out = type(self)(getattr(self, self._SPACE), self.truncation, levels)
+        if source is not None:
+            out.source = source
+        return out
+
+    def _check_compatible(self, other: "Graded"):
+        if (
+            type(other) is not type(self)
+            or self.truncation != other.truncation
+            or not self._same_space(
+                getattr(self, self._SPACE), getattr(other, self._SPACE)
+            )
+        ):
+            raise ValueError(f"{type(self).__name__} operands are not compatible")
+
+    def copy(self):
+        return self._new([a.copy() for a in getattr(self, self._LEVELS)], self.source)
+
+    def __add__(self, other):
+        self._check_compatible(other)
+        src = None
+        if self.source is not None and other.source is not None:
+            src = self.source + other.source
+        pairs = zip(getattr(self, self._LEVELS), getattr(other, self._LEVELS))
+        return self._new([a + b for a, b in pairs], src)
+
+    def __sub__(self, other):
+        return self + (-1.0) * other
+
+    def __mul__(self, scalar):
+        z = complex(scalar)
+        src = None if self.source is None else self._scaled_source(z)
+        return self._new([z * a for a in getattr(self, self._LEVELS)], src)
+
+    __rmul__ = __mul__
+
+    def _map_levels(self, op):
+        """The value with level n replaced by op(n, level); no source."""
+        return self._new([op(n, a) for n, a in enumerate(getattr(self, self._LEVELS))])
+
+    def inner(self, other) -> complex:
+        self._check_compatible(other)
+        pairs = zip(getattr(self, self._LEVELS), getattr(other, self._LEVELS))
+        return complex(sum(np.vdot(a, b) for a, b in pairs))
+
+    def norm_sq(self) -> float:
+        return float(self.inner(self).real)
+
+    def norm(self) -> float:
+        return float(np.sqrt(self.norm_sq()))
 
 
 @dataclass(eq=False)
-class FockVector:
-    """Truncated Fock vector: levels[n] holds the degree-n coefficients."""
+class FockVector(Graded):
+    """Truncated Fock vector: levels[n] holds the degree-n coefficients.
+
+    source, when present, is the `ExpCombo` the vector truncates.
+    """
 
     d: int
     truncation: int
     levels: list[np.ndarray]
     source: Any = field(default=None, repr=False)
 
-    def __post_init__(self):
-        if self.truncation < 0:
-            raise ValueError("truncation must be >= 0")
-        if len(self.levels) != self.truncation + 1:
-            raise ValueError(
-                f"expected {self.truncation + 1} levels, got {len(self.levels)}"
-            )
-        casted = []
-        for n, lev in enumerate(self.levels):
-            dim = check_level(self.d, n)
-            arr = np.asarray(lev, dtype=np.complex128)
-            if arr.shape != (dim,):
-                raise ValueError(f"level {n} expects shape ({dim},), got {arr.shape}")
-            casted.append(arr)
-        self.levels = casted
-
-    @classmethod
-    def zero(cls, d: int, truncation: int) -> "FockVector":
-        return cls(d, truncation, _zero_levels(d, truncation))
+    @staticmethod
+    def _shape(d: int, n: int) -> tuple[int, ...]:
+        return (check_level(d, n),)
 
     @classmethod
     def vacuum(cls, d: int, truncation: int) -> "FockVector":
@@ -154,47 +252,9 @@ class FockVector:
         out.levels[0][0] = 1.0
         return out
 
-    def _check_compatible(self, other: "FockVector"):
-        if (self.d, self.truncation) != (other.d, other.truncation):
-            raise ValueError(
-                f"Fock shape mismatch: ({self.d}, M={self.truncation}) vs "
-                f"({other.d}, M={other.truncation})"
-            )
-
-    def inner(self, other: "FockVector") -> complex:
-        self._check_compatible(other)
-        return complex(sum(np.vdot(a, b) for a, b in zip(self.levels, other.levels)))
-
-    def norm_sq(self) -> float:
-        return float(sum(np.vdot(a, a).real for a in self.levels))
-
-    def norm(self) -> float:
-        return float(np.sqrt(self.norm_sq()))
-
-    def copy(self) -> "FockVector":
-        return FockVector(self.d, self.truncation, [a.copy() for a in self.levels])
-
-    def __add__(self, other: "FockVector") -> "FockVector":
-        self._check_compatible(other)
-        return FockVector(
-            self.d, self.truncation, [a + b for a, b in zip(self.levels, other.levels)]
-        )
-
-    def __sub__(self, other: "FockVector") -> "FockVector":
-        self._check_compatible(other)
-        return FockVector(
-            self.d, self.truncation, [a - b for a, b in zip(self.levels, other.levels)]
-        )
-
-    def __mul__(self, scalar) -> "FockVector":
-        c = complex(scalar)
-        return FockVector(self.d, self.truncation, [c * a for a in self.levels])
-
-    __rmul__ = __mul__
-
 
 @dataclass(eq=False)
-class MarkedFock:
+class MarkedFock(Graded):
     """Element of (truncated Fock space) (x) H.
 
     levels[n] has shape (level_dim(d, n), d): a degree-n symmetric part and
@@ -205,64 +265,9 @@ class MarkedFock:
     truncation: int
     levels: list[np.ndarray]
 
-    def __post_init__(self):
-        if len(self.levels) != self.truncation + 1:
-            raise ValueError(
-                f"expected {self.truncation + 1} marked levels, got {len(self.levels)}"
-            )
-        casted = []
-        for n, lev in enumerate(self.levels):
-            dim = check_level(self.d, n)
-            arr = np.asarray(lev, dtype=np.complex128)
-            if arr.shape != (dim, self.d):
-                raise ValueError(
-                    f"marked level {n} expects shape ({dim}, {self.d}), got {arr.shape}"
-                )
-            casted.append(arr)
-        self.levels = casted
-
-    @classmethod
-    def zero(cls, d: int, truncation: int) -> "MarkedFock":
-        return cls(
-            d,
-            truncation,
-            [
-                np.zeros((level_dim(d, n), d), dtype=np.complex128)
-                for n in range(truncation + 1)
-            ],
-        )
-
-    def _check_compatible(self, other: "MarkedFock"):
-        if (self.d, self.truncation) != (other.d, other.truncation):
-            raise ValueError("marked Fock shape mismatch")
-
-    def inner(self, other: "MarkedFock") -> complex:
-        self._check_compatible(other)
-        return complex(sum(np.vdot(a, b) for a, b in zip(self.levels, other.levels)))
-
-    def norm_sq(self) -> float:
-        return float(sum(np.vdot(a, a).real for a in self.levels))
-
-    def norm(self) -> float:
-        return float(np.sqrt(self.norm_sq()))
-
-    def __add__(self, other: "MarkedFock") -> "MarkedFock":
-        self._check_compatible(other)
-        return MarkedFock(
-            self.d, self.truncation, [a + b for a, b in zip(self.levels, other.levels)]
-        )
-
-    def __sub__(self, other: "MarkedFock") -> "MarkedFock":
-        self._check_compatible(other)
-        return MarkedFock(
-            self.d, self.truncation, [a - b for a, b in zip(self.levels, other.levels)]
-        )
-
-    def __mul__(self, scalar) -> "MarkedFock":
-        c = complex(scalar)
-        return MarkedFock(self.d, self.truncation, [c * a for a in self.levels])
-
-    __rmul__ = __mul__
+    @staticmethod
+    def _shape(d: int, n: int) -> tuple[int, ...]:
+        return (check_level(d, n), d)
 
 
 def _power_table(fa: np.ndarray, n: int) -> np.ndarray:
@@ -343,14 +348,14 @@ def annihilate(f, psi: FockVector) -> FockVector:
     """
     fa = as_mode_vector(f, psi.d)
     d, M = psi.d, psi.truncation
-    out = _zero_levels(d, M)
+    out = FockVector.zero(d, M)
     for n in range(1, M + 1):
         target, weight = raise_maps(d, n - 1)
         src = psi.levels[n]
-        dst = out[n - 1]
+        dst = out.levels[n - 1]
         for i in range(d):
             dst += np.conj(fa[i]) * weight[:, i] * src[target[:, i]]
-    return FockVector(d, M, out)
+    return out
 
 
 def create(f, psi: FockVector) -> tuple[FockVector, float]:
@@ -362,11 +367,11 @@ def create(f, psi: FockVector) -> tuple[FockVector, float]:
     """
     fa = as_mode_vector(f, psi.d)
     d, M = psi.d, psi.truncation
-    out = _zero_levels(d, M)
+    out = FockVector.zero(d, M)
     for n in range(M):
         target, weight = raise_maps(d, n)
         src = psi.levels[n]
-        dst = out[n + 1]
+        dst = out.levels[n + 1]
         for i in range(d):
             dst[target[:, i]] += fa[i] * weight[:, i] * src
     # would-be level M+1 from the current top level
@@ -375,7 +380,7 @@ def create(f, psi: FockVector) -> tuple[FockVector, float]:
     src = psi.levels[M]
     for i in range(d):
         spill[target[:, i]] += fa[i] * weight[:, i] * src
-    return FockVector(d, M, out), float(np.linalg.norm(spill))
+    return out, float(np.linalg.norm(spill))
 
 
 def gradient(psi: FockVector) -> MarkedFock:
@@ -399,11 +404,11 @@ def divergence(phi: MarkedFock) -> tuple[FockVector, float]:
     top marked level would have produced above the truncation roof.
     """
     d, M = phi.d, phi.truncation
-    out = _zero_levels(d, M)
+    out = FockVector.zero(d, M)
     for n in range(M):
         target, weight = raise_maps(d, n)
         src = phi.levels[n]
-        dst = out[n + 1]
+        dst = out.levels[n + 1]
         for j in range(d):
             dst[target[:, j]] += weight[:, j] * src[:, j]
     target, weight = raise_maps(d, M)
@@ -411,25 +416,19 @@ def divergence(phi: MarkedFock) -> tuple[FockVector, float]:
     src = phi.levels[M]
     for j in range(d):
         spill[target[:, j]] += weight[:, j] * src[:, j]
-    return FockVector(d, M, out), float(np.linalg.norm(spill))
+    return out, float(np.linalg.norm(spill))
 
 
 def number_apply(psi: FockVector) -> FockVector:
     """Number operator: multiplies level n by n."""
-    return FockVector(
-        psi.d, psi.truncation, [n * lev for n, lev in enumerate(psi.levels)]
-    )
+    return psi._map_levels(lambda n, lev: n * lev)
 
 
 def number_semigroup(psi: FockVector, t: float) -> FockVector:
     """Heat semigroup of the number operator: level n scales by exp(-t n)."""
     if t < 0:
         raise ValueError("semigroup time must be >= 0")
-    return FockVector(
-        psi.d,
-        psi.truncation,
-        [np.exp(-t * n) * lev for n, lev in enumerate(psi.levels)],
-    )
+    return psi._map_levels(lambda n, lev: np.exp(-t * n) * lev)
 
 
 def sobolev_scale(psi: FockVector) -> FockVector:
@@ -438,11 +437,7 @@ def sobolev_scale(psi: FockVector) -> FockVector:
     Unitary from the plain norm onto the graph norm: graph_inner of two scaled
     vectors equals the plain inner product of the originals.
     """
-    return FockVector(
-        psi.d,
-        psi.truncation,
-        [lev / np.sqrt(1.0 + n) for n, lev in enumerate(psi.levels)],
-    )
+    return psi._map_levels(lambda n, lev: lev / np.sqrt(1.0 + n))
 
 
 def graph_inner(psi: FockVector, phi: FockVector) -> complex:
@@ -616,15 +611,15 @@ def split(psi: FockVector, first) -> SplitFock:
 def merge(sp: SplitFock) -> FockVector:
     """Inverse of `split`."""
     d, M = sp.d, sp.truncation
-    out = _zero_levels(d, M)
+    out = FockVector.zero(d, M)
     for n in range(M + 1):
         n1s, pos1, pos2 = _split_positions(d, n, sp.first)
-        dst = out[n]
+        dst = out.levels[n]
         for n1 in range(n + 1):
             blk = sp.blocks[(n1, n - n1)]
             sel = n1s == n1
             dst[sel] = blk[pos1[sel], pos2[sel]]
-    return FockVector(d, M, out)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -695,7 +690,7 @@ def split_divergence(phi: MarkedFock, first) -> tuple[FockVector, float]:
         local_index[i] = (1, k)
     for k, i in enumerate(second):
         local_index[i] = (2, k)
-    out = _zero_levels(d, M)
+    out = FockVector.zero(d, M)
     spill = np.zeros(level_dim(d, M + 1), dtype=np.complex128)
     for n in range(M + 1):
         n1s, pos1, pos2 = _split_positions(d, n, first)
@@ -722,7 +717,7 @@ def split_divergence(phi: MarkedFock, first) -> tuple[FockVector, float]:
                     amp = w[p1, local] * v
                     if n + 1 <= M:
                         mpos = _merge_positions(d, first, n1 + 1, n - n1)
-                        np.add.at(out[n + 1], mpos[new_p1, p2], amp)
+                        np.add.at(out.levels[n + 1], mpos[new_p1, p2], amp)
                     else:
                         mpos = _merge_positions(d, first, n1 + 1, n - n1)
                         np.add.at(spill, mpos[new_p1, p2], amp)
@@ -732,11 +727,11 @@ def split_divergence(phi: MarkedFock, first) -> tuple[FockVector, float]:
                     amp = w[p2, local] * v
                     if n + 1 <= M:
                         mpos = _merge_positions(d, first, n1, n - n1 + 1)
-                        np.add.at(out[n + 1], mpos[p1, new_p2], amp)
+                        np.add.at(out.levels[n + 1], mpos[p1, new_p2], amp)
                     else:
                         mpos = _merge_positions(d, first, n1, n - n1 + 1)
                         np.add.at(spill, mpos[p1, new_p2], amp)
-    return FockVector(d, M, out), float(np.linalg.norm(spill))
+    return out, float(np.linalg.norm(spill))
 
 
 # ---------------------------------------------------------------------------
@@ -775,13 +770,6 @@ class SkorohodIdentity:
     exchange_term: complex
     div_norms: tuple[float, float]
     graph_norms: tuple[float, float]
-
-    @property
-    def contraction_ok(self) -> bool:
-        return all(
-            dn * dn <= gn * gn * (1.0 + 1e-12) + 1e-14
-            for dn, gn in zip(self.div_norms, self.graph_norms)
-        )
 
 
 def ito_skorohod(phi1: MarkedFock, phi2: MarkedFock) -> SkorohodIdentity:

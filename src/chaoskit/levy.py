@@ -224,9 +224,6 @@ class StepField:
         b = other.cell_values()
         return complex(np.sum(np.conj(a) * b * self.grid.cell_masses))
 
-    def time_profile(self) -> np.ndarray:
-        return self.values[:, 0].copy()
-
 
 @dataclass(eq=False)
 class SamplePath:

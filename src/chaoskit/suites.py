@@ -51,9 +51,7 @@ from .config import RunConfig
 from .dense import isometry_residual, operator_matrix, operator_norm
 from .exponential import (
     ExpCombo,
-    ExpCombo2,
     exp_gram,
-    exp_gram2,
     exp_shift,
     pair_map,
     pair_merge,
@@ -126,11 +124,16 @@ def _zscore(stat, target) -> float:
     return float(gap / stat.se)
 
 
+def _nan_high(x: float) -> tuple[bool, float]:
+    """Sort key under which NaN outranks every number, so a max keeps it."""
+    return (math.isnan(x), x)
+
+
 def _worst(stats) -> tuple[float, float | None]:
-    """Largest z in a list of (z, se) pairs."""
+    """Largest z in a list of (z, se) pairs; the first NaN z if there is one."""
     if not stats:
         return 0.0, None
-    return max(stats, key=lambda t: t[0])
+    return max(stats, key=lambda t: _nan_high(t[0]))
 
 
 def _unit_modes(rng, d: int, lo: float = 0.2, hi: float = 1.5) -> np.ndarray:
@@ -278,11 +281,11 @@ def _trials(
     cfg: RunConfig, check_id: str, n: int, residual, tol: str, note: str
 ) -> list[CheckRecord]:
     """The check's one record: the worst residual(rng) over n trials drawn from
-    the check's own stream."""
+    the check's own stream. A NaN residual is kept, so the record fails."""
     rng = _trial_rng(cfg, check_id)
     worst = 0.0
     for _ in range(n):
-        worst = max(worst, residual(rng))
+        worst = max(worst, residual(rng), key=_nan_high)
     return [_make_record(check_id, worst, 0.0, cfg.tolerances[tol], note=note)]
 
 
@@ -465,8 +468,8 @@ def _check_exp_adjunction(cfg: RunConfig):
         t = float(rng.uniform(-1.5, 1.5))
         cf = ExpCombo.single(f)
         cg = ExpCombo.single(g)
-        cgh = ExpCombo2.single(g, h)
-        lhs = exp_gram2(pair_map(t, cf), cgh)
+        cgh = ExpCombo.single(g, h)
+        lhs = exp_gram(pair_map(t, cf), cgh)
         rhs = exp_gram(cf, pair_merge(t, cgh))
         closed = complex(np.exp(np.vdot(f, g) + t * np.vdot(f, h)))
         scale = max(1.0, abs(closed))

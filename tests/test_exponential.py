@@ -4,9 +4,7 @@ import pytest
 
 from chaoskit.exponential import (
     ExpCombo,
-    ExpCombo2,
     exp_gram,
-    exp_gram2,
     exp_shift,
     pair_map,
     pair_merge,
@@ -104,11 +102,11 @@ def test_pair_map_doubles_against_the_factorized_kernel():
     b2 = pair_map(s, ExpCombo.single(G))
     ip = complex(np.vdot(F, G))
     want = np.exp(ip + t * s * ip)
-    assert exp_gram2(a2, b2) == pytest.approx(complex(want), rel=1e-13)
+    assert exp_gram(a2, b2) == pytest.approx(complex(want), rel=1e-13)
 
 
 def test_pair_merge_collapses_the_legs():
-    x2 = ExpCombo2.single(F, G) * (2.0 + 1j)
+    x2 = ExpCombo.single(F, G) * (2.0 + 1j)
     merged = pair_merge(0.5, x2)
     (c, h), = merged.terms
     assert c == 2.0 + 1j
@@ -120,3 +118,33 @@ def test_dimension_mismatch_is_refused():
         ExpCombo.single(F) + ExpCombo.single(np.ones(3))
     with pytest.raises(ValueError):
         exp_gram(ExpCombo.single(F), ExpCombo.single(np.ones(3)))
+
+
+def test_leg_counts_are_enforced():
+    one, two = ExpCombo.single(F), ExpCombo.single(F, G)
+    assert (one.legs, two.legs) == (1, 2)
+    with pytest.raises(ValueError):
+        one + two
+    with pytest.raises(ValueError):
+        exp_gram(one, two)
+    with pytest.raises(ValueError):
+        ExpCombo(2, [(1.0, F)], legs=2)
+    with pytest.raises(TypeError):
+        pair_merge(0.5, one)
+    with pytest.raises(TypeError):
+        exp_shift(G, two)
+    with pytest.raises(TypeError):
+        two.to_fock(4)
+    with pytest.raises(TypeError):
+        pair_map(0.5, two)
+
+
+def test_three_legs_pair_through_the_summed_exponent():
+    rng = np.random.default_rng(13)
+    fs = [0.5 * (rng.standard_normal(3) + 1j * rng.standard_normal(3)) for _ in range(3)]
+    gs = [0.5 * (rng.standard_normal(3) + 1j * rng.standard_normal(3)) for _ in range(3)]
+    a = ExpCombo.single(*fs) * (0.3 - 0.2j)
+    b = ExpCombo.single(*gs)
+    want = (0.3 - 0.2j).conjugate() * np.exp(sum(np.vdot(f, g) for f, g in zip(fs, gs)))
+    assert a.legs == 3
+    assert exp_gram(a, b) == pytest.approx(complex(want), rel=1e-13)

@@ -330,7 +330,8 @@ def test_skorohod_identity_on_random_marked_pairs():
         scale = abs(ident.lhs) + abs(ident.rhs) + 1.0
         assert abs(ident.lhs - ident.rhs) <= 1e-11 * scale
         assert ident.rhs == ident.base_term + ident.exchange_term
-        assert ident.contraction_ok
+        for dn, gn in zip(ident.div_norms, ident.graph_norms):
+            assert dn * dn <= gn * gn * (1.0 + 1e-12) + 1e-14
 
 
 def test_skorohod_rejects_occupied_top_mark():

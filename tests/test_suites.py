@@ -7,7 +7,15 @@ import pytest
 
 from chaoskit.config import SUITES, RunConfig
 from chaoskit.indices import GuardLimitError
-from chaoskit.suites import _check_seed, pool_size, run_suite, suite_checks
+from chaoskit.suites import (
+    _check_seed,
+    _make_record,
+    _trials,
+    _worst,
+    pool_size,
+    run_suite,
+    suite_checks,
+)
 
 SMALL = dict(
     d=2,
@@ -128,3 +136,31 @@ def test_bad_worker_counts_are_refused(monkeypatch, raw):
         pool_size(11)
     with pytest.raises(ValueError, match="CHAOSKIT_WORKERS"):
         run_suite(RunConfig(suite="fock", **SMALL))
+
+
+@pytest.mark.parametrize("residuals", [[math.nan, 0.0], [0.0, math.nan], [0.5, math.nan, 2.0]])
+def test_a_nan_residual_fails_its_record(residuals):
+    it = iter(residuals)
+    cfg = RunConfig(suite="fock", **SMALL)
+    (rec,) = _trials(cfg, "fock.exp_gram", len(residuals), lambda rng: next(it), "identity", "")
+    assert math.isnan(rec.value)
+    assert rec.status == "fail"
+
+
+@pytest.mark.parametrize(
+    "stats",
+    [
+        [(1.0, 0.1), (math.nan, 0.2)],
+        [(math.nan, 0.2), (1.0, 0.1)],
+        [(0.5, 0.1), (math.nan, 0.2), (9.0, 0.3), (math.nan, 0.4)],
+    ],
+)
+def test_a_nan_z_fails_its_record(stats):
+    z, se = _worst(stats)
+    assert math.isnan(z) and se == 0.2
+    assert _make_record("sim.x", z, 0.0, 4.0, se=se).status == "fail"
+
+
+def test_worst_keeps_the_first_largest_z():
+    assert _worst([(2.0, 0.1), (3.0, 0.2), (3.0, 0.3)]) == (3.0, 0.2)
+    assert _worst([]) == (0.0, None)
