@@ -693,8 +693,16 @@ def save_chaos(F: ChaosCoefficients, dest) -> None:
         dest.write(payload)
 
 
+def _header_int(line: str, key: str) -> int:
+    parts = line.split()
+    if len(parts) != 2 or parts[0] != key:
+        raise ValueError(f"malformed header line: {line!r}")
+    return int(parts[1])
+
+
 def load_chaos(src, grid: CellGrid) -> ChaosCoefficients:
-    """Read `save_chaos` output; validates the hash and the grid spec."""
+    """Read `save_chaos` output; validates the hash, the grid spec and every
+    term's order and cell labels. Any malformed payload raises ValueError."""
     if isinstance(src, (str, os.PathLike)):
         with open(src) as fh:
             text = fh.read()
@@ -706,28 +714,30 @@ def load_chaos(src, grid: CellGrid) -> ChaosCoefficients:
     if not lines[-1].startswith("hash "):
         raise ValueError("missing content hash")
     digest = sha256("\n".join(lines[:-1]).encode()).hexdigest()
-    if lines[-1].split()[1] != digest:
+    if lines[-1].removeprefix("hash ") != digest:
         raise ValueError("content hash mismatch")
     stored_spec = json.loads(lines[1].removeprefix("grid "))
     if stored_spec != grid.spec():
         raise ValueError("serialized expansion belongs to a different grid")
-    truncation = int(lines[2].split()[1])
-    c = int(lines[3].split()[1])
+    truncation = _header_int(lines[2], "truncation")
+    c = _header_int(lines[3], "cells")
     if c != grid.n_cells:
         raise ValueError("cell count mismatch")
     out = ChaosCoefficients.zero(grid, truncation)
     for line in lines[4:-1]:
         parts = line.split()
-        if parts[0] != "term" or len(parts) != 5:
+        if len(parts) != 5 or parts[0] != "term":
             raise ValueError(f"malformed line: {line}")
         n = int(parts[1])
+        if not 0 <= n <= truncation:
+            raise ValueError(f"order outside 0..{truncation}: {line}")
         if parts[2] == "-":
             occ = (0,) * c
         else:
-            hits = np.bincount(
-                np.array([int(x) for x in parts[2].split(",")]), minlength=c
-            )
-            occ = tuple(int(x) for x in hits)
+            labels = [int(x) for x in parts[2].split(",")]
+            if not all(0 <= x < c for x in labels):
+                raise ValueError(f"cell label outside 0..{c - 1}: {line}")
+            occ = tuple(int(x) for x in np.bincount(labels, minlength=c))
         if sum(occ) != n:
             raise ValueError(f"occupation does not match order: {line}")
         out.kernels[n][position(occ)] = complex(float(parts[3]), float(parts[4]))

@@ -9,6 +9,7 @@ every record passes.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .config import SUITES, RunConfig
@@ -53,6 +54,12 @@ def main(argv=None) -> int:
         pool_size(len(suite_checks(config.suite)))
     except ValueError as exc:
         print(f"chaoskit: invalid environment: {exc}", file=sys.stderr)
+        return 2
+    try:
+        # an unusable output root is refused before any check runs
+        os.makedirs(config.resolve_out_dir(), exist_ok=True)
+    except OSError as exc:
+        print(f"chaoskit: invalid config: output root: {exc}", file=sys.stderr)
         return 2
     records = run_suite(config)
     run_dir = make_run_dir(config.resolve_out_dir())

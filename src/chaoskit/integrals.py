@@ -84,7 +84,7 @@ def stochastic_integral(field: StepField, source):
     return complex(out[0]) if scalar else out
 
 
-def product_integral(kernel, source, validate: bool = True):
+def product_integral(kernel, source):
     """Contraction of an off-diagonal kernel against increment products.
 
     kernel is a dense (c, ..., c) array over the retained cells; any entry
@@ -104,14 +104,13 @@ def product_integral(kernel, source, validate: bool = True):
         raise GuardLimitError(
             f"kernel carries {kern.size} coefficients, budget is {MAX_LEVEL_COEFFS}"
         )
-    if validate:
-        for a in range(kern.ndim):
-            for b in range(a + 1, kern.ndim):
-                diag = np.diagonal(kern, axis1=a, axis2=b)
-                if np.any(diag != 0):
-                    raise ValueError(
-                        "product integral requires the kernel to vanish on diagonals"
-                    )
+    for a in range(kern.ndim):
+        for b in range(a + 1, kern.ndim):
+            diag = np.diagonal(kern, axis1=a, axis2=b)
+            if np.any(diag != 0):
+                raise ValueError(
+                    "product integral requires the kernel to vanish on diagonals"
+                )
     inc = cell_increments(ens).astype(np.complex128)
     out = np.empty(ens.n_paths, dtype=np.complex128)
     block = max(1, int(2_000_000 // max(kern.size // c, 1)))

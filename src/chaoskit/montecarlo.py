@@ -25,10 +25,6 @@ class MCStat:
     n_paths: int
     seed: int
 
-    def within(self, target: complex, k: float = 4.0) -> bool:
-        """Whether target sits inside k standard errors of the mean."""
-        return abs(self.mean - target) <= k * max(self.se, 1e-300)
-
     def report(self) -> dict:
         return {
             "mean_re": self.mean.real,

@@ -10,6 +10,10 @@ A check is a function of the config that returns its records. Decorating it
 with @_registered("<suite>.<name>") appends it to that suite, so a suite runs
 its checks in definition order. A Monte Carlo check over the models returns
 _mc_per_model(...); a check over seeded random trials returns _trials(...).
+Every check turns many residuals into one value with _worst_of (z-scores with
+their standard errors: _worst), so a NaN residual is kept and fails its
+record; per-path relative errors go through _rel_gap, and every ensemble is
+drawn by _ensemble from the record's own stream.
 
 A guard-rail breach inside a check becomes a failing record, not a crash;
 anything else propagating out of a check is a bug and is allowed to surface.
@@ -129,11 +133,27 @@ def _nan_high(x: float) -> tuple[bool, float]:
     return (math.isnan(x), x)
 
 
+def _worst_of(values) -> float:
+    """Largest of 0.0 and the values; the first NaN if there is one."""
+    return max((0.0, *values), key=_nan_high)
+
+
 def _worst(stats) -> tuple[float, float | None]:
     """Largest z in a list of (z, se) pairs; the first NaN z if there is one."""
     if not stats:
         return 0.0, None
     return max(stats, key=lambda t: _nan_high(t[0]))
+
+
+def _rel_gap(got, want) -> float:
+    """Largest per-path |got - want| relative to max(1, |want|)."""
+    return float(np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))))
+
+
+def _ensemble(cfg: RunConfig, check_id: str, model, n_time: int, n_paths: int):
+    """(grid, ensemble) of n_paths paths on an n_time grid from check_id's stream."""
+    grid = CellGrid(model, n_time)
+    return grid, sample_ensemble(model, grid, _check_seed(cfg.seed, check_id), n_paths)
 
 
 def _unit_modes(rng, d: int, lo: float = 0.2, hi: float = 1.5) -> np.ndarray:
@@ -259,8 +279,7 @@ def _mc_per_model(
     for name in models:
         model = by_name[name]
         check_id = f"{family}.{name}"
-        grid = CellGrid(model, cfg.n_time)
-        ens = sample_ensemble(model, grid, _check_seed(cfg.seed, check_id), cfg.n_paths)
+        grid, ens = _ensemble(cfg, check_id, model, cfg.n_time, cfg.n_paths)
         z, se = _worst(
             [(_zscore(stat, target), stat.se) for stat, target in stats(model, grid, ens)]
         )
@@ -283,9 +302,7 @@ def _trials(
     """The check's one record: the worst residual(rng) over n trials drawn from
     the check's own stream. A NaN residual is kept, so the record fails."""
     rng = _trial_rng(cfg, check_id)
-    worst = 0.0
-    for _ in range(n):
-        worst = max(worst, residual(rng), key=_nan_high)
+    worst = _worst_of(residual(rng) for _ in range(n))
     return [_make_record(check_id, worst, 0.0, cfg.tolerances[tol], note=note)]
 
 
@@ -328,7 +345,7 @@ def _check_ccr(cfg: RunConfig):
         left = annihilate(f, raised)
         right, _ = create(g, annihilate(f, psi))
         comm = left - right - psi * complex(np.vdot(f, g))
-        return max(comm.norm() / psi.norm(), spill)
+        return _worst_of((comm.norm() / psi.norm(), spill))
 
     return _trials(
         cfg,
@@ -343,16 +360,17 @@ def _check_ccr(cfg: RunConfig):
 @_registered("fock.ladder_norms")
 def _check_ladder_norms(cfg: RunConfig):
     nmax = min(cfg.max_degree, 6)
-    worst_low = worst_up = worst_iso = 0.0
-    for d in (2, 3, 4):
-        for n in range(1, nmax + 1):
-            low = operator_matrix("lower", n, d)
-            worst_low = max(worst_low, abs(operator_norm(low) - math.sqrt(n)))
-            up = operator_matrix("raise", n, d)
-            worst_up = max(worst_up, abs(operator_norm(up) - math.sqrt(n + 1)))
-            worst_iso = max(
-                worst_iso, isometry_residual(operator_matrix("isometry", n, d))
-            )
+    pairs = [(d, n) for d in (2, 3, 4) for n in range(1, nmax + 1)]
+    worst_low = _worst_of(
+        abs(operator_norm(operator_matrix("lower", n, d)) - math.sqrt(n)) for d, n in pairs
+    )
+    worst_up = _worst_of(
+        abs(operator_norm(operator_matrix("raise", n, d)) - math.sqrt(n + 1))
+        for d, n in pairs
+    )
+    worst_iso = _worst_of(
+        isometry_residual(operator_matrix("isometry", n, d)) for d, n in pairs
+    )
     spectral = cfg.tolerances["spectral"]
     span = f"d in 2..4, n <= {nmax}, dense SVD"
     return [
@@ -375,8 +393,7 @@ def _check_number_factorization(cfg: RunConfig):
     def residual(rng):
         psi = _random_fock(rng, d, M)
         assembled, dropped = fock_divergence(fock_gradient(psi))
-        res = (assembled - number_apply(psi)).norm() / psi.norm()
-        return max(res, dropped)
+        return _worst_of(((assembled - number_apply(psi)).norm() / psi.norm(), dropped))
 
     return _trials(
         cfg,
@@ -390,66 +407,63 @@ def _check_number_factorization(cfg: RunConfig):
 
 @_registered("fock.q_isometry")
 def _check_q(cfg: RunConfig):
-    rng = _trial_rng(cfg, "fock.q_isometry")
     d, M = cfg.d, cfg.truncation
-    worst = 0.0
-    for _ in range(100):
+
+    def residual(rng):
         psi = _random_fock(rng, d, M)
         phi = _random_fock(rng, d, M)
         plain = psi.inner(phi)
         scaled = graph_inner(sobolev_scale(psi), sobolev_scale(phi))
-        worst = max(worst, abs(scaled - plain) / max(1.0, abs(plain)))
-    records = [
-        _make_record(
-            "fock.q_isometry",
-            worst,
-            0.0,
-            cfg.tolerances["algebraic"],
-            note="graph inner of scaled pair vs plain inner, 100 random pairs",
-        )
-    ]
-    worst_q = 0.0
-    for n in range(min(cfg.max_degree, 6) + 1):
-        val, _ = quad(lambda t, n=n: math.exp(-t * (1.0 + n)) / math.sqrt(t), 0.0, np.inf)
-        worst_q = max(worst_q, abs(val / math.sqrt(math.pi) - 1.0 / math.sqrt(1.0 + n)))
-    records.append(
+        return abs(scaled - plain) / max(1.0, abs(plain))
+
+    def half_integral(n):
+        val, _ = quad(lambda t: math.exp(-t * (1.0 + n)) / math.sqrt(t), 0.0, np.inf)
+        return val / math.sqrt(math.pi)
+
+    nmax = min(cfg.max_degree, 6)
+    return _trials(
+        cfg,
+        "fock.q_isometry",
+        100,
+        residual,
+        "algebraic",
+        "graph inner of scaled pair vs plain inner, 100 random pairs",
+    ) + [
         _make_record(
             "fock.q_quadrature",
-            worst_q,
+            _worst_of(
+                abs(half_integral(n) - 1.0 / math.sqrt(1.0 + n)) for n in range(nmax + 1)
+            ),
             0.0,
             cfg.tolerances["quadrature"],
-            note="half-integral quadrature identity for the scale weights, n <= "
-            f"{min(cfg.max_degree, 6)}",
+            note=f"half-integral quadrature identity for the scale weights, n <= {nmax}",
         )
-    )
-    return records
+    ]
 
 
 @_registered("fock.ito_skorohod")
 def _check_ito_skorohod(cfg: RunConfig):
     rng = _trial_rng(cfg, "fock.ito_skorohod")
     d, M = cfg.d, cfg.truncation
-    worst = 0.0
-    worst_gap = 0.0
-    for _ in range(200):
-        phi1 = _random_marked(rng, d, M, zero_top=1)
-        phi2 = _random_marked(rng, d, M, zero_top=1)
-        ident = ito_skorohod(phi1, phi2)
-        scale = max(1.0, abs(ident.lhs))
-        worst = max(worst, abs(ident.lhs - ident.rhs) / scale)
-        for dn, gn in zip(ident.div_norms, ident.graph_norms):
-            worst_gap = max(worst_gap, (dn * dn - gn * gn) / max(1.0, gn * gn))
+    idents = [
+        ito_skorohod(_random_marked(rng, d, M), _random_marked(rng, d, M))
+        for _ in range(200)
+    ]
     return [
         _make_record(
             "fock.ito_skorohod",
-            worst,
+            _worst_of(abs(s.lhs - s.rhs) / max(1.0, abs(s.lhs)) for s in idents),
             0.0,
             cfg.tolerances["identity"],
             note="divergence pairing vs base + exchange, 200 truncation-safe pairs",
         ),
         _make_record(
             "fock.contraction",
-            max(0.0, worst_gap),
+            _worst_of(
+                (dn * dn - gn * gn) / max(1.0, gn * gn)
+                for s in idents
+                for dn, gn in zip(s.div_norms, s.graph_norms)
+            ),
             0.0,
             cfg.tolerances["algebraic"],
             note="positive part of ||divergence||^2 - graph norm^2 over the same pairs",
@@ -475,10 +489,12 @@ def _check_exp_adjunction(cfg: RunConfig):
         scale = max(1.0, abs(closed))
         lhs2 = exp_gram(exp_shift(h, cf, adjoint=True), cg)
         rhs2 = exp_gram(cf, exp_shift(h, cg))
-        return max(
-            abs(lhs - rhs) / scale,
-            abs(lhs - closed) / scale,
-            abs(lhs2 - rhs2) / max(1.0, abs(lhs2)),
+        return _worst_of(
+            (
+                abs(lhs - rhs) / scale,
+                abs(lhs - closed) / scale,
+                abs(lhs2 - rhs2) / max(1.0, abs(lhs2)),
+            )
         )
 
     return _trials(
@@ -549,24 +565,22 @@ def _check_sample_moments(cfg: RunConfig):
 @_registered("sim.chain_power")
 def _check_chain_power(cfg: RunConfig):
     check_id = "sim.chain_power"
-    model = poisson_preset(1.0, cfg.horizon)
-    grid = CellGrid(model, cfg.n_time)
     n_paths = min(cfg.n_paths, 400)
-    ens = sample_ensemble(model, grid, _check_seed(cfg.seed, check_id), n_paths)
+    grid, ens = _ensemble(
+        cfg, check_id, poisson_preset(1.0, cfg.horizon), cfg.n_time, n_paths
+    )
     field = StepField.from_columns(grid, bins={1: _profile_a(cfg.n_time)})
     powers = power_integrals(field, 3, ens)
-    worst = 0.0
-    for n in (1, 2, 3):
+
+    def gap(n):
         chain = iterated_chain([field] * n, ens, mode="exact")
         scale = max(1.0, float(np.abs(powers[:, n]).max()))
-        worst = max(
-            worst,
-            float(np.abs(powers[:, n] - math.factorial(n) * chain).max()) / scale,
-        )
+        return float(np.abs(powers[:, n] - math.factorial(n) * chain).max()) / scale
+
     return [
         _make_record(
             check_id,
-            worst,
+            _worst_of(gap(n) for n in (1, 2, 3)),
             0.0,
             cfg.tolerances["pathwise"],
             note=f"multiple vs n! * simplex integrals, pure jump, n <= 3, {n_paths} paths",
@@ -581,10 +595,7 @@ def _check_euler_order(cfg: RunConfig):
     n_paths = min(cfg.n_paths, 20_000)
     gaps = []
     for K in (8, 16, 32, 64):
-        grid = CellGrid(model, K)
-        ens = sample_ensemble(
-            model, grid, _check_seed(cfg.seed, f"{check_id}.{K}"), n_paths
-        )
+        grid, ens = _ensemble(cfg, f"{check_id}.{K}", model, K, n_paths)
         field = StepField.from_columns(grid, diffusion=np.ones(K))
         j2 = iterated_chain([field, field], ens, mode="euler")
         b1 = terminal_value(ens)
@@ -610,21 +621,18 @@ def _check_doleans_closed(cfg: RunConfig):
     K = cfg.n_time
     n_paths = min(cfg.n_paths, 2000)
 
-    model = brownian_preset(cfg.horizon)
-    grid = CellGrid(model, K)
-    ens = sample_ensemble(
-        model, grid, _check_seed(cfg.seed, "sim.doleans_brownian"), n_paths
+    grid, ens = _ensemble(
+        cfg, "sim.doleans_brownian", brownian_preset(cfg.horizon), K, n_paths
     )
     prof = _profile_real(K, base=0.8, amp=0.5)
     field = StepField.from_columns(grid, diffusion=prof)
     vals = doleans_exp(field, ens)
     ito = ens.brownian @ prof
     oracle = np.exp(ito - 0.5 * float(np.sum(prof**2)) * grid.dt)
-    worst = float(np.max(np.abs(vals - oracle) / np.maximum(1.0, np.abs(oracle))))
     records.append(
         _make_record(
             "sim.doleans_brownian",
-            worst,
+            _rel_gap(vals, oracle),
             0.0,
             cfg.tolerances["algebraic"],
             note=f"exponential of the diffusion integral minus half the energy, "
@@ -633,10 +641,7 @@ def _check_doleans_closed(cfg: RunConfig):
     )
 
     model = poisson_preset(1.0, cfg.horizon)
-    grid = CellGrid(model, K)
-    ens = sample_ensemble(
-        model, grid, _check_seed(cfg.seed, "sim.doleans_poisson"), n_paths
-    )
+    grid, ens = _ensemble(cfg, "sim.doleans_poisson", model, K, n_paths)
     prof = _profile_b(K)
     field = StepField.from_columns(grid, bins={1: prof})
     vals = doleans_exp(field, ens)
@@ -645,29 +650,25 @@ def _check_doleans_closed(cfg: RunConfig):
     for i in range(n_paths):
         cells = ens.path(i).jump_cells
         oracle[i] = base * (np.prod(1.0 + prof[cells]) if cells.size else 1.0)
-    worst = float(np.max(np.abs(vals - oracle) / np.maximum(1.0, np.abs(oracle))))
     records.append(
         _make_record(
             "sim.doleans_poisson",
-            worst,
+            _rel_gap(vals, oracle),
             0.0,
             cfg.tolerances["algebraic"],
             note="compensator exponential times the jump product, per path",
         )
     )
 
-    ens = sample_ensemble(
-        model, grid, _check_seed(cfg.seed, "sim.doleans_counting"), n_paths
-    )
+    grid, ens = _ensemble(cfg, "sim.doleans_counting", model, K, n_paths)
     ones = StepField.from_columns(grid, bins={1: np.ones(K)})
     vals = doleans_exp(ones, ens)
     counts = np.diff(ens.offsets)
     oracle = 2.0**counts * math.exp(-float(grid.bin_rates[0]) * cfg.horizon)
-    worst = float(np.max(np.abs(vals - oracle) / np.maximum(1.0, np.abs(oracle))))
     records.append(
         _make_record(
             "sim.doleans_counting",
-            worst,
+            _rel_gap(vals, oracle),
             0.0,
             cfg.tolerances["algebraic"],
             note="unit jump field: doubling per jump times the compensator decay",
@@ -712,18 +713,15 @@ def _check_exp_martingale(cfg: RunConfig):
 @_registered("sim.representation")
 def _check_representation(cfg: RunConfig):
     check_id = "sim.representation"
-    model = poisson_preset(1.0, cfg.horizon)
-    grid = CellGrid(model, cfg.n_time)
     n_paths = min(cfg.n_paths, 300)
-    ens = sample_ensemble(model, grid, _check_seed(cfg.seed, check_id), n_paths)
+    _, ens = _ensemble(
+        cfg, check_id, poisson_preset(1.0, cfg.horizon), cfg.n_time, n_paths
+    )
     prof = _profile_real(cfg.n_time, base=0.6, amp=0.3)
-    worst = 0.0
-    for i in range(n_paths):
-        worst = max(worst, representation_residual(prof, ens.path(i)))
     return [
         _make_record(
             check_id,
-            worst,
+            _worst_of(representation_residual(prof, ens.path(i)) for i in range(n_paths)),
             0.0,
             cfg.tolerances["pathwise"],
             note=f"martingale representation residual, pure jump, {n_paths} paths",
@@ -781,26 +779,23 @@ def _check_duality_tail(cfg: RunConfig):
 @_registered("chaos.engines")
 def _check_engines(cfg: RunConfig):
     check_id = "chaos.engines"
-    model = poisson_preset(1.0, cfg.horizon)
     Kc = cfg.chaos_n_time
-    grid = CellGrid(model, Kc)
+    grid, ens = _ensemble(
+        cfg, check_id, poisson_preset(1.0, cfg.horizon), Kc, min(cfg.n_paths, 2000)
+    )
     M = min(cfg.chaos_truncation, 3)
     field1 = StepField.from_columns(grid, bins={1: _profile_a(Kc)})
     field2 = StepField.from_columns(grid, bins={1: _profile_b(Kc)})
     F = ChaosCoefficients.doleans(field1, M) + 0.7 * ChaosCoefficients.from_power(
         field2, 2, M
     )
-    n_paths = min(cfg.n_paths, 2000)
-    ens = sample_ensemble(model, grid, _check_seed(cfg.seed, check_id), n_paths)
     fast = chaos_evaluate(F, ens)
     dense = F.copy()
     dense.source = None
-    slow = chaos_evaluate(dense, ens)
-    worst = float(np.max(np.abs(fast - slow) / np.maximum(1.0, np.abs(slow))))
     return [
         _make_record(
             check_id,
-            worst,
+            _rel_gap(fast, chaos_evaluate(dense, ens)),
             0.0,
             cfg.tolerances["pathwise"],
             note="generating-series route vs dense occupation route, per path",
@@ -811,22 +806,20 @@ def _check_engines(cfg: RunConfig):
 @_registered("chaos.projection")
 def _check_projection(cfg: RunConfig):
     check_id = "chaos.projection"
-    model = poisson_preset(1.0, cfg.horizon)
-    grid = CellGrid(model, cfg.chaos_n_time)
+    grid, ens = _ensemble(
+        cfg, check_id, poisson_preset(1.0, cfg.horizon), cfg.chaos_n_time, cfg.n_paths
+    )
     M = 2
     field = StepField.from_columns(grid, bins={1: _profile_b(cfg.chaos_n_time)})
     F = ChaosCoefficients.doleans(field, M)
-    ens = sample_ensemble(model, grid, _check_seed(cfg.seed, check_id), cfg.n_paths)
-    vals = chaos_evaluate(F, ens)
-    proj, se_map = project_mc(vals, ens, M)
-    worst = 0.0
-    worst_se = None
-    for n in range(M + 1):
+    proj, se_map = project_mc(chaos_evaluate(F, ens), ens, M)
+
+    def z_se(n):
         err = float(np.max(np.abs(proj.kernels[n] - F.kernels[n]), initial=0.0))
         se = max(se_map[n], 1e-15)
-        if err / se > worst:
-            worst = err / se
-            worst_se = se
+        return err / se, se
+
+    worst, worst_se = _worst([z_se(n) for n in range(M + 1)])
     return [
         _make_record(
             check_id,
@@ -891,11 +884,12 @@ def _check_eigen_relation(cfg: RunConfig):
     F = ChaosCoefficients.doleans(field, M)
     G = chaos_gradient(F)
     fc = field.cell_values()
-    scale = max(1.0, max(float(np.abs(k).max(initial=0.0)) for k in F.kernels))
-    worst = 0.0
-    for m in range(M):
-        diff = G.kernels[m] - F.kernels[m][:, None] * fc[None, :]
-        worst = max(worst, float(np.abs(diff).max(initial=0.0)) / scale)
+    scale = max(1.0, _worst_of(float(np.abs(k).max(initial=0.0)) for k in F.kernels))
+    worst = _worst_of(
+        float(np.abs(G.kernels[m] - F.kernels[m][:, None] * fc[None, :]).max(initial=0.0))
+        / scale
+        for m in range(M)
+    )
     return [
         _make_record(
             check_id,
@@ -923,11 +917,13 @@ def _check_embed(cfg: RunConfig):
         u = _random_marked_chaos(rng, grid, M)
         div_c, drop_c = chaos_divergence(u)
         div_f, drop_f = fock_divergence(embed_marked(u))
-        return max(
-            abs(psi.inner(chi) - pair) / max(1.0, abs(pair)),
-            (embed_marked(chaos_gradient(C)) - grad).norm() / max(1.0, grad.norm()),
-            (embed_chaos(div_c) - div_f).norm() / max(1.0, div_f.norm()),
-            abs(drop_c - drop_f) / max(1.0, drop_f),
+        return _worst_of(
+            (
+                abs(psi.inner(chi) - pair) / max(1.0, abs(pair)),
+                (embed_marked(chaos_gradient(C)) - grad).norm() / max(1.0, grad.norm()),
+                (embed_chaos(div_c) - div_f).norm() / max(1.0, div_f.norm()),
+                abs(drop_c - drop_f) / max(1.0, drop_f),
+            )
         )
 
     return _trials(
@@ -994,10 +990,12 @@ def _check_skorohod_kernel(cfg: RunConfig):
         v = _random_marked_chaos(rng, grid, M)
         sk = ito_skorohod_chaos(u, v, fock_route=True)
         scale = max(1.0, abs(sk.lhs))
-        return max(
-            sk.defect / scale,
-            abs(sk.lhs - sk.fock.lhs) / scale,
-            abs(sk.rhs - sk.fock.rhs) / scale,
+        return _worst_of(
+            (
+                sk.defect / scale,
+                abs(sk.lhs - sk.fock.lhs) / scale,
+                abs(sk.rhs - sk.fock.rhs) / scale,
+            )
         )
 
     return _trials(
@@ -1022,22 +1020,20 @@ def _lift_marked(u: MarkedChaos) -> MarkedChaos:
 def _check_skorohod_mc(cfg: RunConfig):
     check_id = "malliavin.skorohod_mc"
     rng = _trial_rng(cfg, check_id)
-    model = poisson_preset(1.0, cfg.horizon)
-    grid = CellGrid(model, cfg.chaos_n_time)
+    grid, ens = _ensemble(
+        cfg, check_id, poisson_preset(1.0, cfg.horizon), cfg.chaos_n_time, cfg.n_paths
+    )
     M = 2
     u = _random_marked_chaos(rng, grid, M, scale=0.4)
     v = _random_marked_chaos(rng, grid, M, scale=0.4)
     target = ito_skorohod_chaos(u, v, fock_route=False).lhs
     du, drop_u = chaos_divergence(_lift_marked(u))
     dv, drop_v = chaos_divergence(_lift_marked(v))
-    ens = sample_ensemble(model, grid, _check_seed(cfg.seed, check_id), cfg.n_paths)
-    prod = np.conj(chaos_evaluate(du, ens)) * chaos_evaluate(dv, ens)
-    stat = summarize(prod)
-    z = max(_zscore(stat, target), drop_u, drop_v)
+    stat = summarize(np.conj(chaos_evaluate(du, ens)) * chaos_evaluate(dv, ens))
     return [
         _make_record(
             check_id,
-            z,
+            _worst_of((_zscore(stat, target), drop_u, drop_v)),
             0.0,
             cfg.tolerances["mc_sigmas"],
             se=stat.se,
@@ -1050,8 +1046,10 @@ def _check_skorohod_mc(cfg: RunConfig):
 @_registered("malliavin.adapted_ito")
 def _check_adapted_ito(cfg: RunConfig):
     check_id = "malliavin.adapted_ito"
-    model = poisson_preset(1.0, cfg.horizon)
-    grid = CellGrid(model, cfg.chaos_n_time)
+    n_paths = min(cfg.n_paths, 1000)
+    grid, ens = _ensemble(
+        cfg, check_id, poisson_preset(1.0, cfg.horizon), cfg.chaos_n_time, n_paths
+    )
     c = grid.n_cells
     g = _profile_a(c)
     h = _profile_b(c)
@@ -1064,19 +1062,13 @@ def _check_adapted_ito(cfg: RunConfig):
         k1[row_of_cell[before], s] = h[s] * g[before]
     u = MarkedChaos(grid, 1, [np.zeros((1, c), dtype=np.complex128), k1])
     du, dropped = chaos_divergence(_lift_marked(u))
-    n_paths = min(cfg.n_paths, 1000)
-    ens = sample_ensemble(model, grid, _check_seed(cfg.seed, check_id), n_paths)
     inc = cell_increments(ens)
-    lhs = chaos_evaluate(du, ens)
     run = np.cumsum(g[None, :] * inc, axis=1) - g[None, :] * inc
     rhs = np.sum(h[None, :] * run * inc, axis=1)
-    worst = max(
-        float(np.max(np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs)))), dropped
-    )
     return [
         _make_record(
             check_id,
-            worst,
+            _worst_of((_rel_gap(chaos_evaluate(du, ens), rhs), dropped)),
             0.0,
             cfg.tolerances["pathwise"],
             note="divergence of an adapted step process vs the time-ordered sum, "
@@ -1098,29 +1090,29 @@ def _check_split(cfg: RunConfig):
     if model.sigma > 0 and model.atoms:
         sp = bn_split(F)
         total = F.norm_sq()
-        worst = abs(sp.total - total) / max(1.0, total)
+        scale = max(1.0, total)
+        gaps = [abs(sp.total - total) / scale]
         for n in range(M + 1):
             level = sum(
                 norm for (n1, n2), norm in sp.block_norms.items() if n1 + n2 == n
             )
-            worst = max(worst, abs(level - F.level_norm_sq(n)) / max(1.0, total))
+            gaps.append(abs(level - F.level_norm_sq(n)) / scale)
         psi = embed_chaos(F)
         grad = fock_gradient(psi)
         sp_f = fock_split(psi, sp.diffusion_cells)
         both = split_gradient(sp_f, 1) + split_gradient(sp_f, 2)
-        worst = max(worst, (both - grad).norm() / max(1.0, grad.norm()))
         phi = _random_marked(rng, grid.n_cells, M, zero_top=0)
         via_split, drop_s = split_divergence(phi, sp.diffusion_cells)
         direct, drop_d = fock_divergence(phi)
-        worst = max(
-            worst,
+        gaps += [
+            (both - grad).norm() / max(1.0, grad.norm()),
             (via_split - direct).norm() / max(1.0, direct.norm()),
             abs(drop_s - drop_d) / max(1.0, drop_d),
-        )
+        ]
         records.append(
             _make_record(
                 check_id,
-                worst,
+                _worst_of(gaps),
                 0.0,
                 cfg.tolerances["algebraic"],
                 note="block norms are a partition of the squared norm; factor "
@@ -1175,14 +1167,10 @@ def _check_dom_monotone(cfg: RunConfig):
         dom_divergence_functional(chaos_gradient(ChaosCoefficients.doleans(field, M)))
         for M in roofs
     ]
-    worst = 0.0
-    for seq in (grads, divs):
-        for a, b in zip(seq, seq[1:]):
-            worst = max(worst, a - b)
     return [
         _make_record(
             check_id,
-            max(0.0, worst),
+            _worst_of(a - b for seq in (grads, divs) for a, b in zip(seq, seq[1:])),
             0.0,
             cfg.tolerances["algebraic"],
             note="domain functionals grow with the truncation roof, roofs 2..4",
@@ -1192,39 +1180,31 @@ def _check_dom_monotone(cfg: RunConfig):
 
 @_registered("malliavin.ou")
 def _check_ou(cfg: RunConfig):
-    check_id = "malliavin.ou"
-    rng = _trial_rng(cfg, check_id)
-    model = poisson_preset(1.0, cfg.horizon)
-    grid = CellGrid(model, cfg.chaos_n_time)
+    grid = CellGrid(poisson_preset(1.0, cfg.horizon), cfg.chaos_n_time)
     M = min(cfg.chaos_truncation, 3)
-    worst = 0.0
-    for _ in range(50):
+
+    def residual(rng):
         C = _random_chaos(rng, grid, M)
         s, t = float(rng.uniform(0.1, 0.6)), float(rng.uniform(0.1, 0.6))
         twice = ou_semigroup(ou_semigroup(C, s), t)
-        worst = max(
-            worst,
-            (twice - ou_semigroup(C, s + t)).norm() / max(1.0, C.norm()),
-            max(0.0, ou_semigroup(C, t).norm() - C.norm()) / max(1.0, C.norm()),
-        )
         scaled = chaos_sobolev_scale(C)
         graph = sum((1.0 + n) * scaled.level_norm_sq(n) for n in range(M + 1))
-        worst = max(worst, abs(graph - C.norm_sq()) / max(1.0, C.norm_sq()))
-    refused = False
-    try:
-        ou_semigroup(_random_chaos(rng, grid, M), -0.5)
-    except ValueError:
-        refused = True
-    if not refused:
-        worst = math.inf
-    return [
-        _make_record(
-            check_id,
-            worst,
-            0.0,
-            cfg.tolerances["algebraic"],
-            note="semigroup law, contraction, scale isometry; negative time refused",
+        return _worst_of(
+            (
+                (twice - ou_semigroup(C, s + t)).norm() / max(1.0, C.norm()),
+                # contraction: only growth counts
+                (ou_semigroup(C, t).norm() - C.norm()) / max(1.0, C.norm()),
+                abs(graph - C.norm_sq()) / max(1.0, C.norm_sq()),
+            )
         )
+
+    note = "semigroup law, contraction, scale isometry; negative time refused"
+    try:
+        ou_semigroup(ChaosCoefficients.zero(grid, M), -0.5)
+    except ValueError:
+        return _trials(cfg, "malliavin.ou", 50, residual, "algebraic", note)
+    return [
+        _make_record("malliavin.ou", math.inf, 0.0, cfg.tolerances["algebraic"], note=note)
     ]
 
 

@@ -1,6 +1,7 @@
 """Chaos expansions over grid cells: calculus, embeddings, serialization."""
 import io
 import warnings
+from hashlib import sha256
 from math import factorial
 
 import numpy as np
@@ -270,6 +271,28 @@ def test_serialization_rejects_tampering_and_foreign_grids():
     with pytest.raises(ValueError, match="unrecognized"):
         load_chaos(io.StringIO("not-a-chaos-file\n" + text), grid)
     load_chaos(io.StringIO(text), grid)
+
+
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        # cell label 7 on a 4-cell grid
+        (lambda body: body + ["term 1 7 1.0 0.0"], "cell label"),
+        # order 3 above truncation 2
+        (lambda body: body + ["term 3 0,1,2 1.0 0.0"], "order"),
+        (lambda body: body + ["term -1 - 1.0 0.0"], "order"),
+        (lambda body: body[:2] + ["truncation"] + body[3:], "header"),
+    ],
+)
+def test_serialization_refuses_hashed_bad_payloads(edit, match):
+    grid = jump_grid()
+    assert grid.n_cells == 4
+    buf = io.StringIO()
+    save_chaos(rand_chaos(np.random.default_rng(36), grid, 2), buf)
+    body = "\n".join(edit(buf.getvalue().rstrip("\n").split("\n")[:-1]))
+    payload = f"{body}\nhash {sha256(body.encode()).hexdigest()}\n"
+    with pytest.raises(ValueError, match=match):
+        load_chaos(io.StringIO(payload), grid)
 
 
 def test_bn_split_is_a_unitary_decomposition():

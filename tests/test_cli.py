@@ -133,6 +133,24 @@ def test_invalid_worker_count_exits_two(tmp_path, cfg_path, capsys, monkeypatch)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sub", ["", "sub"])
+def test_unusable_output_root_exits_two_before_any_check(
+    tmp_path, cfg_path, capsys, monkeypatch, sub
+):
+    def no_run(config):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr("chaoskit.cli.run_suite", no_run)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = os.path.join(os.fspath(blocker), sub)
+    code = main(["fock", "--config", cfg_path, "--out", out])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "chaoskit: invalid config: output root" in err
+    assert "Traceback" not in err
+
+
 def test_unknown_suite_is_refused_by_the_parser(capsys):
     with pytest.raises(SystemExit):
         main(["warp"])

@@ -138,8 +138,6 @@ def test_product_integral_rejects_diagonal_mass():
     kern[1, 1] = 1.0
     with pytest.raises(ValueError, match="diagonal"):
         product_integral(kern, ens)
-    # skipping validation silences the check, the contraction still runs
-    product_integral(kern, ens, validate=False)
 
 
 def test_doleans_pure_jump_product_formula():

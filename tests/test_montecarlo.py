@@ -27,15 +27,6 @@ def test_constant_sample_has_zero_error():
     s = summarize(np.full(64, 2.5))
     assert s.mean == 2.5
     assert s.se == 0.0
-    assert s.within(2.5)
-    assert not s.within(2.6)
-
-
-def test_within_uses_k_standard_errors():
-    rng = np.random.default_rng(12)
-    s = summarize(rng.standard_normal(1000))
-    assert s.within(s.mean + 3.9 * s.se)
-    assert not s.within(s.mean + 4.1 * s.se)
 
 
 def test_summarize_input_validation():

@@ -1,10 +1,13 @@
 """Suite registry and runner behavior at a small configuration."""
 import json
 import math
+from dataclasses import replace
 from hashlib import sha256
+from types import SimpleNamespace
 
 import pytest
 
+from chaoskit import suites
 from chaoskit.config import SUITES, RunConfig
 from chaoskit.indices import GuardLimitError
 from chaoskit.suites import (
@@ -12,6 +15,7 @@ from chaoskit.suites import (
     _make_record,
     _trials,
     _worst,
+    _worst_of,
     pool_size,
     run_suite,
     suite_checks,
@@ -164,3 +168,143 @@ def test_a_nan_z_fails_its_record(stats):
 def test_worst_keeps_the_first_largest_z():
     assert _worst([(2.0, 0.1), (3.0, 0.2), (3.0, 0.3)]) == (3.0, 0.2)
     assert _worst([]) == (0.0, None)
+
+
+@pytest.mark.parametrize(
+    "values", [[math.nan, 1.0, 2.0], [1.0, math.nan, 2.0], [1.0, 2.0, math.nan]]
+)
+def test_worst_of_keeps_a_nan_in_any_position(values):
+    assert math.isnan(_worst_of(values))
+    assert math.isnan(_worst_of(iter(values)))
+
+
+def test_worst_of_is_floored_at_zero():
+    assert _worst_of([-3.0, -1e-300]) == 0.0
+    assert _worst_of([]) == 0.0
+    assert _worst_of([0.5, 2.0, 1.0]) == 2.0
+
+
+def _nan_const(real):
+    return lambda *args, **kwargs: math.nan
+
+
+def _nan_second(real):
+    """The real (value, mass) pair with the mass replaced by NaN."""
+    return lambda *args, **kwargs: (real(*args, **kwargs)[0], math.nan)
+
+
+def _nan_shift(real):
+    # exp_shift results reach only the third adjunction residual
+    return lambda *args, **kwargs: None
+
+
+def _nan_gram(real):
+    return lambda a, b: math.nan if a is None or b is None else real(a, b)
+
+
+def _nan_ladder(real):
+    return lambda phi1, phi2: replace(
+        real(phi1, phi2), lhs=math.nan, div_norms=(math.nan, math.nan)
+    )
+
+
+def _nan_fock_route(real):
+    def fake(u, v, fock_route):
+        sk = real(u, v, fock_route=fock_route)
+        return replace(sk, fock=replace(sk.fock, rhs=math.nan))
+
+    return fake
+
+
+def _nan_kernels(real):
+    return lambda F: SimpleNamespace(kernels=[math.nan * k for k in real(F).kernels])
+
+
+def _nan_errors(real):
+    def fake(vals, ens, M):
+        proj, se_map = real(vals, ens, M)
+        return proj, {n: math.nan for n in se_map}
+
+    return fake
+
+
+# (check, what the suite imports, fake built from the real one, records that
+# must fail); every NaN lands where a plain max fold would drop it
+NAN_PROBES = [
+    ("_check_ccr", [("create", _nan_second)], ["fock.ccr"]),
+    (
+        "_check_ladder_norms",
+        [("operator_norm", _nan_const)],
+        ["fock.lower_norm", "fock.raise_norm"],
+    ),
+    ("_check_ladder_norms", [("isometry_residual", _nan_const)], ["fock.isometry"]),
+    (
+        "_check_number_factorization",
+        [("fock_divergence", _nan_second)],
+        ["fock.number_factorization"],
+    ),
+    ("_check_q", [("graph_inner", _nan_const)], ["fock.q_isometry"]),
+    (
+        "_check_q",
+        [("quad", lambda real: lambda *args: (math.nan, 0.0))],
+        ["fock.q_quadrature"],
+    ),
+    (
+        "_check_ito_skorohod",
+        [("ito_skorohod", _nan_ladder)],
+        ["fock.ito_skorohod", "fock.contraction"],
+    ),
+    (
+        "_check_exp_adjunction",
+        [("exp_shift", _nan_shift), ("exp_gram", _nan_gram)],
+        ["fock.exp_adjunction"],
+    ),
+    (
+        "_check_chain_power",
+        [("iterated_chain", lambda real: lambda fields, ens, mode: math.nan)],
+        ["sim.chain_power"],
+    ),
+    (
+        "_check_representation",
+        [("representation_residual", _nan_const)],
+        ["sim.representation"],
+    ),
+    ("_check_projection", [("project_mc", _nan_errors)], ["chaos.projection"]),
+    (
+        "_check_eigen_relation",
+        [("chaos_gradient", _nan_kernels)],
+        ["malliavin.eigen_relation"],
+    ),
+    ("_check_embed", [("chaos_divergence", _nan_second)], ["malliavin.embed"]),
+    (
+        "_check_skorohod_kernel",
+        [("ito_skorohod_chaos", _nan_fock_route)],
+        ["malliavin.skorohod_kernel"],
+    ),
+    ("_check_skorohod_mc", [("chaos_divergence", _nan_second)], ["malliavin.skorohod_mc"]),
+    ("_check_adapted_ito", [("chaos_divergence", _nan_second)], ["malliavin.adapted_ito"]),
+    ("_check_split", [("split_divergence", _nan_second)], ["malliavin.split"]),
+    (
+        "_check_dom_monotone",
+        [("dom_gradient_functional", _nan_const)],
+        ["malliavin.dom_monotone"],
+    ),
+    (
+        "_check_ou",
+        [("chaos_sobolev_scale", lambda real: lambda C: math.nan * C)],
+        ["malliavin.ou"],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "check, patches, failing",
+    NAN_PROBES,
+    ids=[f"{check}-{patches[0][0]}" for check, patches, _ in NAN_PROBES],
+)
+def test_a_nan_inside_a_check_fails_its_records(monkeypatch, check, patches, failing):
+    for name, fake in patches:
+        monkeypatch.setattr(suites, name, fake(getattr(suites, name)))
+    records = getattr(suites, check)(RunConfig(**SMALL))
+    status = {r.check_id: r.status for r in records}
+    assert [status[i] for i in failing] == ["fail"] * len(failing)
