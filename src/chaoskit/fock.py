@@ -127,7 +127,7 @@ class Graded:
     `_SPACE`), `truncation` and the level list (named by `_LEVELS`); level n
     is a complex array of shape `_shape(space, n)`. This base validates and
     casts the levels and supplies `zero`, `copy`, the linear arithmetic and
-    the plain coefficient pairing.
+    the plain coefficient pairing. A level given as None starts at zero.
 
     Source rule: a value may record how it was generated in `source`. The
     record follows `+`, `-` and scalar `*` when every operand carries one and
@@ -160,6 +160,9 @@ class Graded:
         casted = []
         for n, lev in enumerate(levels):
             shape = shape_of(space, n)
+            if lev is None:
+                casted.append(np.zeros(shape, dtype=np.complex128))
+                continue
             arr = np.asarray(lev, dtype=np.complex128)
             if arr.shape != shape:
                 raise ValueError(f"level {n} expects shape {shape}, got {arr.shape}")
@@ -168,14 +171,7 @@ class Graded:
 
     @classmethod
     def zero(cls, space, truncation: int):
-        return cls(
-            space,
-            truncation,
-            [
-                np.zeros(cls._shape(space, n), dtype=np.complex128)
-                for n in range(truncation + 1)
-            ],
-        )
+        return cls(space, truncation, [None] * (truncation + 1))
 
     def _new(self, levels: list[np.ndarray], source=None):
         out = type(self)(getattr(self, self._SPACE), self.truncation, levels)
@@ -196,16 +192,21 @@ class Graded:
     def copy(self):
         return self._new([a.copy() for a in getattr(self, self._LEVELS)], self.source)
 
-    def __add__(self, other):
+    def _levelwise(self, other, op, other_source):
+        """op(self level, other level) per level; source self + other_source()."""
         self._check_compatible(other)
         src = None
         if self.source is not None and other.source is not None:
-            src = self.source + other.source
+            src = self.source + other_source()
         pairs = zip(getattr(self, self._LEVELS), getattr(other, self._LEVELS))
-        return self._new([a + b for a, b in pairs], src)
+        return self._new([op(a, b) for a, b in pairs], src)
+
+    def __add__(self, other):
+        return self._levelwise(other, np.add, lambda: other.source)
 
     def __sub__(self, other):
-        return self + (-1.0) * other
+        # the source of self + (-1.0) * other, in one levelwise pass
+        return self._levelwise(other, np.subtract, lambda: other._scaled_source(complex(-1.0)))
 
     def __mul__(self, scalar):
         z = complex(scalar)
@@ -270,15 +271,43 @@ class MarkedFock(Graded):
         return (check_level(d, n), d)
 
 
-def _power_table(fa: np.ndarray, n: int) -> np.ndarray:
-    """table[i, k] = f_i ** k for k = 0..n, by the same ufunc as fa ** occ."""
-    return fa[:, None] ** np.arange(n + 1)
+def _power_table(fa: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of table[k, i] = f_i ** k for k = 0..n.
+
+    The powers come from the same ufunc as fa ** occ; each part is a
+    C-contiguous (n + 1, d) array, so its flat index is k * d + i.
+    """
+    table = (fa[:, None] ** np.arange(n + 1)).T
+    return np.ascontiguousarray(table.real), np.ascontiguousarray(table.imag)
 
 
-def _tensor_coeffs(table: np.ndarray, n: int) -> np.ndarray:
-    # coefficient at alpha: sqrt(n!/alpha!) * prod_i f_i^alpha_i
-    d = table.shape[0]
-    powers = np.prod(table[np.arange(d), occ_array(d, n)], axis=1)
+@lru_cache(maxsize=None)
+def _flat_index(d: int, n: int) -> np.ndarray:
+    """index[i, p] = alpha_i * d + i for the level-n vector alpha at position p."""
+    out = np.ascontiguousarray((occ_array(d, n) * d + np.arange(d)).T)
+    out.setflags(write=False)
+    return out
+
+
+def _tensor_coeffs(table: tuple[np.ndarray, np.ndarray], n: int) -> np.ndarray:
+    """sqrt(n!/alpha!) * prod_i f_i ** alpha_i over the level-n enumeration.
+
+    The product is a left fold over the modes on separate real and imaginary
+    arrays, (ar*br - ai*bi, ar*bi + ai*br) per step. That is the scalar
+    complex multiply of np.prod's reduction, so the powers equal
+    np.prod(table[arange(d), occ], axis=1) bit for bit, signed zeros
+    included; numpy's vectorized complex `*` differs in the last bit on most
+    rows.
+    """
+    re_table, im_table = (part.ravel() for part in table)
+    d = table[0].shape[1]
+    index = _flat_index(d, n)
+    re, im = re_table[index[0]], im_table[index[0]]
+    for i in range(1, d):
+        br, bi = re_table[index[i]], im_table[index[i]]
+        re, im = re * br - im * bi, re * bi + im * br
+    powers = np.empty(re.shape, dtype=np.complex128)
+    powers.real, powers.imag = re, im
     return factorial_ratio_sqrt(d, n) * powers
 
 

@@ -12,6 +12,33 @@ kernels in `fock` and `chaos` lower by gathering through raise_maps(d, n-1),
 with no mask for empty modes. `lower_maps` stays as the reference table that
 the dense matrices and the split route read, so those independent checks do
 not share a table with the kernels they check.
+
+The kernel tables are built by array arithmetic, with no Python loop over
+entries:
+
+- `occ_array` grows the enumeration from the trailing modes upward, one
+  mode per step. The vectors over modes k..d-2 with entry sum <= n, in
+  lexicographic order, are each value a of mode k in ascending order
+  followed by the vectors over modes k+1..d-2 with sum <= n - a (a
+  subsequence of the previous step, so still in order); the last mode takes
+  the rest of n. Each step keeps only the new mode's values and pointers
+  into the previous step, so the columns are read back by d gathers of the
+  level's size. No sub-table is cached, and `occupations` derives its
+  tuples from the array when something asks for them.
+- `raise_maps` computes targets by lexicographic rank arithmetic. Let
+  B(r, t) = C(r + t, t) count the vectors over t modes with sum <= r. The
+  level-n rank of alpha is sum_k B(R_k, t_k) - B(R_{k+1}, t_k), where
+  R_k = alpha_k + ... + alpha_{d-1} and t_k = d - 1 - k (hockey-stick
+  identity). Raising mode i adds one to R_k for every k <= i, and the rank
+  of alpha + e_i follows from the rank p of alpha by adding differences of
+  B, with no search.
+- `factorial_ratio_sqrt` forms n!/alpha! as an exact int64 product of
+  binomials C(alpha_0 + ... + alpha_k, alpha_k) whenever d**n < 2**63 (each
+  multinomial is at most d**n), and falls back to Python integers above.
+
+`lower_maps`, `position` and `fock._merge_positions` stay on the tuple and
+dict enumeration, so the dense matrices and the split route keep a table
+builder that the kernels they check do not use.
 """
 from __future__ import annotations
 
@@ -45,6 +72,7 @@ def level_dim(d: int, n: int) -> int:
     return comb(n + d - 1, n)
 
 
+@lru_cache(maxsize=None)
 def check_level(d: int, n: int) -> int:
     """Validate (d, n) and return the level dimension."""
     if d < 1:
@@ -61,24 +89,31 @@ def check_level(d: int, n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def occupations(d: int, n: int) -> tuple[tuple[int, ...], ...]:
-    """All occupation vectors of degree n over d modes, lexicographic."""
+def occ_array(d: int, n: int) -> np.ndarray:
+    """Occupation vectors of degree n over d modes as a read-only (dim, d) int array."""
     check_level(d, n)
-    if d == 1:
-        return ((n,),)
-    out = []
-    for first in range(n + 1):
-        for rest in occupations(d - 1, n - first):
-            out.append((first,) + rest)
-    return tuple(out)
+    # Step j lists the vectors over modes d-1-j..d-2 with sum <= n: the value
+    # lead of mode d-1-j, and row, the previous step's vector after it.
+    sums = np.zeros(1, dtype=np.int64)
+    steps = []
+    for _ in range(d - 1):
+        lead, row = np.nonzero(sums[None, :] <= n - np.arange(n + 1)[:, None])
+        steps.append((lead, row))
+        sums = lead + sums[row]
+    arr = np.empty((sums.size, d), dtype=np.int64)
+    arr[:, d - 1] = n - sums
+    pick = np.arange(sums.size)
+    for k, (lead, row) in enumerate(reversed(steps)):
+        arr[:, k] = lead[pick]
+        pick = row[pick]
+    arr.setflags(write=False)
+    return arr
 
 
 @lru_cache(maxsize=None)
-def occ_array(d: int, n: int) -> np.ndarray:
-    """Occupation vectors as a read-only (dim, d) int array."""
-    arr = np.array(occupations(d, n), dtype=np.int64).reshape(level_dim(d, n), d)
-    arr.setflags(write=False)
-    return arr
+def occupations(d: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """All occupation vectors of degree n over d modes, lexicographic."""
+    return tuple(map(tuple, occ_array(d, n).tolist()))
 
 
 @lru_cache(maxsize=None)
@@ -123,6 +158,14 @@ def lower_maps(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return target, weight
 
 
+def _sum_counts(rows: int, d: int) -> np.ndarray:
+    """B[r, t] = C(r + t, t), the number of vectors over t modes with sum <= r."""
+    out = np.ones((rows, d), dtype=np.int64)
+    for t in range(1, d):
+        out[:, t] = np.cumsum(out[:, t - 1])
+    return out
+
+
 @lru_cache(maxsize=None)
 def raise_maps(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-mode raising maps for level n.
@@ -130,20 +173,30 @@ def raise_maps(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     Returns (target, weight): target[p, i] is the level-(n+1) position of
     alpha + e_i, weight[p, i] = sqrt(alpha_i + 1).
     """
+    check_level(d, n + 1)
     occ = occ_array(d, n)
-    table = _pos_table(d, n + 1)
-    dim = occ.shape[0]
-    target = np.empty((dim, d), dtype=np.int64)
-    for p in range(dim):
-        row = occ[p]
-        for i in range(d):
-            up = list(row)
-            up[i] += 1
-            target[p, i] = table[tuple(up)]
+    B = _sum_counts(n + 2, d)
+    gain = B[1:] - B[:-1]  # gain[r, t] = B(r + 1, t) - B(r, t)
+    t = np.arange(d - 1, -1, -1)
+    rest = np.cumsum(occ[:, ::-1], axis=1)[:, ::-1]  # R_k
+    after = gain[rest - occ, t]  # at R_{k+1}
+    # the rank p gains gain(R_k) - gain(R_{k+1}) at every k <= i, and
+    # gain(R_{i+1}) at the raised mode i itself
+    target = np.cumsum(gain[rest, t] - after, axis=1) + after + np.arange(occ.shape[0])[:, None]
     weight = np.sqrt(occ.astype(np.float64) + 1.0)
     target.setflags(write=False)
     weight.setflags(write=False)
     return target, weight
+
+
+@lru_cache(maxsize=None)
+def _pascal() -> np.ndarray:
+    """C(s, a) for 0 <= s, a <= 62 as int64; C(62, 31) < 2**63."""
+    out = np.zeros((63, 63), dtype=np.int64)
+    out[:, 0] = 1
+    for s in range(1, 63):
+        out[s, 1:] = out[s - 1, 1:] + out[s - 1, :-1]
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -153,14 +206,19 @@ def factorial_ratio_sqrt(d: int, n: int) -> np.ndarray:
     These are the coefficients tying symmetric-function values on index
     multisets to the orthonormal occupation coordinates.
     """
-    occ = occupations(d, n)
-    fac_n = factorial(n)
-    vals = np.empty(len(occ), dtype=np.float64)
-    for p, row in enumerate(occ):
-        denom = 1
-        for a in row:
-            denom *= factorial(a)
-        vals[p] = np.sqrt(fac_n / denom)
+    if n < 63 and d**n < 2**63:
+        # n!/alpha! = prod_k C(alpha_0 + ... + alpha_k, alpha_k) <= d**n, exact
+        occ = occ_array(d, n)
+        multinomial = np.prod(_pascal()[np.cumsum(occ, axis=1), occ], axis=1)
+        vals = np.sqrt(multinomial.astype(np.float64))
+    else:
+        fac_n = factorial(n)
+        vals = np.empty(level_dim(d, n), dtype=np.float64)
+        for p, row in enumerate(occ_array(d, n).tolist()):
+            denom = 1
+            for a in row:
+                denom *= factorial(a)
+            vals[p] = np.sqrt(fac_n / denom)
     vals.setflags(write=False)
     return vals
 

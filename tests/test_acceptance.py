@@ -14,6 +14,9 @@ from chaoskit.config import RunConfig
 from chaoskit.reporting import emit_report, make_run_dir
 from chaoskit.suites import run_suite
 
+# The module fixture runs the full default suite: `-m "not slow"` skips it.
+pytestmark = pytest.mark.slow
+
 MODELS = ("poisson", "brownian", "mixed")
 
 

@@ -71,6 +71,40 @@ def test_container_contract(cls, space, other, mark):
     assert not np.array_equal(_parts(dup)[1], _parts(x)[1])
 
 
+def _sources_equal(a, b) -> bool:
+    if isinstance(a, ExpCombo):
+        return a.legs == b.legs and len(a.terms) == len(b.terms) and all(
+            all(np.array_equal(x, y) for x, y in zip(s, t))
+            for s, t in zip(a.terms, b.terms)
+        )
+    return a == b
+
+
+def test_difference_is_the_sum_with_the_negated_operand():
+    rng = np.random.default_rng(17)
+    f, g = (rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in range(2))
+    field = StepField.from_columns(OTHER_GRID, bins={1: rng.standard_normal(4)})
+    stamped = [
+        (exp_vector(f, 4), 2.0 * exp_vector(g, 4)),
+        (
+            ChaosCoefficients.doleans(field, 3),
+            ChaosCoefficients.from_power(field, 2, 3, coeff=0.5),
+        ),
+    ]
+    plain = [
+        (cls(space, 2, _levels(rng, space, 2, mark)), cls(space, 2, _levels(rng, space, 2, mark)))
+        for cls, space, _, mark in CONTAINERS
+    ]
+    for psi, phi in stamped + plain:
+        got, want = psi - phi, psi + (-1.0) * phi
+        assert type(got) is type(want)
+        for a, b in zip(_parts(got), _parts(want)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert (got.source is None) == (want.source is None)
+        if want.source is not None:
+            assert _sources_equal(got.source, want.source)
+
+
 def test_chaos_sources_follow_the_linear_arithmetic():
     # pure jump: the heat recursion of `power_integrals` is still wrong for
     # diffusion orders >= 3 (see ROADMAP), and this test is about the sources

@@ -95,8 +95,9 @@ def reference_symmetrize(grid, g, m):
 
 
 def reference_tensor_coeffs(fa, n):
-    occ = occ_array(fa.shape[0], n)
-    return factorial_ratio_sqrt(fa.shape[0], n) * np.prod(fa[None, :] ** occ, axis=1)
+    d = fa.shape[0]
+    table = fa[:, None] ** np.arange(n + 1)
+    return factorial_ratio_sqrt(d, n) * np.prod(table[np.arange(d), occ_array(d, n)], axis=1)
 
 
 def assert_levels_equal(got, want):
@@ -175,28 +176,48 @@ def test_chaos_divergence_matches_the_masked_loop(k, monkeypatch):
 
 
 MODE_VECTORS = {
-    "unit": [0.6 - 0.3j, -0.8 + 0.1j, 0.2j, 1.0, -0.45 - 0.9j],
-    "with_zero": [0.0, 1.3 + 0.2j, -0.7j, 0.0, 0.9],
-    "small": [1e-3 + 2e-3j, -4e-4, 3e-5j, 7e-3 - 1e-3j, 5e-4 + 5e-4j],
-    "large": [35.0 - 12.0j, -8.5 + 60.0j, 120.0, 0.05j, -2.0 - 2.0j],
+    "unit": [0.6 - 0.3j, -0.8 + 0.1j, 0.2j, 1.0, -0.45 - 0.9j, 0.3 + 0.7j],
+    "with_zero": [0.0, 1.3 + 0.2j, -0.7j, 0.0, 0.9, 0.0],
+    "tiny": [1e-5 + 2e-5j, -3e-5, 4e-5j, 1e-5 - 1e-5j, 2e-5 + 3e-5j, -1e-5j],
+    "small": [1e-3 + 2e-3j, -4e-4, 3e-5j, 7e-3 - 1e-3j, 5e-4 + 5e-4j, -2e-3 + 1e-4j],
+    "large": [35.0 - 12.0j, -8.5 + 60.0j, 120.0, 0.05j, -2.0 - 2.0j, -110.0 + 40.0j],
+    "real": [0.7, -1.2, 3.5, -0.25, 1e-4, 80.0],
+    "negative_zero": [
+        complex(-0.0, 0.5),
+        complex(1.5, -0.0),
+        complex(-0.0, -0.0),
+        complex(-0.3, -0.0),
+        complex(0.0, -0.0),
+        complex(-0.0, 2.0),
+    ],
 }
+TENSOR_DIMS = range(1, 7)
+DEGREES = [0, 1, 2, 7, 30]
 
 
-@pytest.mark.parametrize("d", DIMS)
-@pytest.mark.parametrize("n", [0, 1, 2, 7, 30])
+def _mode_vector(kind, d):
+    return np.array(MODE_VECTORS[kind][:d], dtype=np.complex128)
+
+
+def assert_same_bytes(got, want):
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("d", TENSOR_DIMS)
+@pytest.mark.parametrize("n", DEGREES)
 @pytest.mark.parametrize("kind", sorted(MODE_VECTORS))
 def test_tensor_power_matches_the_occupation_product(d, n, kind):
-    fa = np.array(MODE_VECTORS[kind][:d], dtype=np.complex128)
-    assert np.array_equal(tensor_power(fa, n).coeffs, reference_tensor_coeffs(fa, n))
+    fa = _mode_vector(kind, d)
+    assert_same_bytes(tensor_power(fa, n).coeffs, reference_tensor_coeffs(fa, n))
 
 
-@pytest.mark.parametrize("d", DIMS)
-@pytest.mark.parametrize("truncation", [0, 1, 2, 7, 30])
-@pytest.mark.parametrize("kind", ["with_zero", "large"])
+@pytest.mark.parametrize("d", TENSOR_DIMS)
+@pytest.mark.parametrize("truncation", DEGREES)
+@pytest.mark.parametrize("kind", sorted(MODE_VECTORS))
 def test_exp_vector_matches_the_occupation_product(d, truncation, kind):
-    fa = np.array(MODE_VECTORS[kind][:d], dtype=np.complex128)
-    want = [
-        reference_tensor_coeffs(fa, n) / sqrt(factorial(n))
-        for n in range(truncation + 1)
-    ]
-    assert_levels_equal(exp_vector(fa, truncation).levels, want)
+    fa = _mode_vector(kind, d)
+    levels = exp_vector(fa, truncation).levels
+    assert len(levels) == truncation + 1
+    for n, got in enumerate(levels):
+        assert_same_bytes(got, reference_tensor_coeffs(fa, n) / sqrt(factorial(n)))
