@@ -32,9 +32,11 @@ entries:
   identity). Raising mode i adds one to R_k for every k <= i, and the rank
   of alpha + e_i follows from the rank p of alpha by adding differences of
   B, with no search.
-- `factorial_ratio_sqrt` forms n!/alpha! as an exact int64 product of
-  binomials C(alpha_0 + ... + alpha_k, alpha_k) whenever d**n < 2**63 (each
-  multinomial is at most d**n), and falls back to Python integers above.
+- `factorial_ratio_sqrt` forms n!/alpha! as an exact product of binomials
+  C(alpha_0 + ... + alpha_k, alpha_k), from an int64 Pascal table whenever
+  d**n < 2**63 (each multinomial is at most d**n) and from a Python-integer
+  (object dtype) one above; either way the exact integer is rounded to
+  float64 once, as float(n! / alpha!) is.
 
 `lower_maps`, `position` and `fock._merge_positions` stay on the tuple and
 dict enumeration, so the dense matrices and the split route keep a table
@@ -43,7 +45,7 @@ builder that the kernels they check do not use.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb, factorial
+from math import comb
 
 import numpy as np
 
@@ -190,13 +192,19 @@ def raise_maps(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=None)
-def _pascal() -> np.ndarray:
-    """C(s, a) for 0 <= s, a <= 62 as int64; C(62, 31) < 2**63."""
-    out = np.zeros((63, 63), dtype=np.int64)
+def _pascal_exact(rows: int) -> np.ndarray:
+    """C(s, a) for 0 <= s, a < rows as Python integers (object dtype)."""
+    out = np.zeros((rows, rows), dtype=object)
     out[:, 0] = 1
-    for s in range(1, 63):
+    for s in range(1, rows):
         out[s, 1:] = out[s - 1, 1:] + out[s - 1, :-1]
     return out
+
+
+@lru_cache(maxsize=None)
+def _pascal() -> np.ndarray:
+    """C(s, a) for 0 <= s, a <= 62 as int64; C(62, 31) < 2**63."""
+    return _pascal_exact(63).astype(np.int64)
 
 
 @lru_cache(maxsize=None)
@@ -206,19 +214,12 @@ def factorial_ratio_sqrt(d: int, n: int) -> np.ndarray:
     These are the coefficients tying symmetric-function values on index
     multisets to the orthonormal occupation coordinates.
     """
-    if n < 63 and d**n < 2**63:
-        # n!/alpha! = prod_k C(alpha_0 + ... + alpha_k, alpha_k) <= d**n, exact
-        occ = occ_array(d, n)
-        multinomial = np.prod(_pascal()[np.cumsum(occ, axis=1), occ], axis=1)
-        vals = np.sqrt(multinomial.astype(np.float64))
-    else:
-        fac_n = factorial(n)
-        vals = np.empty(level_dim(d, n), dtype=np.float64)
-        for p, row in enumerate(occ_array(d, n).tolist()):
-            denom = 1
-            for a in row:
-                denom *= factorial(a)
-            vals[p] = np.sqrt(fac_n / denom)
+    # n!/alpha! = prod_k C(alpha_0 + ... + alpha_k, alpha_k), exact; it is at
+    # most d**n, so int64 holds it below the guard
+    table = _pascal() if n < 63 and d**n < 2**63 else _pascal_exact(n + 1)
+    occ = occ_array(d, n)
+    multinomial = np.prod(table[np.cumsum(occ, axis=1), occ], axis=1)
+    vals = np.sqrt(multinomial.astype(np.float64))
     vals.setflags(write=False)
     return vals
 

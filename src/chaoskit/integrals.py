@@ -214,7 +214,10 @@ def iterated_chain(fields: list[StepField], source, mode: str = "auto"):
         if lo == hi:
             state = state @ L.T
             continue
-        jumpy = np.unique(s_paths[lo:hi])
+        # the lexsort leaves each cell's paths sorted, so the distinct ones
+        # start each run (np.unique would also import numpy.ma at first call)
+        seg = s_paths[lo:hi]
+        jumpy = seg[np.concatenate(([True], seg[1:] != seg[:-1]))]
         saved = state[jumpy].copy()
         state = state @ L.T
         row_of = {int(p): r for r, p in enumerate(jumpy)}

@@ -16,7 +16,9 @@ The stream: path i draws from Philox with key `seed` and counter (0, 0, i, 0),
 the state `Philox(key=seed).jumped(i)` starts from (path_rng). It draws its
 Gaussian increments first, then per atom in order a Poisson count and that
 many uniforms. An ensemble repositions one generator to each path's state, so
-path i is identical no matter how the ensemble is batched.
+path i is identical no matter how the ensemble is batched. STREAM_VERSION
+names this layout; a change to it bumps the version, which every report
+bundle records in env.json.
 """
 from __future__ import annotations
 
@@ -25,8 +27,10 @@ from dataclasses import dataclass, field
 from hashlib import sha256
 
 import numpy as np
+import numpy.random  # numpy imports it lazily at first use; import it with levy
 
 __all__ = [
+    "STREAM_VERSION",
     "LevyModel",
     "CellGrid",
     "StepField",
@@ -40,6 +44,11 @@ __all__ = [
     "brownian_preset",
     "poisson_preset",
 ]
+
+
+# 1: Philox key `seed`, counter (0, 0, i, 0) for path i; Gaussian increments,
+# then per atom a Poisson count and that many uniform jump times
+STREAM_VERSION = 1
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,10 @@ Reports are append-only: every run gets a fresh timestamped directory and
 nothing inside an existing run directory is ever rewritten.  The report
 files themselves (report.jsonl, report.csv, manifest.json) are byte-stable
 for a fixed config and seed; wall-clock data lives in timing.jsonl only, so
-identical runs can be diffed file by file. One registered check can emit
+identical runs can be diffed file by file. env.json names what produced the
+bundle: the Python, numpy, scipy and chaoskit versions, a sha256 of the
+package source and the random stream version (`levy.STREAM_VERSION`); it is
+byte-stable in one environment. One registered check can emit
 several records; each timing line names that check in its `check` field and
 carries the check's batch total, so time sums per check, not per record.
 
@@ -17,10 +20,17 @@ from __future__ import annotations
 import csv
 import json
 import os
+import sys
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
+from hashlib import sha256
+
+import numpy as np
+import scipy
 
 from ._version import __version__
+from .levy import STREAM_VERSION
 
 __all__ = [
     "REPORT_FORMAT",
@@ -113,8 +123,39 @@ def make_run_dir(base: str) -> str:
     return candidate
 
 
+@lru_cache(maxsize=None)
+def _source_sha256() -> str:
+    """sha256 over the sorted names and bytes of the package's *.py files."""
+    pkg = os.path.dirname(os.path.abspath(__file__))
+    digest = sha256()
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            digest.update(name.encode())
+            with open(os.path.join(pkg, name), "rb") as fh:
+                digest.update(fh.read())
+    return digest.hexdigest()
+
+
+def _environment() -> dict:
+    """The env.json payload: versions, source digest and stream version."""
+    return {
+        "chaoskit": __version__,
+        "numpy": np.__version__,
+        "python": ".".join(str(part) for part in sys.version_info[:3]),
+        "scipy": scipy.__version__,
+        "source_sha256": _source_sha256(),
+        "stream": STREAM_VERSION,
+    }
+
+
+def _write_json(path: str, payload: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def emit_report(records, run_dir: str, manifest: dict) -> str:
-    """Write report.jsonl, report.csv, manifest.json, timing.jsonl.
+    """Write report.jsonl, report.csv, manifest.json, env.json, timing.jsonl.
 
     Returns the summary line.  `manifest` carries suite/config/hash fields;
     counts and format markers are filled in here.
@@ -144,9 +185,8 @@ def emit_report(records, run_dir: str, manifest: dict) -> str:
             "failed": sum(1 for r in records if not r.passed),
         }
     )
-    with open(os.path.join(run_dir, "manifest.json"), "w") as fh:
-        json.dump(full, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(run_dir, "manifest.json"), full)
+    _write_json(os.path.join(run_dir, "env.json"), _environment())
 
     with open(os.path.join(run_dir, "timing.jsonl"), "w") as fh:
         for r in records:

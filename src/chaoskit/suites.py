@@ -29,7 +29,6 @@ from hashlib import sha256
 from io import StringIO
 
 import numpy as np
-from scipy.integrate import quad
 
 from .chaos import (
     ChaosCoefficients,
@@ -405,6 +404,18 @@ def _check_number_factorization(cfg: RunConfig):
     )
 
 
+def _half_integral(n: int) -> float:
+    """(1/sqrt(pi)) * integral over t > 0 of exp(-t (1 + n)) / sqrt(t), numerically.
+
+    With t = u**2 the integral is 2 * integral over u > 0 of exp(-(1 + n) u**2),
+    a Gaussian, on which the trapezoid rule converges spectrally: step 0.05
+    over 2000 nodes (to u = 100) leaves only rounding error for n <= 6.
+    """
+    h = 0.05
+    f = np.exp(-(1.0 + n) * np.square(h * np.arange(2000)))
+    return 2.0 * h * (float(f.sum()) - 0.5 * float(f[0])) / math.sqrt(math.pi)
+
+
 @_registered("fock.q_isometry")
 def _check_q(cfg: RunConfig):
     d, M = cfg.d, cfg.truncation
@@ -415,10 +426,6 @@ def _check_q(cfg: RunConfig):
         plain = psi.inner(phi)
         scaled = graph_inner(sobolev_scale(psi), sobolev_scale(phi))
         return abs(scaled - plain) / max(1.0, abs(plain))
-
-    def half_integral(n):
-        val, _ = quad(lambda t: math.exp(-t * (1.0 + n)) / math.sqrt(t), 0.0, np.inf)
-        return val / math.sqrt(math.pi)
 
     nmax = min(cfg.max_degree, 6)
     return _trials(
@@ -432,7 +439,7 @@ def _check_q(cfg: RunConfig):
         _make_record(
             "fock.q_quadrature",
             _worst_of(
-                abs(half_integral(n) - 1.0 / math.sqrt(1.0 + n)) for n in range(nmax + 1)
+                abs(_half_integral(n) - 1.0 / math.sqrt(1.0 + n)) for n in range(nmax + 1)
             ),
             0.0,
             cfg.tolerances["quadrature"],

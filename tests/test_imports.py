@@ -1,0 +1,80 @@
+"""Import weight: `import chaoskit` loads numpy and the bare scipy package only.
+
+scipy's submodules pull in scipy.special, numpy.f2py, numpy.ma and more, which
+costs most of a process's start-up time and tens of MB. The package reads
+scipy's version for env.json and nothing else. A fresh interpreter imports
+chaoskit, then draws an ensemble, runs a chain integral and one suite; none of
+the heavy modules may be loaded at import, and none of them, nor any
+numpy.random submodule, may first be loaded by the work after it (numpy
+imports some modules lazily, at first use). No wall-clock time is asserted.
+"""
+import json
+import os
+import subprocess
+import sys
+
+import chaoskit
+from test_suites import SMALL
+
+HEAVY = (
+    "scipy.integrate",
+    "scipy.special",
+    "scipy.optimize",
+    "scipy.sparse",
+    "scipy.linalg",
+    "numpy.f2py",
+    "numpy.ma",
+)
+
+PROBE = """
+import json, sys
+import chaoskit
+loaded = set(sys.modules)
+import numpy as np
+from chaoskit.config import RunConfig
+from chaoskit.integrals import iterated_chain
+from chaoskit.levy import CellGrid, StepField, sample_ensemble
+from chaoskit.suites import run_suite
+
+cfg = RunConfig(suite="sim", **json.loads(sys.argv[1]))
+model = cfg.mixed_model()
+grid = CellGrid(model, 8)
+bins = {b: np.full(8, 0.5) for b in range(1, grid.n_bins)}
+field = StepField.from_columns(grid, diffusion=np.full(8, 0.5), bins=bins)
+ens = sample_ensemble(model, grid, seed=3, n_paths=50)
+assert ens.jump_times.size > 0
+iterated_chain([field, field], ens)
+run_suite(cfg)
+print(json.dumps({"import": sorted(loaded), "run": sorted(set(sys.modules) - loaded)}))
+"""
+
+
+def _is_under(name: str, package: str) -> bool:
+    return name == package or name.startswith(package + ".")
+
+
+def _probe() -> dict:
+    src = os.path.dirname(os.path.dirname(os.path.abspath(chaoskit.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", PROBE, json.dumps(SMALL)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def test_import_and_work_load_no_heavy_module():
+    modules = _probe()
+    at_import = modules["import"]
+    assert "scipy" in at_import
+    assert [m for m in at_import if any(_is_under(m, h) for h in HEAVY)] == []
+    late = [
+        m
+        for m in modules["run"]
+        if any(_is_under(m, h) for h in HEAVY) or m.startswith("numpy.random.")
+    ]
+    assert late == []

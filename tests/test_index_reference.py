@@ -105,6 +105,13 @@ def test_factorial_ratios_on_both_sides_of_the_int64_guard(n):
     assert_same_bytes(factorial_ratio_sqrt(2, n), reference_factorial_ratio_sqrt(2, n))
 
 
+@pytest.mark.parametrize("n", range(25, 31))
+def test_factorial_ratios_above_the_int64_guard_at_six_modes(n):
+    # 6**25 > 2**63: the Python-integer products of binomials, at the level
+    # sizes exp_vector(f, 30) and tensor_power reach at d = 6
+    assert_same_bytes(factorial_ratio_sqrt(6, n), reference_factorial_ratio_sqrt(6, n))
+
+
 def test_occ_array_caches_no_sub_tables():
     occ_before = occ_array.cache_info().currsize
     tuples_before = occupations.cache_info().currsize

@@ -1,10 +1,15 @@
 """Report serialization: deterministic bytes, lossless value round trips."""
+import hashlib
 import json
 import os
+import platform
 
 import numpy as np
 import pytest
+import scipy
 
+import chaoskit
+from chaoskit.levy import STREAM_VERSION
 from chaoskit.reporting import (
     CheckRecord,
     emit_report,
@@ -142,6 +147,33 @@ def test_manifest_carries_counts_and_format(tmp_path):
     assert manifest["failed"] == 1
     assert manifest["suite"] == "sim"
     assert "version" in manifest and "report_format" in manifest
+
+
+def test_env_json_names_versions_source_and_stream(tmp_path):
+    runs = []
+    for name, ms in (("a", 1.0), ("b", 250.0)):
+        run_dir = os.fspath(tmp_path / name)
+        os.makedirs(run_dir)
+        emit_report(records_with_runtime(ms), run_dir, {"suite": "fock", "seed": 3})
+        with open(os.path.join(run_dir, "env.json"), "rb") as fh:
+            runs.append(fh.read())
+    assert runs[0] == runs[1]
+    env = json.loads(runs[0])
+    pkg = os.path.dirname(chaoskit.__file__)
+    digest = hashlib.sha256()
+    for name in sorted(n for n in os.listdir(pkg) if n.endswith(".py")):
+        digest.update(name.encode())
+        with open(os.path.join(pkg, name), "rb") as fh:
+            digest.update(fh.read())
+    assert env == {
+        "chaoskit": chaoskit.__version__,
+        "numpy": np.__version__,
+        "python": platform.python_version(),
+        "scipy": scipy.__version__,
+        "source_sha256": digest.hexdigest(),
+        "stream": STREAM_VERSION,
+    }
+    assert STREAM_VERSION == 1
 
 
 def test_csv_round_trips_through_the_reference_parser(tmp_path):

@@ -35,9 +35,10 @@ SMALL = dict(
 # sha256 of each suite's report.jsonl payload at SMALL, taken before the suites
 # were made table-driven (numpy 2.4.6, scipy 1.17.1). A refactor of the checks
 # must keep every byte; a deliberate change of a record updates the digest and
-# says so in CHANGES.md.
+# says so in CHANGES.md. "fock" was re-pinned when fock.q_quadrature moved from
+# scipy's quad to the trapezoid route (value 9.66e-13 -> 0.0; no other line).
 REPORT_SHA256 = {
-    "fock": "a1635c6223166616353d53393b6339e318a9251c228332b2c88535be823681f3",
+    "fock": "0f4c686ef3391e429c95123ff1b4e155f6d5c9f5fae71711f96088b625f78d12",
     "sim": "dd6ccec3cfaa6e26fcc0ce3df55196a5609f1c54ebcde0b31aef0b355e42dc5f",
     "chaos": "728f05eaca7f4196c751f1b772b247b5eaeb029225fa21fd4dfa65c92a194c4f",
     "malliavin": "24310f948ac131af746227e8b8b9e6579d586ef161e666a44e81af8c4445cab3",
@@ -101,6 +102,17 @@ def test_report_bytes_are_pinned_per_suite(suite):
     records = run_suite(RunConfig(suite=suite, **SMALL))
     payload = "".join(json.dumps(r.row(), sort_keys=True) + "\n" for r in records)
     assert sha256(payload.encode()).hexdigest() == REPORT_SHA256[suite]
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_half_integral_agrees_with_quad_and_the_closed_form(n):
+    from scipy.integrate import quad  # a reference route only; chaoskit never imports it
+
+    # the same integral after t = u**2, integrated adaptively
+    val, _ = quad(lambda u: 2.0 * math.exp(-(1.0 + n) * u * u), 0.0, math.inf)
+    got = suites._half_integral(n)
+    assert abs(got - val / math.sqrt(math.pi)) <= 1e-14
+    assert abs(got - 1.0 / math.sqrt(1.0 + n)) <= 1e-14
 
 
 def test_guard_breach_becomes_a_single_failing_record():
@@ -246,7 +258,7 @@ NAN_PROBES = [
     ("_check_q", [("graph_inner", _nan_const)], ["fock.q_isometry"]),
     (
         "_check_q",
-        [("quad", lambda real: lambda *args: (math.nan, 0.0))],
+        [("_half_integral", lambda real: lambda n: math.nan)],
         ["fock.q_quadrature"],
     ),
     (
