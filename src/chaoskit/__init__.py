@@ -45,7 +45,6 @@ from .levy import (
     CellGrid,
     LevyModel,
     PathEnsemble,
-    SamplePath,
     StepField,
     brownian_preset,
     cell_increments,
@@ -73,7 +72,6 @@ __all__ = [
     "MarkedFock",
     "PathEnsemble",
     "RunConfig",
-    "SamplePath",
     "SkorohodIdentity",
     "StepField",
     "__version__",

@@ -39,14 +39,13 @@ from .indices import (
     raise_maps,
     factorial_ratio_sqrt,
 )
-from .integrals import _as_ensemble, power_integrals
-from .levy import CellGrid, StepField
+from .integrals import power_integrals
+from .levy import CellGrid, PathEnsemble, StepField
 
 __all__ = [
     "ChaosCoefficients",
     "MarkedChaos",
     "kernel_inner",
-    "embed_field",
     "embed_chaos",
     "extract_chaos",
     "embed_marked",
@@ -313,11 +312,6 @@ def sobolev_scale(F: ChaosCoefficients) -> ChaosCoefficients:
 # Fock dictionary
 
 
-def embed_field(field: StepField) -> np.ndarray:
-    """Mode vector of a field: cell values times root cell masses."""
-    return field.cell_values() * np.sqrt(field.grid.cell_masses)
-
-
 def _embed_scale(grid: CellGrid, n: int) -> np.ndarray:
     c = grid.n_cells
     return (
@@ -486,17 +480,18 @@ def _cell_position_table(grid: CellGrid) -> np.ndarray:
     return pos
 
 
-def _power_table(ens, grid: CellGrid, n_max: int, lo: int, hi: int) -> np.ndarray:
-    """Per-path compensated cell powers, shape (hi - lo, n_cells, n_max + 1).
+def _power_table(ens: PathEnsemble, n_max: int) -> np.ndarray:
+    """Per-path compensated cell powers, shape (n_paths, n_cells, n_max + 1).
 
     Entry m at cell w is the m-fold integral of the cell's own indicator:
     monic heat Hermite in the Brownian increment on the diffusion bin,
     Charlier-style count polynomials on jump bins. These are the building
     blocks of every multiple integral via the occupation product formula.
     """
+    grid = ens.grid
     model = grid.model
     c = grid.n_cells
-    nb = hi - lo
+    nb = ens.n_paths
     table = np.zeros((nb, c, n_max + 1))
     table[:, :, 0] = 1.0
     if n_max == 0:
@@ -509,17 +504,15 @@ def _power_table(ens, grid: CellGrid, n_max: int, lo: int, hi: int) -> np.ndarra
             w = pos[k, 0]
             if w < 0:
                 continue
-            x = model.sigma * ens.brownian[lo:hi, k]
+            x = model.sigma * ens.brownian[:, k]
             table[:, w, 1] = x
             for m in range(2, n_max + 1):
                 table[:, w, m] = x * table[:, w, m - 1] - (m - 1) * s * table[:, w, m - 2]
     if grid.n_bins > 1:
-        j0, j1 = int(ens.offsets[lo]), int(ens.offsets[hi])
         counts = np.zeros((nb, c))
-        if j1 > j0:
-            rows = ens.jump_paths[j0:j1] - lo
-            cols = pos[ens.jump_cells[j0:j1], ens.jump_bins[j0:j1]]
-            np.add.at(counts, (rows, cols), 1.0)
+        if ens.jump_times.size:
+            cols = pos[ens.jump_cells, ens.jump_bins]
+            np.add.at(counts, (ens.jump_paths, cols), 1.0)
         for k in range(grid.n_time):
             for b in range(1, grid.n_bins):
                 w = pos[k, b]
@@ -539,7 +532,7 @@ def _power_table(ens, grid: CellGrid, n_max: int, lo: int, hi: int) -> np.ndarra
     return table
 
 
-def _dense_values(F: ChaosCoefficients, ens) -> np.ndarray:
+def _dense_values(F: ChaosCoefficients, ens: PathEnsemble) -> np.ndarray:
     grid, M = F.grid, F.truncation
     c = grid.n_cells
     P = ens.n_paths
@@ -558,7 +551,7 @@ def _dense_values(F: ChaosCoefficients, ens) -> np.ndarray:
     block = max(1, int(8_000_000 // max(c * (M + 1), 1)))
     for lo in range(0, P, block):
         hi = min(lo + block, P)
-        table = _power_table(ens, grid, M, lo, hi)
+        table = _power_table(ens.paths(lo, hi), M)
         for plan in plans:
             for coeff, cols, exps in plan:
                 acc = table[:, cols[0], exps[0]].copy()
@@ -568,37 +561,35 @@ def _dense_values(F: ChaosCoefficients, ens) -> np.ndarray:
     return out
 
 
-def chaos_evaluate(F: ChaosCoefficients, source):
+def chaos_evaluate(F: ChaosCoefficients, ens: PathEnsemble) -> np.ndarray:
     """Per-path value of the truncated expansion.
 
     Recorded power terms go through the exact generating-series engine; the
     fallback multiplies per-cell compensated powers over each occupation,
     which is exact too but scales with the stored coefficient count.
     """
-    ens, scalar = _as_ensemble(source)
     if ens.grid.spec() != F.grid.spec():
         raise ValueError("expansion and paths live on different grids")
-    if F.source is not None:
-        out = np.zeros(ens.n_paths, dtype=np.complex128)
-        by_field: dict[int, tuple[StepField, list]] = {}
-        for coeff, field, degree in F.source:
-            if degree == 0:
-                out += coeff
-                continue
-            key = id(field)
-            by_field.setdefault(key, (field, []))[1].append((coeff, degree))
-        for field, terms in by_field.values():
-            n_max = max(deg for _, deg in terms)
-            powers = power_integrals(field, n_max, ens)
-            for coeff, deg in terms:
-                out += coeff * powers[:, deg]
-    else:
-        out = _dense_values(F, ens)
-    return complex(out[0]) if scalar else out
+    if F.source is None:
+        return _dense_values(F, ens)
+    out = np.zeros(ens.n_paths, dtype=np.complex128)
+    by_field: dict[int, tuple[StepField, list]] = {}
+    for coeff, field, degree in F.source:
+        if degree == 0:
+            out += coeff
+            continue
+        key = id(field)
+        by_field.setdefault(key, (field, []))[1].append((coeff, degree))
+    for field, terms in by_field.values():
+        n_max = max(deg for _, deg in terms)
+        powers = power_integrals(field, n_max, ens)
+        for coeff, deg in terms:
+            out += coeff * powers[:, deg]
+    return out
 
 
 def project_mc(
-    values: np.ndarray, ens, truncation: int
+    values: np.ndarray, ens: PathEnsemble, truncation: int
 ) -> tuple[ChaosCoefficients, dict[int, float]]:
     """Estimate chaos kernels of per-path samples by correlation.
 
@@ -607,7 +598,6 @@ def project_mc(
     estimator correlates the samples against the occupation's compensated
     power product divided by n! and the occupation's mass.
     """
-    ens, _ = _as_ensemble(ens)
     grid = ens.grid
     c = grid.n_cells
     P = ens.n_paths
@@ -631,7 +621,7 @@ def project_mc(
     block = max(1, int(8_000_000 // max(c * (truncation + 1), 1)))
     for lo in range(0, P, block):
         hi = min(lo + block, P)
-        table = _power_table(ens, grid, truncation, lo, hi)
+        table = _power_table(ens.paths(lo, hi), truncation)
         v = vals[lo:hi]
         for n in range(truncation + 1):
             sc = scale[n]

@@ -724,6 +724,7 @@ def split_divergence(phi: MarkedFock, first) -> tuple[FockVector, float]:
     for n in range(M + 1):
         n1s, pos1, pos2 = _split_positions(d, n, first)
         src = phi.levels[n]
+        dest = out.levels[n + 1] if n < M else spill
         for mark in range(d):
             col = src[:, mark]
             if not np.any(col):
@@ -739,27 +740,16 @@ def split_divergence(phi: MarkedFock, first) -> tuple[FockVector, float]:
                     continue
                 p1 = pos1[sel][nz]
                 p2 = pos2[sel][nz]
-                v = vals[nz]
+                # raise the mark inside its own factor, then merge back
                 if factor == 1:
                     t, w = raise_maps(len(first), n1)
-                    new_p1 = t[p1, local]
-                    amp = w[p1, local] * v
-                    if n + 1 <= M:
-                        mpos = _merge_positions(d, first, n1 + 1, n - n1)
-                        np.add.at(out.levels[n + 1], mpos[new_p1, p2], amp)
-                    else:
-                        mpos = _merge_positions(d, first, n1 + 1, n - n1)
-                        np.add.at(spill, mpos[new_p1, p2], amp)
+                    p1, amp = t[p1, local], w[p1, local] * vals[nz]
+                    mpos = _merge_positions(d, first, n1 + 1, n - n1)
                 else:
                     t, w = raise_maps(len(second), n - n1)
-                    new_p2 = t[p2, local]
-                    amp = w[p2, local] * v
-                    if n + 1 <= M:
-                        mpos = _merge_positions(d, first, n1, n - n1 + 1)
-                        np.add.at(out.levels[n + 1], mpos[p1, new_p2], amp)
-                    else:
-                        mpos = _merge_positions(d, first, n1, n - n1 + 1)
-                        np.add.at(spill, mpos[p1, new_p2], amp)
+                    p2, amp = t[p2, local], w[p2, local] * vals[nz]
+                    mpos = _merge_positions(d, first, n1, n - n1 + 1)
+                np.add.at(dest, mpos[p1, p2], amp)
     return out, float(np.linalg.norm(spill))
 
 

@@ -22,7 +22,8 @@ Three engines, cross-validated in the tests:
 
 First-order integrals, the stochastic (Doleans) exponential, and the
 characteristic-function martingale with its integrand reconstruction live
-here too.
+here too. Every engine takes a PathEnsemble and returns one value per path;
+a single path is a one-path ensemble.
 """
 from __future__ import annotations
 
@@ -34,7 +35,6 @@ from .indices import MAX_LEVEL_COEFFS, GuardLimitError
 from .levy import (
     CellGrid,
     PathEnsemble,
-    SamplePath,
     StepField,
     cell_increments,
 )
@@ -52,46 +52,22 @@ __all__ = [
 ]
 
 
-def _as_ensemble(source) -> tuple[PathEnsemble, bool]:
-    """View a single path as a one-path ensemble; flag marks scalar output."""
-    if isinstance(source, PathEnsemble):
-        return source, False
-    if isinstance(source, SamplePath):
-        p = source
-        ens = PathEnsemble(
-            model=p.grid.model,
-            grid=p.grid,
-            seed=-1,
-            n_paths=1,
-            brownian=None if p.brownian is None else p.brownian[None, :],
-            jump_times=p.jump_times,
-            jump_atoms=p.jump_atoms,
-            jump_paths=np.zeros(p.jump_times.size, dtype=np.int64),
-            offsets=np.array([0, p.jump_times.size], dtype=np.int64),
-        )
-        return ens, True
-    raise TypeError("expected a SamplePath or PathEnsemble")
-
-
-def stochastic_integral(field: StepField, source):
+def stochastic_integral(field: StepField, ens: PathEnsemble) -> np.ndarray:
     """First-order integral: sum of field values times cell increments."""
-    ens, scalar = _as_ensemble(source)
     if field.grid.spec() != ens.grid.spec():
         raise ValueError("field and paths live on different grids")
     vals = field.cell_values()
     inc = cell_increments(ens)
-    out = inc.astype(np.complex128) @ vals
-    return complex(out[0]) if scalar else out
+    return inc.astype(np.complex128) @ vals
 
 
-def product_integral(kernel, source):
+def product_integral(kernel, ens: PathEnsemble) -> np.ndarray:
     """Contraction of an off-diagonal kernel against increment products.
 
     kernel is a dense (c, ..., c) array over the retained cells; any entry
     with two equal indices must vanish (the product formula does not see
     diagonal mass). Complexity is one tensor contraction per path block.
     """
-    ens, scalar = _as_ensemble(source)
     kern = np.asarray(kernel, dtype=np.complex128)
     c = ens.grid.n_cells
     if kern.ndim == 0:
@@ -124,7 +100,7 @@ def product_integral(kernel, source):
             part = np.einsum("acp,pc->ap", part, inc[lo:hi])
             n -= 1
         out[lo:hi] = part.reshape(hi - lo)
-    return complex(out[0]) if scalar else out
+    return out
 
 
 def _transfer_matrix(comp: np.ndarray, delta: float) -> np.ndarray:
@@ -150,7 +126,9 @@ def _grid_refinement(field_grid: CellGrid, path_grid: CellGrid) -> int:
     return path_grid.n_time // field_grid.n_time
 
 
-def iterated_chain(fields: list[StepField], source, mode: str = "auto"):
+def iterated_chain(
+    fields: list[StepField], ens: PathEnsemble, mode: str = "auto"
+) -> np.ndarray:
     """Time-ordered chain integral J(fields[0], ..., fields[-1]).
 
     fields[0] is innermost (integrated first). All fields share one grid; the
@@ -160,7 +138,6 @@ def iterated_chain(fields: list[StepField], source, mode: str = "auto"):
     """
     if not fields:
         raise ValueError("need at least one field")
-    ens, scalar = _as_ensemble(source)
     grid = fields[0].grid
     for f in fields[1:]:
         if f.grid is not grid and f.grid.spec() != grid.spec():
@@ -246,15 +223,16 @@ def iterated_chain(fields: list[StepField], source, mode: str = "auto"):
                 z = _transfer_matrix(comp[kf], t_right - t_cur) @ z
             state[p] = z
             idx = stop
-    out = state[:, n]
-    return complex(out[0]) if scalar else out.copy()
+    return state[:, n].copy()
 
 
-def iterated_integral(field: StepField, n: int, source, mode: str = "auto"):
+def iterated_integral(
+    field: StepField, n: int, ens: PathEnsemble, mode: str = "auto"
+) -> np.ndarray:
     """J_n of the tensor power of one field: iterated_chain([field] * n)."""
     if n < 1:
         raise ValueError("iterated integral needs n >= 1")
-    return iterated_chain([field] * n, source, mode=mode)
+    return iterated_chain([field] * n, ens, mode=mode)
 
 
 def _binomial_series(counts: np.ndarray, v: complex, n_max: int) -> np.ndarray:
@@ -279,14 +257,13 @@ def _convolve_into(acc: np.ndarray, fac: np.ndarray) -> np.ndarray:
     return out
 
 
-def power_integrals(field: StepField, n_max: int, source) -> np.ndarray:
+def power_integrals(field: StepField, n_max: int, ens: PathEnsemble) -> np.ndarray:
     """Exact I_n(field^(x)n) for n = 0..n_max, shape (P, n_max + 1).
 
     Coefficients of the stochastic exponential of z * field, multiplied by n!.
     Valid for any finite-activity model; per-cell factors only need the cell
     increments and jump counts, which the exact simulation provides.
     """
-    ens, scalar = _as_ensemble(source)
     grid = ens.grid
     if field.grid.spec() != grid.spec():
         raise ValueError("field and paths live on different grids")
@@ -339,17 +316,16 @@ def power_integrals(field: StepField, n_max: int, source) -> np.ndarray:
                 acc = _convolve_into(acc, both)
     for m in range(n_max + 1):
         acc[:, m] *= factorial(m)
-    return acc[0] if scalar else acc
+    return acc
 
 
-def doleans_exp(field: StepField, source):
+def doleans_exp(field: StepField, ens: PathEnsemble) -> np.ndarray:
     """Stochastic exponential of the first-order integral of the field.
 
     exp(Y(T) - sigma^2/2 * Int f(s, 0)^2 ds) * Prod_jumps (1 + dY) exp(-dY),
     with the bilinear square in the diffusion correction (complex fields are
     fine) and dY the field value at each jump's cell.
     """
-    ens, scalar = _as_ensemble(source)
     grid = ens.grid
     if field.grid.spec() != grid.spec():
         raise ValueError("field and paths live on different grids")
@@ -369,7 +345,7 @@ def doleans_exp(field: StepField, source):
         if starts.size:
             prod[nonempty] = np.multiply.reduceat(factors, starts)
         out = out * prod
-    return complex(out[0]) if scalar else out
+    return out
 
 
 def _real_profile(f, grid: CellGrid) -> np.ndarray:
@@ -390,20 +366,17 @@ def _eta_profile(model, prof: np.ndarray) -> np.ndarray:
     return np.array([model.symbol(u) for u in prof])
 
 
-def exp_martingale_terminal(f, source):
+def exp_martingale_terminal(f, ens: PathEnsemble) -> np.ndarray:
     """M(T) = exp(i Int f dX + Int eta(f(s)) ds) per path.
 
     f is a real cell profile integrated against the raw increment dX (drift,
     diffusion, compensated small jumps, raw large jumps).
     """
-    ens, scalar = _as_ensemble(source)
-    out = exp_martingale_grid(f, ens)[:, -1]
-    return complex(out[0]) if scalar else out.copy()
+    return exp_martingale_grid(f, ens)[:, -1].copy()
 
 
-def exp_martingale_grid(f, source) -> np.ndarray:
+def exp_martingale_grid(f, ens: PathEnsemble) -> np.ndarray:
     """M at the grid times t_0..t_K, shape (P, K + 1); M(t_0) = 1."""
-    ens = _as_ensemble(source)[0]
     grid = ens.grid
     model = grid.model
     prof = _real_profile(f, grid)
@@ -433,8 +406,8 @@ def _expm1_over(z: complex, ell: float) -> complex:
     return (np.exp(w) - 1.0) / z
 
 
-def representation_residual(f, path: SamplePath) -> float:
-    """Defect of the integrand reconstruction of M(T) - 1.
+def representation_residual(f, path: PathEnsemble) -> float:
+    """Defect of the integrand reconstruction of M(T) - 1 on a one-path ensemble.
 
     Pure-jump models: exact event walk (residual at rounding scale), using
     psi(s, x) = (exp(i f(s) x) - 1) M(s-) against the compensated jump
@@ -442,6 +415,8 @@ def representation_residual(f, path: SamplePath) -> float:
     diffusion component the reconstruction is the left-point Euler sum, so
     the residual only converges as the grid refines.
     """
+    if path.n_paths != 1:
+        raise ValueError(f"expected one path, got {path.n_paths}")
     grid = path.grid
     model = grid.model
     prof = _real_profile(f, grid)
@@ -484,7 +459,7 @@ def representation_residual(f, path: SamplePath) -> float:
     # diffusion present: left-point Euler reconstruction on the grid
     mgrid = exp_martingale_grid(prof, path)[0]
     recon = 1.0 + 0.0j
-    recon += np.sum(1j * prof * mgrid[:-1] * model.sigma * path.brownian)
+    recon += np.sum(1j * prof * mgrid[:-1] * model.sigma * path.brownian[0])
     lam_fac = np.array(
         [
             sum(lam * (np.exp(1j * u * x) - 1.0) for x, lam in atoms)

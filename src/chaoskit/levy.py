@@ -13,12 +13,13 @@ exact: Gaussian increments per time cell plus per-atom Poisson counts with
 uniform jump times in (0, T].
 
 The stream: path i draws from Philox with key `seed` and counter (0, 0, i, 0),
-the state `Philox(key=seed).jumped(i)` starts from (path_rng). It draws its
-Gaussian increments first, then per atom in order a Poisson count and that
-many uniforms. An ensemble repositions one generator to each path's state, so
-path i is identical no matter how the ensemble is batched. STREAM_VERSION
-names this layout; a change to it bumps the version, which every report
-bundle records in env.json.
+the state `Philox(key=seed).jumped(i)` starts from. It draws its Gaussian
+increments first, then per atom in order a Poisson count and that many
+uniforms. One generator is repositioned to each path's state, so path i is
+identical no matter how the paths are batched; `sample_path` draws one of
+them as a one-path `PathEnsemble`, and `PathEnsemble.paths(lo, hi)` takes a
+range of an ensemble. STREAM_VERSION names this layout; a change to it bumps
+the version, which every report bundle records in env.json.
 """
 from __future__ import annotations
 
@@ -34,9 +35,7 @@ __all__ = [
     "LevyModel",
     "CellGrid",
     "StepField",
-    "SamplePath",
     "PathEnsemble",
-    "path_rng",
     "sample_path",
     "sample_ensemble",
     "cell_increments",
@@ -235,81 +234,15 @@ class StepField:
 
 
 @dataclass(eq=False)
-class SamplePath:
-    """One exact draw: Gaussian cell increments plus a sorted jump record."""
-
-    grid: CellGrid
-    index: int
-    brownian: np.ndarray | None
-    jump_times: np.ndarray
-    jump_atoms: np.ndarray
-
-    @property
-    def jump_cells(self) -> np.ndarray:
-        dt = self.grid.dt
-        if self.jump_times.size == 0:
-            return np.zeros(0, dtype=np.int64)
-        return np.minimum(
-            (self.jump_times / dt).astype(np.int64), self.grid.n_time - 1
-        )
-
-    @property
-    def jump_bins(self) -> np.ndarray:
-        return self.grid.atom_bin[self.jump_atoms]
-
-
-def path_rng(seed: int, index: int) -> np.random.Generator:
-    """Counter-based substream for one path."""
-    bitgen = np.random.Philox(key=seed)
-    if index:
-        bitgen = bitgen.jumped(index)
-    return np.random.Generator(bitgen)
-
-
-def _draw_path(model: LevyModel, grid: CellGrid, rng: np.random.Generator):
-    T = model.horizon
-    brownian = None
-    if model.sigma > 0:
-        brownian = rng.normal(0.0, np.sqrt(grid.dt), grid.n_time)
-    times_parts = []
-    atoms_parts = []
-    for j, (_, lam) in enumerate(model.atoms):
-        count = int(rng.poisson(lam * T))
-        if count:
-            # uniform on (0, T]
-            t = T * (1.0 - rng.random(count))
-            times_parts.append(t)
-            atoms_parts.append(np.full(count, j, dtype=np.int64))
-    if times_parts:
-        times = np.concatenate(times_parts)
-        atoms = np.concatenate(atoms_parts)
-        order = np.argsort(times, kind="stable")
-        times = times[order]
-        atoms = atoms[order]
-    else:
-        times = np.zeros(0)
-        atoms = np.zeros(0, dtype=np.int64)
-    return brownian, times, atoms
-
-
-def sample_path(model: LevyModel, grid: CellGrid, seed: int, index: int = 0) -> SamplePath:
-    """Exact draw of path `index` of the stream started at `seed`."""
-    if grid.model != model:
-        raise ValueError("grid was built for a different model")
-    brownian, times, atoms = _draw_path(model, grid, path_rng(seed, index))
-    return SamplePath(grid, index, brownian, times, atoms)
-
-
-@dataclass(eq=False)
 class PathEnsemble:
     """n_paths exact draws packed for vectorized evaluation.
 
     Jump records are CSR style: path i owns jump_times[offsets[i]:offsets[i+1]].
+    A single path is a one-path ensemble.
     """
 
     model: LevyModel
     grid: CellGrid
-    seed: int
     n_paths: int
     brownian: np.ndarray | None
     jump_times: np.ndarray
@@ -317,14 +250,20 @@ class PathEnsemble:
     jump_paths: np.ndarray
     offsets: np.ndarray
 
-    def path(self, i: int) -> SamplePath:
-        lo, hi = self.offsets[i], self.offsets[i + 1]
-        return SamplePath(
+    def paths(self, lo: int, hi: int) -> "PathEnsemble":
+        """Paths lo..hi-1 as their own ensemble, on views of these arrays."""
+        if not 0 <= lo < hi <= self.n_paths:
+            raise ValueError(f"path range [{lo}, {hi}) outside [0, {self.n_paths})")
+        j0, j1 = self.offsets[lo], self.offsets[hi]
+        return PathEnsemble(
+            self.model,
             self.grid,
-            i,
-            None if self.brownian is None else self.brownian[i],
-            self.jump_times[lo:hi],
-            self.jump_atoms[lo:hi],
+            hi - lo,
+            None if self.brownian is None else self.brownian[lo:hi],
+            self.jump_times[j0:j1],
+            self.jump_atoms[j0:j1],
+            self.jump_paths[j0:j1] - lo,
+            self.offsets[lo : hi + 1] - j0,
         )
 
     @property
@@ -343,14 +282,28 @@ class PathEnsemble:
 def sample_ensemble(
     model: LevyModel, grid: CellGrid, seed: int, n_paths: int
 ) -> PathEnsemble:
-    """Draw paths 0..n_paths-1; bitwise identical to per-path sample_path.
-
-    One generator is repositioned to path i's state, the one path_rng(seed, i)
-    starts from, by writing i into its counter; the draws then follow
-    _draw_path call for call. Jump records are packed once for the ensemble.
-    """
+    """Draw paths 0..n_paths-1 of the stream started at `seed`."""
     if n_paths < 1:
         raise ValueError("need at least one path")
+    return _draw(model, grid, seed, 0, n_paths)
+
+
+def sample_path(model: LevyModel, grid: CellGrid, seed: int, index: int = 0) -> PathEnsemble:
+    """Path `index` of the stream started at `seed`, as a one-path ensemble."""
+    # the stream writes the index into one 64-bit counter word
+    if not 0 <= index < 2**64:
+        raise ValueError("path index must be in [0, 2**64)")
+    return _draw(model, grid, seed, index, 1)
+
+
+def _draw(
+    model: LevyModel, grid: CellGrid, seed: int, first: int, n_paths: int
+) -> PathEnsemble:
+    """Paths first..first+n_paths-1, one generator repositioned to each.
+
+    Path i's state is the one Philox(key=seed).jumped(i) starts from: counter
+    (0, 0, i, 0). Jump records are packed once for the ensemble.
+    """
     if grid.model != model:
         raise ValueError("grid was built for a different model")
     T = model.horizon
@@ -366,7 +319,7 @@ def sample_ensemble(
     counts = np.zeros((n_paths, len(rates)), dtype=np.int64)
     uniforms = []
     for i in range(n_paths):
-        counter[2] = i
+        counter[2] = first + i
         bitgen.state = state
         if brownian is not None:
             brownian[i] = rng.normal(0.0, sd, grid.n_time)
@@ -385,7 +338,7 @@ def sample_ensemble(
         atoms = np.repeat(
             np.tile(np.arange(len(rates), dtype=np.int64), n_paths), counts.ravel()
         )
-        # stable within a path, so tied times keep atom order as in _draw_path
+        # stable within a path, so tied times keep atom order
         order = np.lexsort((times, jump_paths))
         jump_times = times[order]
         jump_atoms = atoms[order]
@@ -393,45 +346,26 @@ def sample_ensemble(
         jump_times = np.zeros(0)
         jump_atoms = np.zeros(0, dtype=np.int64)
     return PathEnsemble(
-        model, grid, seed, n_paths, brownian, jump_times, jump_atoms, jump_paths, offsets
+        model, grid, n_paths, brownian, jump_times, jump_atoms, jump_paths, offsets
     )
 
 
-def cell_increments(source, grid: CellGrid | None = None) -> np.ndarray:
-    """Martingale cell increments over the retained cells.
+def cell_increments(ens: PathEnsemble) -> np.ndarray:
+    """Martingale cell increments over the retained cells, (n_paths, n_cells).
 
     Diffusion cells carry sigma * Delta B; a jump cell carries its jump count
-    minus the compensator nu(bin) * dt. Returns (n_cells,) for a path and
-    (n_paths, n_cells) for an ensemble.
+    minus the compensator nu(bin) * dt.
     """
-    if isinstance(source, SamplePath):
-        path, ens = source, None
-        grid = grid or path.grid
-    elif isinstance(source, PathEnsemble):
-        path, ens = None, source
-        grid = grid or ens.grid
-    else:
-        raise TypeError("cell_increments expects a SamplePath or PathEnsemble")
-    model = grid.model
+    grid = ens.grid
     comp = np.zeros(grid.n_cells)
     for ci, (k, b) in enumerate(grid.cells):
         if b > 0:
             comp[ci] = grid.bin_rates[b - 1] * grid.dt
-    if path is not None:
-        out = -comp.copy()
-        for ci, (k, b) in enumerate(grid.cells):
-            if b == 0:
-                out[ci] = model.sigma * path.brownian[k]
-        cells = path.jump_cells
-        bins = path.jump_bins
-        for k, b in zip(cells, bins):
-            out[grid.cell_index[(int(k), int(b))]] += 1.0
-        return out
     # cells run k-major over the retained bins, which time cell 0 lists
     n_retained = grid.n_cells // grid.n_time
     out = np.tile(-comp, (ens.n_paths, 1))
     if grid.cells[0][1] == 0:
-        out[:, ::n_retained] = model.sigma * ens.brownian
+        out[:, ::n_retained] = grid.model.sigma * ens.brownian
     if ens.jump_times.size:
         rank = np.zeros(grid.n_bins, dtype=np.int64)
         rank[[b for _, b in grid.cells[:n_retained]]] = np.arange(n_retained)
@@ -440,33 +374,22 @@ def cell_increments(source, grid: CellGrid | None = None) -> np.ndarray:
     return out
 
 
-def terminal_value(source) -> np.ndarray | float:
-    """X(T) assembled with compensated small jumps.
+def terminal_value(ens: PathEnsemble) -> np.ndarray:
+    """X(T) per path, assembled with compensated small jumps.
 
     X(T) = b T + sigma B(T) + sum of jump sizes - T * (small-jump compensator).
     """
-    if isinstance(source, SamplePath):
-        grid = source.grid
-        model = grid.model
-        total = model.b * model.horizon - model.small_jump_drift * model.horizon
-        if source.brownian is not None:
-            total += model.sigma * float(np.sum(source.brownian))
-        sizes = np.array([model.atoms[j][0] for j in source.jump_atoms])
-        return float(total + np.sum(sizes))
-    if isinstance(source, PathEnsemble):
-        grid = source.grid
-        model = grid.model
-        out = np.full(
-            source.n_paths,
-            model.b * model.horizon - model.small_jump_drift * model.horizon,
-        )
-        if source.brownian is not None:
-            out += model.sigma * source.brownian.sum(axis=1)
-        if source.jump_times.size:
-            sizes = np.array([x for x, _ in model.atoms])[source.jump_atoms]
-            np.add.at(out, source.jump_paths, sizes)
-        return out
-    raise TypeError("terminal_value expects a SamplePath or PathEnsemble")
+    model = ens.grid.model
+    out = np.full(
+        ens.n_paths,
+        model.b * model.horizon - model.small_jump_drift * model.horizon,
+    )
+    if ens.brownian is not None:
+        out += model.sigma * ens.brownian.sum(axis=1)
+    if ens.jump_times.size:
+        sizes = np.array([x for x, _ in model.atoms])[ens.jump_atoms]
+        np.add.at(out, ens.jump_paths, sizes)
+    return out
 
 
 def brownian_preset(horizon: float = 1.0) -> LevyModel:

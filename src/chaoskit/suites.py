@@ -654,8 +654,9 @@ def _check_doleans_closed(cfg: RunConfig):
     vals = doleans_exp(field, ens)
     base = np.exp(-float(grid.bin_rates[0]) * np.sum(prof) * grid.dt)
     oracle = np.empty(n_paths, dtype=np.complex128)
+    jump_cells, offsets = ens.jump_cells, ens.offsets
     for i in range(n_paths):
-        cells = ens.path(i).jump_cells
+        cells = jump_cells[offsets[i] : offsets[i + 1]]
         oracle[i] = base * (np.prod(1.0 + prof[cells]) if cells.size else 1.0)
     records.append(
         _make_record(
@@ -728,7 +729,10 @@ def _check_representation(cfg: RunConfig):
     return [
         _make_record(
             check_id,
-            _worst_of(representation_residual(prof, ens.path(i)) for i in range(n_paths)),
+            _worst_of(
+                representation_residual(prof, ens.paths(i, i + 1))
+                for i in range(n_paths)
+            ),
             0.0,
             cfg.tolerances["pathwise"],
             note=f"martingale representation residual, pure jump, {n_paths} paths",

@@ -11,6 +11,7 @@ from chaoskit.chaos import (
     CHAOS_FORMAT,
     ChaosCoefficients,
     MarkedChaos,
+    _power_table,
     bn_split,
     chaos_evaluate,
     divergence,
@@ -34,6 +35,7 @@ from chaoskit.levy import (
     CellGrid,
     LevyModel,
     StepField,
+    brownian_preset,
     poisson_preset,
     sample_ensemble,
 )
@@ -216,6 +218,40 @@ def test_evaluation_routes_agree():
     assert np.max(np.abs(via_series - via_dense)) <= 1e-10 * scale
     powers = power_integrals(field, 2, ens)
     assert np.allclose(via_series, powers[:, 2], atol=1e-10 * scale)
+
+
+def _longest_jump_free_run(ens):
+    best, start = (0, 0), None
+    for i, n in enumerate(np.append(np.diff(ens.offsets), 1)):
+        if n == 0 and start is None:
+            start = i
+        elif n and start is not None:
+            best = max(best, (i - start, start))
+            start = None
+    return best[1], best[1] + best[0]
+
+
+def test_power_table_of_a_path_range_matches_the_whole_ensemble():
+    # _dense_values and project_mc take the table block by block through
+    # ens.paths(lo, hi); at test sizes they run one block
+    jumpy = LevyModel(sigma=0.3, atoms=((1.0, 8.0), (-0.5, 6.0)))
+    grids = {
+        "poisson": jump_grid(),
+        "brownian": CellGrid(brownian_preset(), 4),
+        "mixed": mixed_grid(),
+        "jumpy": CellGrid(jumpy, 3),
+    }
+    for name, grid in grids.items():
+        ens = sample_ensemble(grid.model, grid, seed=29, n_paths=40)
+        whole = _power_table(ens, 4)
+        ranges = [(0, 40), (0, 1), (39, 40), (7, 23), (23, 40)]
+        lo, hi = _longest_jump_free_run(ens)
+        if name != "jumpy":
+            assert hi - lo >= 2, name
+            ranges.append((lo, hi))
+        for lo, hi in ranges:
+            part = _power_table(ens.paths(lo, hi), 4)
+            assert part.tobytes() == whole[lo:hi].tobytes(), (name, lo, hi)
 
 
 def test_evaluation_rejects_foreign_paths():

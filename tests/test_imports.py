@@ -8,8 +8,10 @@ the heavy modules may be loaded at import, and none of them, nor any
 numpy.random submodule, may first be loaded by the work after it (numpy
 imports some modules lazily, at first use). No wall-clock time is asserted.
 """
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -78,3 +80,17 @@ def test_import_and_work_load_no_heavy_module():
         if any(_is_under(m, h) for h in HEAVY) or m.startswith("numpy.random.")
     ]
     assert late == []
+
+
+def test_every_exported_name_resolves():
+    # a removed name must not linger in an __all__
+    modules = [chaoskit] + [
+        importlib.import_module(f"chaoskit.{info.name}")
+        for info in pkgutil.iter_modules(chaoskit.__path__)
+    ]
+    for module in modules:
+        exported = getattr(module, "__all__", [])
+        assert len(set(exported)) == len(exported), module.__name__
+        missing = [name for name in exported if not hasattr(module, name)]
+        assert missing == [], module.__name__
+    assert len(modules) > 10

@@ -48,13 +48,32 @@ def test_first_order_integral_is_the_weighted_increment_sum():
     assert np.allclose(iterated_chain([field], ens), want, atol=1e-12)
 
 
-def test_single_path_input_returns_a_scalar():
+def test_one_path_input_returns_length_one_arrays():
     model = poisson_preset(1.0, 1.0)
     grid = CellGrid(model, 4)
     field = jump_field(grid, np.full(4, 0.5))
     path = sample_path(model, grid, seed=3)
-    out = stochastic_integral(field, path)
-    assert isinstance(out, complex)
+    kern = np.full((4, 4), 0.25) - np.diag(np.full(4, 0.25))
+    for out in (
+        stochastic_integral(field, path),
+        product_integral(kern, path),
+        iterated_chain([field, field], path),
+        iterated_integral(field, 2, path),
+        doleans_exp(field, path),
+        exp_martingale_terminal(np.full(4, 0.5), path),
+    ):
+        assert isinstance(out, np.ndarray) and out.shape == (1,)
+    assert power_integrals(field, 3, path).shape == (1, 4)
+    assert exp_martingale_grid(np.full(4, 0.5), path).shape == (1, 5)
+
+
+def test_representation_residual_takes_exactly_one_path():
+    model = poisson_preset(1.0, 1.0)
+    grid = CellGrid(model, 4)
+    ens = sample_ensemble(model, grid, seed=3, n_paths=2)
+    with pytest.raises(ValueError, match="one path"):
+        representation_residual(np.full(4, 0.5), ens)
+    assert isinstance(representation_residual(np.full(4, 0.5), ens.paths(1, 2)), float)
 
 
 def test_chain_times_factorial_equals_power_integrals():

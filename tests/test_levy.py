@@ -13,7 +13,6 @@ from chaoskit.levy import (
     LevyModel,
     brownian_preset,
     cell_increments,
-    path_rng,
     poisson_preset,
     sample_ensemble,
     sample_path,
@@ -97,6 +96,45 @@ def test_grid_hash_tracks_the_spec():
     assert CellGrid(model, 4).grid_hash() != CellGrid(model, 8).grid_hash()
 
 
+def _reference_path(model, grid, seed, index):
+    """Path `index` drawn on its own, from a freshly jumped Philox stream.
+
+    Gaussian increments first, then per atom a Poisson count and that many
+    uniform jump times in (0, T], sorted stably by time.
+    """
+    bitgen = np.random.Philox(key=seed)
+    if index:
+        bitgen = bitgen.jumped(index)
+    rng = np.random.Generator(bitgen)
+    T = model.horizon
+    brownian = None
+    if model.sigma > 0:
+        brownian = rng.normal(0.0, np.sqrt(grid.dt), grid.n_time)
+    times = [np.zeros(0)]
+    atoms = [np.zeros(0, dtype=np.int64)]
+    for j, (_, lam) in enumerate(model.atoms):
+        count = int(rng.poisson(lam * T))
+        if count:
+            times.append(T * (1.0 - rng.random(count)))
+            atoms.append(np.full(count, j, dtype=np.int64))
+    times = np.concatenate(times)
+    order = np.argsort(times, kind="stable")
+    return brownian, times[order], np.concatenate(atoms)[order]
+
+
+def _assert_same_path(one, reference, label):
+    brownian, times, atoms = reference
+    assert one.n_paths == 1, label
+    if brownian is None:
+        assert one.brownian is None, label
+    else:
+        assert one.brownian.tobytes() == brownian.tobytes(), label
+    assert one.jump_times.tobytes() == times.tobytes(), label
+    assert one.jump_atoms.tobytes() == atoms.tobytes(), label
+    assert one.jump_paths.tobytes() == np.zeros(times.size, dtype=np.int64).tobytes()
+    assert one.offsets.tolist() == [0, times.size], label
+
+
 def test_ensemble_matches_per_path_sampling():
     models = {
         "poisson": poisson_preset(1.0, 1.0),
@@ -112,17 +150,12 @@ def test_ensemble_matches_per_path_sampling():
             assert ens.offsets[0] == 0, name
             assert ens.offsets[-1] == ens.jump_times.size, name
             for i in range(ens.n_paths):
-                solo = sample_path(model, grid, seed=seed, index=i)
-                batched = ens.path(i)
+                want = _reference_path(model, grid, seed, i)
                 lo, hi = ens.offsets[i], ens.offsets[i + 1]
-                assert hi - lo == solo.jump_times.size, (name, seed, i)
                 assert np.array_equal(ens.jump_paths[lo:hi], np.full(hi - lo, i))
-                if solo.brownian is None:
-                    assert batched.brownian is None
-                else:
-                    assert np.array_equal(solo.brownian, batched.brownian)
-                assert np.array_equal(solo.jump_times, batched.jump_times)
-                assert np.array_equal(solo.jump_atoms, batched.jump_atoms)
+                _assert_same_path(ens.paths(i, i + 1), want, (name, seed, i))
+                solo = sample_path(model, grid, seed=seed, index=i)
+                _assert_same_path(solo, want, (name, seed, i))
             assert ens.jump_atoms.dtype == np.int64
             if name == "no jumps drawn":
                 assert ens.jump_times.size == 0
@@ -142,6 +175,47 @@ def test_ensemble_stream_is_pinned():
     )
 
 
+def test_paths_take_a_range_as_its_own_ensemble():
+    for model in (poisson_preset(1.0, 1.0), brownian_preset(), MIXED, JUMPY):
+        grid = CellGrid(model, 8)
+        ens = sample_ensemble(model, grid, seed=BIG_SEED, n_paths=12)
+        for lo, hi in ((0, 12), (0, 1), (11, 12), (3, 9), (5, 6)):
+            part = ens.paths(lo, hi)
+            j0, j1 = ens.offsets[lo], ens.offsets[hi]
+            assert part.n_paths == hi - lo
+            assert part.model is model and part.grid is grid
+            if model.sigma > 0:
+                assert part.brownian.tobytes() == ens.brownian[lo:hi].tobytes()
+            else:
+                assert part.brownian is None
+            assert part.jump_times.tobytes() == ens.jump_times[j0:j1].tobytes()
+            assert part.jump_atoms.tobytes() == ens.jump_atoms[j0:j1].tobytes()
+            assert part.jump_paths.tolist() == (ens.jump_paths[j0:j1] - lo).tolist()
+            assert part.offsets.tolist() == (ens.offsets[lo : hi + 1] - j0).tolist()
+            assert np.array_equal(cell_increments(part), cell_increments(ens)[lo:hi])
+            assert np.array_equal(terminal_value(part), terminal_value(ens)[lo:hi])
+
+
+def test_paths_refuse_ranges_outside_the_ensemble():
+    model = poisson_preset(1.0, 1.0)
+    ens = sample_ensemble(model, CellGrid(model, 4), seed=4, n_paths=5)
+    # the last path has two jumps; a negative index must not yield it empty
+    assert ens.paths(4, 5).jump_times.size == 2
+    for lo, hi in ((-1, 0), (-1, 5), (4, 4), (3, 2), (0, 6), (5, 6)):
+        with pytest.raises(ValueError, match="path range"):
+            ens.paths(lo, hi)
+
+
+def test_sample_path_refuses_an_index_outside_the_stream():
+    model = poisson_preset(1.0, 1.0)
+    grid = CellGrid(model, 4)
+    for index in (-1, 2**64):
+        with pytest.raises(ValueError, match="index"):
+            sample_path(model, grid, seed=4, index=index)
+    with pytest.raises(ValueError, match="different model"):
+        sample_path(brownian_preset(), grid, seed=4)
+
+
 def test_seed_controls_the_draw():
     model = poisson_preset(2.0, 1.0)
     grid = CellGrid(model, 4)
@@ -152,11 +226,21 @@ def test_seed_controls_the_draw():
     assert not np.array_equal(np.diff(a.offsets), np.diff(c.offsets))
 
 
-def test_path_rng_substreams():
-    r1 = path_rng(9, 3)
-    r2 = path_rng(9, 3)
-    assert np.array_equal(r1.random(4), r2.random(4))
-    assert not np.array_equal(path_rng(9, 0).random(4), path_rng(9, 1).random(4))
+def _compensated_increments(ens, i):
+    """Path i's cell increments, built by hand cell by cell."""
+    grid = ens.grid
+    want = np.zeros(grid.n_cells)
+    for ci, (k, b) in enumerate(grid.cells):
+        if b == 0:
+            want[ci] = grid.model.sigma * ens.brownian[i, k]
+        else:
+            want[ci] = -grid.bin_rates[b - 1] * grid.dt
+    # each jump adds one event to its bin; sizes enter only at reconstruction
+    lo, hi = ens.offsets[i], ens.offsets[i + 1]
+    for t, a in zip(ens.jump_times[lo:hi], ens.jump_atoms[lo:hi]):
+        k = grid.cell_of_time(float(t))
+        want[grid.cell_index[(k, int(grid.atom_bin[a]))]] += 1.0
+    return want
 
 
 def test_cell_increments_follow_the_compensated_formula():
@@ -164,19 +248,9 @@ def test_cell_increments_follow_the_compensated_formula():
     grid = CellGrid(model, 5)
     path = sample_path(model, grid, seed=123)
     inc = cell_increments(path)
-
-    want = np.zeros(grid.n_cells)
-    for ci, (k, b) in enumerate(grid.cells):
-        if b == 0:
-            want[ci] = model.sigma * path.brownian[k]
-        else:
-            want[ci] = -grid.bin_rates[b - 1] * grid.dt
-    # each jump adds one event to its bin; sizes enter only at reconstruction
-    for t, a in zip(path.jump_times, path.jump_atoms):
-        k = grid.cell_of_time(float(t))
-        want[grid.cell_index[(k, int(grid.atom_bin[a]))]] += 1.0
+    assert inc.shape == (1, grid.n_cells)
     assert path.jump_times.size > 0
-    assert np.allclose(inc, want, atol=1e-12)
+    assert np.allclose(inc[0], _compensated_increments(path, 0), atol=1e-12)
 
 
 def test_ensemble_increments_match_the_per_path_route():
@@ -193,9 +267,10 @@ def test_ensemble_increments_match_the_per_path_route():
         assert rows.shape == (30, grid.n_cells)
         shared = 0
         for i in range(ens.n_paths):
-            path = ens.path(i)
-            assert np.array_equal(rows[i], cell_increments(path))
-            keys = list(zip(path.jump_cells.tolist(), path.jump_bins.tolist()))
+            assert np.array_equal(rows[i], _compensated_increments(ens, i))
+            lo, hi = ens.offsets[i], ens.offsets[i + 1]
+            cells, bins = ens.jump_cells[lo:hi], ens.jump_bins[lo:hi]
+            keys = list(zip(cells.tolist(), bins.tolist()))
             shared += len(keys) - len(set(keys))
         if grid.model is not MIXED:
             assert shared > 0  # some cell holds two jumps of one bin
@@ -208,7 +283,7 @@ def test_terminal_value_reconstructs_drift_diffusion_and_jumps():
     term = terminal_value(ens)
     sizes = np.array([x for x, _ in model.atoms])
     for i in (0, 7, 23, 39):
-        p = ens.path(i)
+        p = ens.paths(i, i + 1)
         want = (
             model.b * model.horizon
             + model.sigma * p.brownian.sum()
