@@ -29,6 +29,9 @@ from math import factorial
 import numpy as np
 
 from .fock import FockVector, Graded, MarkedFock, SkorohodIdentity, ito_skorohod
+# on chaos expansions the number semigroup is the Ornstein-Uhlenbeck semigroup
+from .fock import number_apply, sobolev_scale
+from .fock import number_semigroup as ou_semigroup
 from .fock import split as fock_split
 from .indices import (
     check_level,
@@ -131,8 +134,7 @@ class ChaosCoefficients(_OnGrid):
         if truncation < 1:
             raise ValueError("a first-order functional needs truncation >= 1")
         out = cls.zero(field.grid, truncation)
-        # order-one occupation rows enumerate cells last-first
-        out.kernels[1][:] = field.cell_values()[::-1]
+        out.kernels[1][raise_maps(field.grid.n_cells, 0)[0][0]] = field.cell_values()
         out.source = [(1.0 + 0.0j, field, 1)]
         return out
 
@@ -261,10 +263,6 @@ def divergence(u: MarkedChaos) -> tuple[ChaosCoefficients, float]:
     return out, dropped
 
 
-def number_apply(F: ChaosCoefficients) -> ChaosCoefficients:
-    return F._map_levels(lambda n, k: n * k)
-
-
 def number_factorization_residual(F: ChaosCoefficients) -> float:
     """Norm of divergence(gradient(F)) minus the number operator on F.
 
@@ -294,18 +292,6 @@ def dom_divergence_functional(u: MarkedChaos) -> float:
         tilde = _symmetrize(grid, u.kernels[m], m)
         total += factorial(m + 1) * kernel_inner(grid, m + 1, tilde, tilde).real
     return float(total)
-
-
-def ou_semigroup(F: ChaosCoefficients, t: float) -> ChaosCoefficients:
-    """Ornstein-Uhlenbeck flow: order n decays as exp(-t n)."""
-    if t < 0:
-        raise ValueError("semigroup time must be >= 0")
-    return F._map_levels(lambda n, k: np.exp(-t * n) * k)
-
-
-def sobolev_scale(F: ChaosCoefficients) -> ChaosCoefficients:
-    """Scale order n by (1 + n)^(-1/2); trades plain norm for graph norm."""
-    return F._map_levels(lambda n, k: k / np.sqrt(1.0 + n))
 
 
 # ---------------------------------------------------------------------------
@@ -449,9 +435,9 @@ def bn_split(F: ChaosCoefficients) -> BNSplit:
     so the blocks are unitary pieces, not a regrouping heuristic. Grids with
     no diffusion cells or no jump cells degenerate to a single block and warn.
     """
-    grid = F.grid
-    diff = tuple(i for i, (_, b) in enumerate(grid.cells) if b == 0)
-    jump = tuple(i for i, (_, b) in enumerate(grid.cells) if b != 0)
+    on_diffusion = F.grid.cell_bin == 0
+    diff = tuple(np.flatnonzero(on_diffusion).tolist())
+    jump = tuple(np.flatnonzero(~on_diffusion).tolist())
     if not diff or not jump:
         warnings.warn(
             "grid carries only one noise component; split is a single block",
@@ -473,13 +459,6 @@ def bn_split(F: ChaosCoefficients) -> BNSplit:
 # pathwise evaluation
 
 
-def _cell_position_table(grid: CellGrid) -> np.ndarray:
-    pos = np.full((grid.n_time, grid.n_bins), -1, dtype=np.int64)
-    for i, (k, b) in enumerate(grid.cells):
-        pos[k, b] = i
-    return pos
-
-
 def _power_table(ens: PathEnsemble, n_max: int) -> np.ndarray:
     """Per-path compensated cell powers, shape (n_paths, n_cells, n_max + 1).
 
@@ -489,46 +468,32 @@ def _power_table(ens: PathEnsemble, n_max: int) -> np.ndarray:
     blocks of every multiple integral via the occupation product formula.
     """
     grid = ens.grid
-    model = grid.model
-    c = grid.n_cells
+    sigma = grid.model.sigma
+    s = sigma**2 * grid.dt
     nb = ens.n_paths
-    table = np.zeros((nb, c, n_max + 1))
+    table = np.zeros((nb, grid.n_cells, n_max + 1))
     table[:, :, 0] = 1.0
     if n_max == 0:
         return table
-    pos = _cell_position_table(grid)
-    dt = grid.dt
-    if model.sigma > 0:
-        s = model.sigma**2 * dt
-        for k in range(grid.n_time):
-            w = pos[k, 0]
-            if w < 0:
-                continue
-            x = model.sigma * ens.brownian[:, k]
+    counts = ens.cell_counts() if grid.n_bins > 1 else None
+    for w, (k, b) in enumerate(grid.cells):
+        if b == 0:
+            x = sigma * ens.brownian[:, k]
             table[:, w, 1] = x
             for m in range(2, n_max + 1):
                 table[:, w, m] = x * table[:, w, m - 1] - (m - 1) * s * table[:, w, m - 2]
-    if grid.n_bins > 1:
-        counts = np.zeros((nb, c))
-        if ens.jump_times.size:
-            cols = pos[ens.jump_cells, ens.jump_bins]
-            np.add.at(counts, (ens.jump_paths, cols), 1.0)
-        for k in range(grid.n_time):
-            for b in range(1, grid.n_bins):
-                w = pos[k, b]
-                if w < 0:
-                    continue
-                a = grid.bin_rates[b - 1] * dt
-                N = counts[:, w]
-                # convolve C(N, r) with the exponential series, times m!
-                binom = [np.ones(nb)]
-                for r in range(1, n_max + 1):
-                    binom.append(binom[-1] * (N - (r - 1)) / r)
-                for m in range(1, n_max + 1):
-                    acc = np.zeros(nb)
-                    for r in range(m + 1):
-                        acc += binom[r] * ((-a) ** (m - r) / factorial(m - r))
-                    table[:, w, m] = factorial(m) * acc
+            continue
+        a = grid.bin_rates[b - 1] * grid.dt
+        N = counts[:, w]
+        # convolve C(N, r) with the exponential series, times m!
+        binom = [np.ones(nb)]
+        for r in range(1, n_max + 1):
+            binom.append(binom[-1] * (N - (r - 1)) / r)
+        for m in range(1, n_max + 1):
+            acc = np.zeros(nb)
+            for r in range(m + 1):
+                acc += binom[r] * ((-a) ** (m - r) / factorial(m - r))
+            table[:, w, m] = factorial(m) * acc
     return table
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from hashlib import sha256
 
 import numpy as np
@@ -159,23 +159,7 @@ class RunConfig:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "d": self.d,
-            "truncation": self.truncation,
-            "max_degree": self.max_degree,
-            "n_time": self.n_time,
-            "chaos_n_time": self.chaos_n_time,
-            "chaos_truncation": self.chaos_truncation,
-            "b": self.b,
-            "sigma": self.sigma,
-            "atoms": [list(a) for a in self.atoms],
-            "horizon": self.horizon,
-            "n_paths": self.n_paths,
-            "seed": self.seed,
-            "out_dir": self.out_dir,
-            "tolerances": dict(sorted(self.tolerances.items())),
-        }
+        return asdict(self)
 
     def config_hash(self) -> str:
         payload = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))

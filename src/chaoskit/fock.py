@@ -397,18 +397,14 @@ def create(f, psi: FockVector) -> tuple[FockVector, float]:
     fa = as_mode_vector(f, psi.d)
     d, M = psi.d, psi.truncation
     out = FockVector.zero(d, M)
-    for n in range(M):
+    # the top level raises into the would-be level M+1
+    spill = np.zeros(level_dim(d, M + 1), dtype=np.complex128)
+    for n in range(M + 1):
         target, weight = raise_maps(d, n)
         src = psi.levels[n]
-        dst = out.levels[n + 1]
+        dst = out.levels[n + 1] if n < M else spill
         for i in range(d):
             dst[target[:, i]] += fa[i] * weight[:, i] * src
-    # would-be level M+1 from the current top level
-    target, weight = raise_maps(d, M)
-    spill = np.zeros(level_dim(d, M + 1), dtype=np.complex128)
-    src = psi.levels[M]
-    for i in range(d):
-        spill[target[:, i]] += fa[i] * weight[:, i] * src
     return out, float(np.linalg.norm(spill))
 
 
@@ -434,33 +430,32 @@ def divergence(phi: MarkedFock) -> tuple[FockVector, float]:
     """
     d, M = phi.d, phi.truncation
     out = FockVector.zero(d, M)
-    for n in range(M):
+    spill = np.zeros(level_dim(d, M + 1), dtype=np.complex128)
+    for n in range(M + 1):
         target, weight = raise_maps(d, n)
         src = phi.levels[n]
-        dst = out.levels[n + 1]
+        dst = out.levels[n + 1] if n < M else spill
         for j in range(d):
             dst[target[:, j]] += weight[:, j] * src[:, j]
-    target, weight = raise_maps(d, M)
-    spill = np.zeros(level_dim(d, M + 1), dtype=np.complex128)
-    src = phi.levels[M]
-    for j in range(d):
-        spill[target[:, j]] += weight[:, j] * src[:, j]
     return out, float(np.linalg.norm(spill))
 
 
-def number_apply(psi: FockVector) -> FockVector:
+def number_apply(psi: Graded) -> Graded:
     """Number operator: multiplies level n by n."""
     return psi._map_levels(lambda n, lev: n * lev)
 
 
-def number_semigroup(psi: FockVector, t: float) -> FockVector:
-    """Heat semigroup of the number operator: level n scales by exp(-t n)."""
+def number_semigroup(psi: Graded, t: float) -> Graded:
+    """Heat semigroup of the number operator: level n scales by exp(-t n).
+
+    On chaos expansions this is the Ornstein-Uhlenbeck semigroup.
+    """
     if t < 0:
         raise ValueError("semigroup time must be >= 0")
     return psi._map_levels(lambda n, lev: np.exp(-t * n) * lev)
 
 
-def sobolev_scale(psi: FockVector) -> FockVector:
+def sobolev_scale(psi: Graded) -> Graded:
     """Scale level n by (1 + n)^(-1/2).
 
     Unitary from the plain norm onto the graph norm: graph_inner of two scaled

@@ -275,18 +275,7 @@ def power_integrals(field: StepField, n_max: int, ens: PathEnsemble) -> np.ndarr
     acc[:, 0] = 1.0
     if n_max == 0:
         return acc
-
-    # per-(cell, bin) jump counts
-    n_jump_bins = grid.n_bins - 1
-    counts = None
-    if n_jump_bins and ens.jump_times.size:
-        counts = np.zeros((P, K, n_jump_bins))
-        np.add.at(
-            counts,
-            (ens.jump_paths, ens.jump_cells, ens.jump_bins - 1),
-            1.0,
-        )
-
+    counts = ens.cell_counts() if ens.jump_times.size else None
     expo = np.empty(n_max + 1, dtype=np.complex128)
     herm = np.zeros((P, n_max + 1), dtype=np.complex128)
     for k in range(K):
@@ -311,7 +300,7 @@ def power_integrals(field: StepField, n_max: int, ens: PathEnsemble) -> np.ndarr
             if counts is None:
                 acc = _convolve_into(acc, expo)
             else:
-                binom = _binomial_series(counts[:, k, b - 1], v, n_max)
+                binom = _binomial_series(counts[:, grid.column[k, b]], v, n_max)
                 both = _convolve_into(binom, expo)
                 acc = _convolve_into(acc, both)
     for m in range(n_max + 1):

@@ -12,6 +12,12 @@ and only positive-mass cells embed into the one-particle space. Simulation is
 exact: Gaussian increments per time cell plus per-atom Poisson counts with
 uniform jump times in (0, T].
 
+The layout: the retained cells run time-major over the positive-mass bins.
+Cell i is grid.cells[i] = (cell_time[i], cell_bin[i]), and grid.column[k, b]
+is the index of cell (k, b), or -1 for a massless bin. A path's jump counts
+over that layout are `PathEnsemble.cell_counts()`, and `cell_increments`
+compensates the same counts; other modules read these, not their own maps.
+
 The stream: path i draws from Philox with key `seed` and counter (0, 0, i, 0),
 the state `Philox(key=seed).jumped(i)` starts from. It draws its Gaussian
 increments first, then per atom in order a Poisson count and that many
@@ -140,12 +146,16 @@ class CellGrid:
         masses[0] = self.model.sigma**2 * self.dt
         masses[1:] = self.bin_rates * self.dt
         self.bin_masses = masses
-        retained_bins = [b for b in range(self.n_bins) if masses[b] > 0]
-        self.cells = tuple(
-            (k, b) for k in range(self.n_time) for b in retained_bins
-        )
-        self.cell_index = {cell: i for i, cell in enumerate(self.cells)}
-        self.cell_masses = np.array([self.bin_masses[b] for _, b in self.cells])
+        # retained cells run time-major over the positive-mass bins
+        retained = np.flatnonzero(masses > 0)
+        self.cell_time = np.repeat(np.arange(self.n_time), retained.size)
+        self.cell_bin = np.tile(retained, self.n_time)
+        self.column = np.full((self.n_time, self.n_bins), -1, dtype=np.int64)
+        self.column[self.cell_time, self.cell_bin] = np.arange(self.cell_time.size)
+        for table in (self.cell_time, self.cell_bin, self.column):
+            table.setflags(write=False)
+        self.cells = tuple(zip(self.cell_time.tolist(), self.cell_bin.tolist()))
+        self.cell_masses = masses[self.cell_bin]
 
     @property
     def n_bins(self) -> int:
@@ -217,7 +227,7 @@ class StepField:
 
     def cell_values(self) -> np.ndarray:
         """Values over the retained cells, aligned with grid.cells."""
-        return np.array([self.values[k, b] for k, b in self.grid.cells])
+        return self.values[self.grid.cell_time, self.grid.cell_bin]
 
     def norm_sq(self) -> float:
         """Squared L2(mu) norm over the retained cells."""
@@ -241,7 +251,6 @@ class PathEnsemble:
     A single path is a one-path ensemble.
     """
 
-    model: LevyModel
     grid: CellGrid
     n_paths: int
     brownian: np.ndarray | None
@@ -256,7 +265,6 @@ class PathEnsemble:
             raise ValueError(f"path range [{lo}, {hi}) outside [0, {self.n_paths})")
         j0, j1 = self.offsets[lo], self.offsets[hi]
         return PathEnsemble(
-            self.model,
             self.grid,
             hi - lo,
             None if self.brownian is None else self.brownian[lo:hi],
@@ -265,6 +273,10 @@ class PathEnsemble:
             self.jump_paths[j0:j1] - lo,
             self.offsets[lo : hi + 1] - j0,
         )
+
+    @property
+    def model(self) -> LevyModel:
+        return self.grid.model
 
     @property
     def jump_cells(self) -> np.ndarray:
@@ -277,6 +289,16 @@ class PathEnsemble:
     @property
     def jump_bins(self) -> np.ndarray:
         return self.grid.atom_bin[self.jump_atoms]
+
+    def _jump_columns(self) -> np.ndarray:
+        """Retained-cell index of each jump, aligned with jump_times."""
+        return self.grid.column[self.jump_cells, self.jump_bins]
+
+    def cell_counts(self) -> np.ndarray:
+        """Jump counts over the retained cells, float (n_paths, n_cells)."""
+        out = np.zeros((self.n_paths, self.grid.n_cells))
+        np.add.at(out, (self.jump_paths, self._jump_columns()), 1.0)
+        return out
 
 
 def sample_ensemble(
@@ -346,7 +368,7 @@ def _draw(
         jump_times = np.zeros(0)
         jump_atoms = np.zeros(0, dtype=np.int64)
     return PathEnsemble(
-        model, grid, n_paths, brownian, jump_times, jump_atoms, jump_paths, offsets
+        grid, n_paths, brownian, jump_times, jump_atoms, jump_paths, offsets
     )
 
 
@@ -357,20 +379,12 @@ def cell_increments(ens: PathEnsemble) -> np.ndarray:
     minus the compensator nu(bin) * dt.
     """
     grid = ens.grid
-    comp = np.zeros(grid.n_cells)
-    for ci, (k, b) in enumerate(grid.cells):
-        if b > 0:
-            comp[ci] = grid.bin_rates[b - 1] * grid.dt
-    # cells run k-major over the retained bins, which time cell 0 lists
-    n_retained = grid.n_cells // grid.n_time
-    out = np.tile(-comp, (ens.n_paths, 1))
-    if grid.cells[0][1] == 0:
-        out[:, ::n_retained] = grid.model.sigma * ens.brownian
+    # compensators everywhere; a retained diffusion bin is overwritten below
+    out = np.tile(-grid.cell_masses, (ens.n_paths, 1))
+    if grid.column[0, 0] >= 0:
+        out[:, grid.column[:, 0]] = grid.model.sigma * ens.brownian
     if ens.jump_times.size:
-        rank = np.zeros(grid.n_bins, dtype=np.int64)
-        rank[[b for _, b in grid.cells[:n_retained]]] = np.arange(n_retained)
-        cols = ens.jump_cells * n_retained + rank[ens.jump_bins]
-        np.add.at(out, (ens.jump_paths, cols), 1.0)
+        np.add.at(out, (ens.jump_paths, ens._jump_columns()), 1.0)
     return out
 
 

@@ -77,11 +77,10 @@ from .fock import (
     split_divergence,
     split_gradient,
 )
-from .indices import GuardLimitError, level_dim, occ_array
+from .indices import GuardLimitError, level_dim, raise_maps
 from .integrals import (
     doleans_exp,
     exp_martingale_grid,
-    exp_martingale_terminal,
     iterated_chain,
     power_integrals,
     representation_residual,
@@ -164,50 +163,21 @@ def _unit_modes(rng, d: int, lo: float = 0.2, hi: float = 1.5) -> np.ndarray:
     return v * (rng.uniform(lo, hi) / nrm)
 
 
-def _random_fock(rng, d: int, truncation: int, zero_top: int = 0) -> FockVector:
+def _random_levels(rng, cls, space, truncation: int, zero_top: int = 0, scale=None):
+    """A cls value with standard complex normal levels, times scale if given.
+
+    Per level the real part is drawn before the imaginary part; the top
+    zero_top levels stay zero and draw nothing.
+    """
     levels = []
     for n in range(truncation + 1):
-        dim = level_dim(d, n)
         if n > truncation - zero_top:
-            levels.append(np.zeros(dim, dtype=np.complex128))
-        else:
-            levels.append(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
-    return FockVector(d, truncation, levels)
-
-
-def _random_marked(rng, d: int, truncation: int, zero_top: int = 1) -> MarkedFock:
-    levels = []
-    for n in range(truncation + 1):
-        dim = level_dim(d, n)
-        if n > truncation - zero_top:
-            levels.append(np.zeros((dim, d), dtype=np.complex128))
-        else:
-            levels.append(
-                rng.standard_normal((dim, d)) + 1j * rng.standard_normal((dim, d))
-            )
-    return MarkedFock(d, truncation, levels)
-
-
-def _random_chaos(rng, grid: CellGrid, truncation: int, scale: float = 0.5):
-    c = grid.n_cells
-    kernels = [
-        scale * (rng.standard_normal(level_dim(c, n)) + 1j * rng.standard_normal(level_dim(c, n)))
-        for n in range(truncation + 1)
-    ]
-    return ChaosCoefficients(grid, truncation, kernels, None)
-
-
-def _random_marked_chaos(rng, grid: CellGrid, truncation: int, scale: float = 0.5):
-    c = grid.n_cells
-    kernels = [
-        scale
-        * (
-            rng.standard_normal((level_dim(c, n), c))
-            + 1j * rng.standard_normal((level_dim(c, n), c))
-        )
-        for n in range(truncation + 1)
-    ]
-    return MarkedChaos(grid, truncation, kernels)
+            levels.append(None)
+            continue
+        shape = cls._shape(space, n)
+        z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        levels.append(z if scale is None else scale * z)
+    return cls(space, truncation, levels)
 
 
 def _profile_a(K: int) -> np.ndarray:
@@ -337,7 +307,7 @@ def _check_ccr(cfg: RunConfig):
     d, M = cfg.d, max(cfg.truncation, 3)
 
     def residual(rng):
-        psi = _random_fock(rng, d, M, zero_top=2)
+        psi = _random_levels(rng, FockVector, d, M, zero_top=2)
         f = _unit_modes(rng, d)
         g = _unit_modes(rng, d)
         raised, spill = create(g, psi)
@@ -390,7 +360,7 @@ def _check_number_factorization(cfg: RunConfig):
     d, M = cfg.d, cfg.truncation
 
     def residual(rng):
-        psi = _random_fock(rng, d, M)
+        psi = _random_levels(rng, FockVector, d, M)
         assembled, dropped = fock_divergence(fock_gradient(psi))
         return _worst_of(((assembled - number_apply(psi)).norm() / psi.norm(), dropped))
 
@@ -421,8 +391,8 @@ def _check_q(cfg: RunConfig):
     d, M = cfg.d, cfg.truncation
 
     def residual(rng):
-        psi = _random_fock(rng, d, M)
-        phi = _random_fock(rng, d, M)
+        psi = _random_levels(rng, FockVector, d, M)
+        phi = _random_levels(rng, FockVector, d, M)
         plain = psi.inner(phi)
         scaled = graph_inner(sobolev_scale(psi), sobolev_scale(phi))
         return abs(scaled - plain) / max(1.0, abs(plain))
@@ -453,7 +423,10 @@ def _check_ito_skorohod(cfg: RunConfig):
     rng = _trial_rng(cfg, "fock.ito_skorohod")
     d, M = cfg.d, cfg.truncation
     idents = [
-        ito_skorohod(_random_marked(rng, d, M), _random_marked(rng, d, M))
+        ito_skorohod(
+            _random_levels(rng, MarkedFock, d, M, zero_top=1),
+            _random_levels(rng, MarkedFock, d, M, zero_top=1),
+        )
         for _ in range(200)
     ]
     return [
@@ -706,9 +679,9 @@ def _check_doleans_martingale(cfg: RunConfig):
 @_registered("sim.exp_martingale")
 def _check_exp_martingale(cfg: RunConfig):
     def stats(model, grid, ens):
-        prof = _profile_real(grid.n_time)
-        yield summarize(exp_martingale_terminal(prof, ens)), 1.0
-        yield summarize(exp_martingale_grid(prof, ens)[:, grid.n_time // 2]), 1.0
+        mart = exp_martingale_grid(_profile_real(grid.n_time), ens)
+        yield summarize(mart[:, -1]), 1.0
+        yield summarize(mart[:, grid.n_time // 2]), 1.0
 
     return _mc_per_model(
         cfg,
@@ -849,7 +822,8 @@ def _check_serialization(cfg: RunConfig):
     rng = _trial_rng(cfg, check_id)
     model = poisson_preset(1.0, cfg.horizon)
     grid = CellGrid(model, cfg.chaos_n_time)
-    F = _random_chaos(rng, grid, min(cfg.chaos_truncation, 3))
+    M = min(cfg.chaos_truncation, 3)
+    F = _random_levels(rng, ChaosCoefficients, grid, M, scale=0.5)
     buf = StringIO()
     save_chaos(F, buf)
     text = buf.getvalue()
@@ -919,13 +893,13 @@ def _check_embed(cfg: RunConfig):
     M = min(cfg.chaos_truncation, 3)
 
     def residual(rng):
-        C = _random_chaos(rng, grid, M)
-        D = _random_chaos(rng, grid, M)
+        C = _random_levels(rng, ChaosCoefficients, grid, M, scale=0.5)
+        D = _random_levels(rng, ChaosCoefficients, grid, M, scale=0.5)
         psi = embed_chaos(C)
         chi = embed_chaos(D)
         pair = C.inner(D)
         grad = fock_gradient(psi)
-        u = _random_marked_chaos(rng, grid, M)
+        u = _random_levels(rng, MarkedChaos, grid, M, scale=0.5)
         div_c, drop_c = chaos_divergence(u)
         div_f, drop_f = fock_divergence(embed_marked(u))
         return _worst_of(
@@ -954,7 +928,7 @@ def _check_number_chaos(cfg: RunConfig):
     M = min(cfg.chaos_truncation, 4)
 
     def residual(rng):
-        C = _random_chaos(rng, grid, M)
+        C = _random_levels(rng, ChaosCoefficients, grid, M, scale=0.5)
         return number_factorization_residual(C) / max(1.0, C.norm())
 
     return _trials(
@@ -973,8 +947,8 @@ def _check_duality_adjoint(cfg: RunConfig):
     M = min(cfg.chaos_truncation, 3)
 
     def residual(rng):
-        u = _random_marked_chaos(rng, grid, M)
-        F = _random_chaos(rng, grid, M)
+        u = _random_levels(rng, MarkedChaos, grid, M, scale=0.5)
+        F = _random_levels(rng, ChaosCoefficients, grid, M, scale=0.5)
         div, _ = chaos_divergence(u)
         lhs = div.inner(F)
         rhs = process_inner(u, chaos_gradient(F))
@@ -997,8 +971,8 @@ def _check_skorohod_kernel(cfg: RunConfig):
     M = min(cfg.chaos_truncation, 3)
 
     def residual(rng):
-        u = _random_marked_chaos(rng, grid, M)
-        v = _random_marked_chaos(rng, grid, M)
+        u = _random_levels(rng, MarkedChaos, grid, M, scale=0.5)
+        v = _random_levels(rng, MarkedChaos, grid, M, scale=0.5)
         sk = ito_skorohod_chaos(u, v, fock_route=True)
         scale = max(1.0, abs(sk.lhs))
         return _worst_of(
@@ -1035,8 +1009,8 @@ def _check_skorohod_mc(cfg: RunConfig):
         cfg, check_id, poisson_preset(1.0, cfg.horizon), cfg.chaos_n_time, cfg.n_paths
     )
     M = 2
-    u = _random_marked_chaos(rng, grid, M, scale=0.4)
-    v = _random_marked_chaos(rng, grid, M, scale=0.4)
+    u = _random_levels(rng, MarkedChaos, grid, M, scale=0.4)
+    v = _random_levels(rng, MarkedChaos, grid, M, scale=0.4)
     target = ito_skorohod_chaos(u, v, fock_route=False).lhs
     du, drop_u = chaos_divergence(_lift_marked(u))
     dv, drop_v = chaos_divergence(_lift_marked(v))
@@ -1064,12 +1038,11 @@ def _check_adapted_ito(cfg: RunConfig):
     c = grid.n_cells
     g = _profile_a(c)
     h = _profile_b(c)
-    cell_time = np.array([k for k, _ in grid.cells])
-    # occupation rows enumerate cells in their own order at level one
-    row_of_cell = np.argmax(occ_array(c, 1), axis=0)
+    # level-one row of each cell: the vacuum raised by that cell
+    row_of_cell = raise_maps(c, 0)[0][0]
     k1 = np.zeros((level_dim(c, 1), c), dtype=np.complex128)
     for s in range(c):
-        before = cell_time < cell_time[s]
+        before = grid.cell_time < grid.cell_time[s]
         k1[row_of_cell[before], s] = h[s] * g[before]
     u = MarkedChaos(grid, 1, [np.zeros((1, c), dtype=np.complex128), k1])
     du, dropped = chaos_divergence(_lift_marked(u))
@@ -1112,7 +1085,7 @@ def _check_split(cfg: RunConfig):
         grad = fock_gradient(psi)
         sp_f = fock_split(psi, sp.diffusion_cells)
         both = split_gradient(sp_f, 1) + split_gradient(sp_f, 2)
-        phi = _random_marked(rng, grid.n_cells, M, zero_top=0)
+        phi = _random_levels(rng, MarkedFock, grid.n_cells, M)
         via_split, drop_s = split_divergence(phi, sp.diffusion_cells)
         direct, drop_d = fock_divergence(phi)
         gaps += [
@@ -1195,7 +1168,7 @@ def _check_ou(cfg: RunConfig):
     M = min(cfg.chaos_truncation, 3)
 
     def residual(rng):
-        C = _random_chaos(rng, grid, M)
+        C = _random_levels(rng, ChaosCoefficients, grid, M, scale=0.5)
         s, t = float(rng.uniform(0.1, 0.6)), float(rng.uniform(0.1, 0.6))
         twice = ou_semigroup(ou_semigroup(C, s), t)
         scaled = chaos_sobolev_scale(C)

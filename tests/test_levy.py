@@ -90,6 +90,56 @@ def test_mixed_grid_masses_sum_to_variance_plus_rates():
     assert grid.cell_masses.sum() == pytest.approx(want, rel=1e-12)
 
 
+# pure jump, pure diffusion, mixed, and two atoms grouped into one jump bin
+LAYOUT_GRIDS = {
+    "jump": CellGrid(poisson_preset(1.0, 1.0), 4),
+    "diffusion": CellGrid(brownian_preset(), 3),
+    "mixed": CellGrid(JUMPY, 5),
+    "grouped": CellGrid(
+        LevyModel(atoms=((1.0, 5.0), (2.0, 3.0))), 4, atom_groups=((0, 1),)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAYOUT_GRIDS))
+def test_layout_arrays_agree_with_the_cells(name):
+    grid = LAYOUT_GRIDS[name]
+    pairs = list(zip(grid.cell_time.tolist(), grid.cell_bin.tolist()))
+    assert pairs == list(grid.cells)
+    assert grid.column.shape == (grid.n_time, grid.n_bins)
+    for k in range(grid.n_time):
+        for b in range(grid.n_bins):
+            if grid.bin_masses[b] > 0:
+                assert grid.cells[grid.column[k, b]] == (k, b)
+            else:
+                assert grid.column[k, b] == -1
+    assert sorted(grid.column[grid.column >= 0].tolist()) == list(range(grid.n_cells))
+    if grid.model.sigma == 0:
+        assert np.all(grid.column[:, 0] == -1)
+    for table in (grid.cell_time, grid.cell_bin, grid.column):
+        assert not table.flags.writeable
+
+
+@pytest.mark.parametrize("name", sorted(LAYOUT_GRIDS))
+def test_cell_counts_match_a_hand_count(name):
+    grid = LAYOUT_GRIDS[name]
+    ens = sample_ensemble(grid.model, grid, seed=BIG_SEED, n_paths=20)
+    counts = ens.cell_counts()
+    assert counts.shape == (20, grid.n_cells) and counts.dtype == np.float64
+    index = {cell: ci for ci, cell in enumerate(grid.cells)}
+    want = np.zeros((20, grid.n_cells))
+    for i in range(20):
+        lo, hi = ens.offsets[i], ens.offsets[i + 1]
+        for t, a in zip(ens.jump_times[lo:hi], ens.jump_atoms[lo:hi]):
+            want[i, index[(grid.cell_of_time(float(t)), int(grid.atom_bin[a]))]] += 1.0
+    assert np.array_equal(counts, want)
+    assert counts.sum() == ens.jump_times.size
+    if name in ("mixed", "grouped"):
+        assert counts.max() >= 2  # some cell holds two jumps
+    for lo, hi in ((0, 20), (0, 1), (19, 20), (4, 13)):
+        assert np.array_equal(ens.paths(lo, hi).cell_counts(), counts[lo:hi])
+
+
 def test_grid_hash_tracks_the_spec():
     model = poisson_preset(1.0, 1.0)
     assert CellGrid(model, 4).grid_hash() == CellGrid(model, 4).grid_hash()
@@ -229,6 +279,7 @@ def test_seed_controls_the_draw():
 def _compensated_increments(ens, i):
     """Path i's cell increments, built by hand cell by cell."""
     grid = ens.grid
+    index = {cell: ci for ci, cell in enumerate(grid.cells)}
     want = np.zeros(grid.n_cells)
     for ci, (k, b) in enumerate(grid.cells):
         if b == 0:
@@ -239,7 +290,7 @@ def _compensated_increments(ens, i):
     lo, hi = ens.offsets[i], ens.offsets[i + 1]
     for t, a in zip(ens.jump_times[lo:hi], ens.jump_atoms[lo:hi]):
         k = grid.cell_of_time(float(t))
-        want[grid.cell_index[(k, int(grid.atom_bin[a]))]] += 1.0
+        want[index[(k, int(grid.atom_bin[a]))]] += 1.0
     return want
 
 
