@@ -50,7 +50,6 @@ from .levy import (
     cell_increments,
     poisson_preset,
     sample_ensemble,
-    sample_path,
     terminal_value,
 )
 from .montecarlo import MCStat, summarize
@@ -103,7 +102,6 @@ __all__ = [
     "project_mc",
     "run_suite",
     "sample_ensemble",
-    "sample_path",
     "save_chaos",
     "second_quantize",
     "stochastic_integral",

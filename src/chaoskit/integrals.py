@@ -6,9 +6,9 @@ Three engines, cross-validated in the tests:
   J(g_1, ..., g_n) = Int_{t_1 < ... < t_n} g_1(w_1) ... g_n(w_n) dM ... dM.
   Between events the state vector obeys a nilpotent triangular ODE driven by
   the compensator, solved in closed form per cell; jumps apply exact updates
-  at their event times. Exact for pure-jump models. Euler mode keeps the
-  jump/compensator handling exact and adds a left-point update for the
-  diffusion part at each cell start, biased O(dt).
+  at their event times. Exact for pure-jump models; with a diffusion part
+  (sigma > 0) it keeps the jump/compensator handling exact and adds an Euler
+  left-point update for the diffusion part at each cell start, biased O(dt).
 
 * power engine (`power_integrals`): the n-fold integrals of tensor powers
   I_n(f^(x)n) for any finite-activity model, through the per-cell
@@ -126,15 +126,13 @@ def _grid_refinement(field_grid: CellGrid, path_grid: CellGrid) -> int:
     return path_grid.n_time // field_grid.n_time
 
 
-def iterated_chain(
-    fields: list[StepField], ens: PathEnsemble, mode: str = "auto"
-) -> np.ndarray:
+def iterated_chain(fields: list[StepField], ens: PathEnsemble) -> np.ndarray:
     """Time-ordered chain integral J(fields[0], ..., fields[-1]).
 
     fields[0] is innermost (integrated first). All fields share one grid; the
     paths may live on a refinement of it (required for Euler resolution
-    studies). mode: "exact" (pure jump only), "euler", or "auto" (exact when
-    sigma = 0, else euler).
+    studies). The walk is exact when sigma = 0 and Euler in the diffusion
+    part otherwise.
     """
     if not fields:
         raise ValueError("need at least one field")
@@ -142,13 +140,6 @@ def iterated_chain(
     for f in fields[1:]:
         if f.grid is not grid and f.grid.spec() != grid.spec():
             raise ValueError("chain fields live on different grids")
-    model = ens.grid.model
-    if mode == "auto":
-        mode = "exact" if model.sigma == 0 else "euler"
-    if mode not in ("exact", "euler"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "exact" and model.sigma != 0:
-        raise ValueError("exact mode requires a pure-jump model (sigma = 0)")
     refine = _grid_refinement(grid, ens.grid)
 
     n = len(fields)
@@ -177,10 +168,10 @@ def iterated_chain(
 
     state = np.zeros((P, n + 1), dtype=np.complex128)
     state[:, 0] = 1.0
-    sigma = model.sigma
+    sigma = ens.grid.model.sigma
     for k in range(K):
         kf = k // refine
-        if mode == "euler" and sigma > 0 and ens.brownian is not None:
+        if ens.brownian is not None:
             db = sigma * ens.brownian[:, k]
             for j in range(n, 0, -1):
                 g = field_vals[j - 1][kf, 0]
@@ -226,13 +217,11 @@ def iterated_chain(
     return state[:, n].copy()
 
 
-def iterated_integral(
-    field: StepField, n: int, ens: PathEnsemble, mode: str = "auto"
-) -> np.ndarray:
+def iterated_integral(field: StepField, n: int, ens: PathEnsemble) -> np.ndarray:
     """J_n of the tensor power of one field: iterated_chain([field] * n)."""
     if n < 1:
         raise ValueError("iterated integral needs n >= 1")
-    return iterated_chain([field] * n, ens, mode=mode)
+    return iterated_chain([field] * n, ens)
 
 
 def _binomial_series(counts: np.ndarray, v: complex, n_max: int) -> np.ndarray:

@@ -22,16 +22,14 @@ The stream: path i draws from Philox with key `seed` and counter (0, 0, i, 0),
 the state `Philox(key=seed).jumped(i)` starts from. It draws its Gaussian
 increments first, then per atom in order a Poisson count and that many
 uniforms. One generator is repositioned to each path's state, so path i is
-identical no matter how the paths are batched; `sample_path` draws one of
-them as a one-path `PathEnsemble`, and `PathEnsemble.paths(lo, hi)` takes a
-range of an ensemble. STREAM_VERSION names this layout; a change to it bumps
-the version, which every report bundle records in env.json.
+identical no matter how the paths are batched; `sample_ensemble(..., first=i)`
+draws paths from i on, and `PathEnsemble.paths(lo, hi)` takes a range of an
+ensemble. STREAM_VERSION names this layout; a change to it bumps the
+version, which every report bundle records in env.json.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from hashlib import sha256
 
 import numpy as np
 import numpy.random  # numpy imports it lazily at first use; import it with levy
@@ -42,7 +40,6 @@ __all__ = [
     "CellGrid",
     "StepField",
     "PathEnsemble",
-    "sample_path",
     "sample_ensemble",
     "cell_increments",
     "terminal_value",
@@ -181,10 +178,6 @@ class CellGrid:
             "atom_groups": [list(g) for g in self.atom_groups],
         }
 
-    def grid_hash(self) -> str:
-        payload = json.dumps(self.spec(), sort_keys=True, separators=(",", ":"))
-        return sha256(payload.encode()).hexdigest()[:16]
-
 
 @dataclass(eq=False)
 class StepField:
@@ -204,10 +197,6 @@ class StepField:
         if arr.shape != shape:
             raise ValueError(f"step field expects shape {shape}, got {arr.shape}")
         self.values = arr
-
-    @classmethod
-    def zero(cls, grid: CellGrid) -> "StepField":
-        return cls(grid, np.zeros((grid.n_time, grid.n_bins), dtype=np.complex128))
 
     @classmethod
     def from_columns(cls, grid: CellGrid, **columns) -> "StepField":
@@ -302,30 +291,19 @@ class PathEnsemble:
 
 
 def sample_ensemble(
-    model: LevyModel, grid: CellGrid, seed: int, n_paths: int
+    model: LevyModel, grid: CellGrid, seed: int, n_paths: int, first: int = 0
 ) -> PathEnsemble:
-    """Draw paths 0..n_paths-1 of the stream started at `seed`."""
-    if n_paths < 1:
-        raise ValueError("need at least one path")
-    return _draw(model, grid, seed, 0, n_paths)
-
-
-def sample_path(model: LevyModel, grid: CellGrid, seed: int, index: int = 0) -> PathEnsemble:
-    """Path `index` of the stream started at `seed`, as a one-path ensemble."""
-    # the stream writes the index into one 64-bit counter word
-    if not 0 <= index < 2**64:
-        raise ValueError("path index must be in [0, 2**64)")
-    return _draw(model, grid, seed, index, 1)
-
-
-def _draw(
-    model: LevyModel, grid: CellGrid, seed: int, first: int, n_paths: int
-) -> PathEnsemble:
-    """Paths first..first+n_paths-1, one generator repositioned to each.
+    """Draw paths first..first+n_paths-1 of the stream started at `seed`.
 
     Path i's state is the one Philox(key=seed).jumped(i) starts from: counter
-    (0, 0, i, 0). Jump records are packed once for the ensemble.
+    (0, 0, i, 0). One generator is repositioned to each path, and the jump
+    records are packed once for the ensemble.
     """
+    if n_paths < 1:
+        raise ValueError("need at least one path")
+    # the stream writes the path index into one 64-bit counter word
+    if first < 0 or first + n_paths > 2**64:
+        raise ValueError("path indices must lie in [0, 2**64)")
     if grid.model != model:
         raise ValueError("grid was built for a different model")
     T = model.horizon

@@ -23,23 +23,13 @@ class MCStat:
     se_re: float
     se_im: float
     n_paths: int
-    seed: int
-
-    def report(self) -> dict:
-        return {
-            "mean_re": self.mean.real,
-            "mean_im": self.mean.imag,
-            "se": self.se,
-            "n_paths": self.n_paths,
-            "seed": self.seed,
-        }
 
 
 def _fsum_mean(x: np.ndarray) -> float:
     return math.fsum(x.tolist()) / x.size
 
 
-def summarize(values: np.ndarray, seed: int = -1) -> MCStat:
+def summarize(values: np.ndarray) -> MCStat:
     """Mean and standard error of per-path samples (real or complex)."""
     v = np.asarray(values)
     if v.ndim != 1 or v.size == 0:
@@ -62,5 +52,4 @@ def summarize(values: np.ndarray, seed: int = -1) -> MCStat:
         se_re=se_re,
         se_im=se_im,
         n_paths=n,
-        seed=seed,
     )

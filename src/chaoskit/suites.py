@@ -9,11 +9,13 @@ bit-identical and records can be reproduced in isolation.
 A check is a function of the config that returns its records. Decorating it
 with @_registered("<suite>.<name>") appends it to that suite, so a suite runs
 its checks in definition order. A Monte Carlo check over the models returns
-_mc_per_model(...); a check over seeded random trials returns _trials(...).
-Every check turns many residuals into one value with _worst_of (z-scores with
-their standard errors: _worst), so a NaN residual is kept and fails its
-record; per-path relative errors go through _rel_gap, and every ensemble is
-drawn by _ensemble from the record's own stream.
+_mc_per_model(...), which draws, evaluates and reduces in path blocks; its
+stats body only yields per-path values and their targets. A check over seeded
+random trials returns _trials(...). Every check turns many residuals into one
+value with _worst_of (z-scores with their standard errors: _worst), so a NaN
+residual is kept and fails its record; per-path relative errors go through
+_rel_gap, and every other ensemble is drawn by _ensemble from the record's
+own stream.
 
 A guard-rail breach inside a check becomes a failing record, not a crash;
 anything else propagating out of a check is a bug and is allowed to surface.
@@ -233,12 +235,20 @@ def _registered(check_id: str):
     return deco
 
 
+# values per Monte Carlo block (paths x grid cells): 10 000 paths on a 64-cell grid
+_BLOCK_VALUES = 640_000
+
+
 def _mc_per_model(
     cfg: RunConfig, family: str, stats, note, models=("poisson", "brownian", "mixed")
 ) -> list[CheckRecord]:
     """One mc_sigmas record per model, id f"{family}.{model}": the worst z over
-    the (MCStat, target) pairs that stats(model, grid, ens) returns, the first
-    one on a tie. note is a string or a function of the grid."""
+    the (per-path values, target) pairs that stats(model, grid, ens) yields,
+    the first one on a tie. note is a string or a function of the grid.
+
+    The paths are drawn, evaluated and kept in blocks of consecutive paths;
+    each statistic's values are joined in path order and summarized once, so
+    the record does not depend on the block size."""
     by_name = {
         "poisson": poisson_preset(1.0, cfg.horizon),
         "brownian": brownian_preset(cfg.horizon),
@@ -248,10 +258,20 @@ def _mc_per_model(
     for name in models:
         model = by_name[name]
         check_id = f"{family}.{name}"
-        grid, ens = _ensemble(cfg, check_id, model, cfg.n_time, cfg.n_paths)
-        z, se = _worst(
-            [(_zscore(stat, target), stat.se) for stat, target in stats(model, grid, ens)]
-        )
+        grid = CellGrid(model, cfg.n_time)
+        seed = _check_seed(cfg.seed, check_id)
+        step = max(1, _BLOCK_VALUES // grid.n_cells)
+        blocks = []
+        for lo in range(0, cfg.n_paths, step):
+            n = min(step, cfg.n_paths - lo)
+            ens = sample_ensemble(model, grid, seed, n, first=lo)
+            # copies, so a column view does not keep the block's arrays alive
+            blocks.append([(np.array(v), t) for v, t in stats(model, grid, ens)])
+        pairs = []
+        for col in zip(*blocks):
+            stat = summarize(np.concatenate([v for v, _ in col]))
+            pairs.append((_zscore(stat, col[0][1]), stat.se))
+        z, se = _worst(pairs)
         records.append(
             _make_record(
                 check_id,
@@ -499,8 +519,8 @@ def _check_cell_moments(cfg: RunConfig):
     def stats(model, grid, ens):
         inc = cell_increments(ens)
         for ci in probes(grid):
-            yield summarize(inc[:, ci]), 0.0
-            yield summarize(inc[:, ci] ** 2), grid.cell_masses[ci]
+            yield inc[:, ci], 0.0
+            yield inc[:, ci] ** 2, grid.cell_masses[ci]
 
     return _mc_per_model(
         cfg,
@@ -517,7 +537,7 @@ def _check_characteristic(cfg: RunConfig):
         x = terminal_value(ens)
         for u in (0.5, 1.0, 2.0):
             target = complex(np.exp(-model.horizon * model.symbol(u)))
-            yield summarize(np.exp(1j * u * x)), target
+            yield np.exp(1j * u * x), target
 
     return _mc_per_model(
         cfg,
@@ -530,9 +550,9 @@ def _check_characteristic(cfg: RunConfig):
 @_registered("sim.sample_moments")
 def _check_sample_moments(cfg: RunConfig):
     def stats(model, grid, ens):
-        yield summarize(terminal_value(ens)), model.mean_slope * model.horizon
+        yield terminal_value(ens), model.mean_slope * model.horizon
         rate = sum(lam for _, lam in model.atoms) * model.horizon
-        yield summarize(np.diff(ens.offsets).astype(float)), rate
+        yield np.diff(ens.offsets).astype(float), rate
 
     return _mc_per_model(
         cfg,
@@ -553,7 +573,7 @@ def _check_chain_power(cfg: RunConfig):
     powers = power_integrals(field, 3, ens)
 
     def gap(n):
-        chain = iterated_chain([field] * n, ens, mode="exact")
+        chain = iterated_chain([field] * n, ens)
         scale = max(1.0, float(np.abs(powers[:, n]).max()))
         return float(np.abs(powers[:, n] - math.factorial(n) * chain).max()) / scale
 
@@ -577,7 +597,7 @@ def _check_euler_order(cfg: RunConfig):
     for K in (8, 16, 32, 64):
         grid, ens = _ensemble(cfg, f"{check_id}.{K}", model, K, n_paths)
         field = StepField.from_columns(grid, diffusion=np.ones(K))
-        j2 = iterated_chain([field, field], ens, mode="euler")
+        j2 = iterated_chain([field, field], ens)
         b1 = terminal_value(ens)
         gap = 2.0 * j2 - (b1**2 - cfg.horizon)
         gaps.append(float(np.mean(np.abs(gap) ** 2)))
@@ -665,8 +685,8 @@ def _check_doleans_martingale(cfg: RunConfig):
         prof = 0.8 * _profile_a(K)
         half_prof = prof.copy()
         half_prof[K // 2 :] = 0.0
-        yield summarize(doleans_exp(_field_profiles(grid, prof), ens)), 1.0
-        yield summarize(doleans_exp(_field_profiles(grid, half_prof), ens)), 1.0
+        yield doleans_exp(_field_profiles(grid, prof), ens), 1.0
+        yield doleans_exp(_field_profiles(grid, half_prof), ens), 1.0
 
     return _mc_per_model(
         cfg,
@@ -680,8 +700,8 @@ def _check_doleans_martingale(cfg: RunConfig):
 def _check_exp_martingale(cfg: RunConfig):
     def stats(model, grid, ens):
         mart = exp_martingale_grid(_profile_real(grid.n_time), ens)
-        yield summarize(mart[:, -1]), 1.0
-        yield summarize(mart[:, grid.n_time // 2]), 1.0
+        yield mart[:, -1], 1.0
+        yield mart[:, grid.n_time // 2], 1.0
 
     return _mc_per_model(
         cfg,
@@ -728,7 +748,7 @@ def _check_orthogonality(cfg: RunConfig):
         for m in range(4):
             for n in range(4):
                 target = math.factorial(n) * ip**n if m == n else 0.0
-                yield summarize(np.conj(pa[:, m]) * pb[:, n]), target
+                yield np.conj(pa[:, m]) * pb[:, n], target
 
     return _mc_per_model(
         cfg,
@@ -749,7 +769,7 @@ def _check_duality_tail(cfg: RunConfig):
         for roof in (2, 3, 4):
             partial = sum(powers[:, n] / math.factorial(n) for n in range(roof + 1))
             dist = np.abs(big - partial) ** 2
-            yield summarize(dist), _series_tail(energy, roof)
+            yield dist, _series_tail(energy, roof)
 
     return _mc_per_model(
         cfg,

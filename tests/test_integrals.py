@@ -22,7 +22,6 @@ from chaoskit.levy import (
     cell_increments,
     poisson_preset,
     sample_ensemble,
-    sample_path,
 )
 from chaoskit.montecarlo import summarize
 
@@ -52,7 +51,7 @@ def test_one_path_input_returns_length_one_arrays():
     model = poisson_preset(1.0, 1.0)
     grid = CellGrid(model, 4)
     field = jump_field(grid, np.full(4, 0.5))
-    path = sample_path(model, grid, seed=3)
+    path = sample_ensemble(model, grid, 3, 1)
     kern = np.full((4, 4), 0.25) - np.diag(np.full(4, 0.25))
     for out in (
         stochastic_integral(field, path),
@@ -85,7 +84,7 @@ def test_chain_times_factorial_equals_power_integrals():
     powers = power_integrals(field, 3, ens)
     assert np.allclose(powers[:, 0], 1.0)
     for n in range(1, 4):
-        chain = iterated_chain([field] * n, ens, mode="exact")
+        chain = iterated_chain([field] * n, ens)
         scale = np.max(np.abs(powers[:, n])) + 1.0
         assert np.max(np.abs(factorial(n) * chain - powers[:, n])) <= 1e-10 * scale
 
@@ -106,17 +105,8 @@ def test_euler_first_order_is_exact_on_the_shared_grid():
     prof = 0.4 + 0.3 * np.sin(2 * np.pi * np.arange(16) / 16)
     field = diffusion_field(grid, prof)
     ens = sample_ensemble(model, grid, seed=29, n_paths=80)
-    got = iterated_chain([field], ens, mode="euler")
+    got = iterated_chain([field], ens)
     assert np.allclose(got, stochastic_integral(field, ens), atol=1e-12)
-
-
-def test_exact_mode_refuses_diffusion_models():
-    model = brownian_preset(1.0)
-    grid = CellGrid(model, 4)
-    field = diffusion_field(grid, np.ones(4))
-    ens = sample_ensemble(model, grid, seed=1, n_paths=4)
-    with pytest.raises(ValueError):
-        iterated_chain([field], ens, mode="exact")
 
 
 def test_path_grid_must_refine_the_field_grid():
@@ -165,7 +155,7 @@ def test_doleans_pure_jump_product_formula():
     prof = 0.8 + 0.3 * np.cos(2 * np.pi * np.arange(6) / 6)
     field = jump_field(grid, prof)
     for seed in (11, 12, 13):
-        path = sample_path(model, grid, seed=seed)
+        path = sample_ensemble(model, grid, seed, 1)
         got = doleans_exp(field, path)
         want = np.exp(-grid.dt * np.sum(prof))
         for t in path.jump_times:
@@ -179,7 +169,7 @@ def test_doleans_diffusion_closed_form():
     prof = 0.5 + 0.2 * np.sin(2 * np.pi * np.arange(12) / 12)
     field = diffusion_field(grid, prof)
     for seed in (21, 22):
-        path = sample_path(model, grid, seed=seed)
+        path = sample_ensemble(model, grid, seed, 1)
         got = doleans_exp(field, path)
         want = np.exp(np.sum(prof * path.brownian) - 0.5 * np.sum(prof**2) * grid.dt)
         assert got == pytest.approx(complex(want), rel=1e-12)
@@ -221,6 +211,6 @@ def test_representation_residual_vanishes_for_pure_jump_paths():
     prof = 0.6 + 0.3 * np.sin(2 * np.pi * np.arange(8) / 8)
     worst = 0.0
     for i in range(20):
-        path = sample_path(model, grid, seed=71, index=i)
+        path = sample_ensemble(model, grid, 71, 1, first=i)
         worst = max(worst, representation_residual(prof, path))
     assert worst <= 1e-10

@@ -15,7 +15,6 @@ from chaoskit.levy import (
     cell_increments,
     poisson_preset,
     sample_ensemble,
-    sample_path,
     terminal_value,
 )
 
@@ -140,12 +139,6 @@ def test_cell_counts_match_a_hand_count(name):
         assert np.array_equal(ens.paths(lo, hi).cell_counts(), counts[lo:hi])
 
 
-def test_grid_hash_tracks_the_spec():
-    model = poisson_preset(1.0, 1.0)
-    assert CellGrid(model, 4).grid_hash() == CellGrid(model, 4).grid_hash()
-    assert CellGrid(model, 4).grid_hash() != CellGrid(model, 8).grid_hash()
-
-
 def _reference_path(model, grid, seed, index):
     """Path `index` drawn on its own, from a freshly jumped Philox stream.
 
@@ -185,6 +178,9 @@ def _assert_same_path(one, reference, label):
     assert one.offsets.tolist() == [0, times.size], label
 
 
+PACKED = ("brownian", "jump_times", "jump_atoms", "jump_paths", "offsets")
+
+
 def test_ensemble_matches_per_path_sampling():
     models = {
         "poisson": poisson_preset(1.0, 1.0),
@@ -204,8 +200,20 @@ def test_ensemble_matches_per_path_sampling():
                 lo, hi = ens.offsets[i], ens.offsets[i + 1]
                 assert np.array_equal(ens.jump_paths[lo:hi], np.full(hi - lo, i))
                 _assert_same_path(ens.paths(i, i + 1), want, (name, seed, i))
-                solo = sample_path(model, grid, seed=seed, index=i)
+                solo = sample_ensemble(model, grid, seed, 1, first=i)
                 _assert_same_path(solo, want, (name, seed, i))
+            # a block drawn from its first path on is that range of the ensemble
+            for lo, n in ((0, 24), (0, 5), (5, 7), (12, 12), (23, 1)):
+                part = ens.paths(lo, lo + n)
+                block = sample_ensemble(model, grid, seed, n, first=lo)
+                assert block.n_paths == n, (name, seed, lo)
+                for attr in PACKED:
+                    a, b = getattr(part, attr), getattr(block, attr)
+                    label = (name, seed, lo, attr)
+                    if a is None:
+                        assert b is None, label
+                    else:
+                        assert a.dtype == b.dtype and np.array_equal(a, b), label
             assert ens.jump_atoms.dtype == np.int64
             if name == "no jumps drawn":
                 assert ens.jump_times.size == 0
@@ -256,14 +264,22 @@ def test_paths_refuse_ranges_outside_the_ensemble():
             ens.paths(lo, hi)
 
 
-def test_sample_path_refuses_an_index_outside_the_stream():
+def test_sample_ensemble_refuses_paths_outside_the_stream(monkeypatch):
     model = poisson_preset(1.0, 1.0)
     grid = CellGrid(model, 4)
-    for index in (-1, 2**64):
-        with pytest.raises(ValueError, match="index"):
-            sample_path(model, grid, seed=4, index=index)
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew before refusing the range")
+
+    monkeypatch.setattr(np.random, "Philox", no_draw)
+    for first, n_paths in ((-1, 1), (2**64, 1), (2**64 - 2, 3)):
+        with pytest.raises(ValueError, match="path indices"):
+            sample_ensemble(model, grid, 4, n_paths, first=first)
+    monkeypatch.undo()
+    # the last path of the stream is still drawable
+    assert sample_ensemble(model, grid, 4, 2, first=2**64 - 2).n_paths == 2
     with pytest.raises(ValueError, match="different model"):
-        sample_path(brownian_preset(), grid, seed=4)
+        sample_ensemble(brownian_preset(), grid, 4, 1)
 
 
 def test_seed_controls_the_draw():
@@ -297,7 +313,7 @@ def _compensated_increments(ens, i):
 def test_cell_increments_follow_the_compensated_formula():
     model = LevyModel(b=0.2, sigma=0.7, atoms=((1.0, 2.0), (0.4, 3.0)), horizon=1.0)
     grid = CellGrid(model, 5)
-    path = sample_path(model, grid, seed=123)
+    path = sample_ensemble(model, grid, 123, 1)
     inc = cell_increments(path)
     assert inc.shape == (1, grid.n_cells)
     assert path.jump_times.size > 0

@@ -35,9 +35,3 @@ def test_summarize_input_validation():
     with pytest.raises(ValueError):
         summarize(np.array([]))
 
-
-def test_report_dict_is_plain_floats():
-    s = summarize(np.array([1.0 + 2j, 3.0 - 1j]))
-    rep = s.report()
-    assert set(rep) == {"mean_re", "mean_im", "se", "n_paths", "seed"}
-    assert rep["mean_re"] == pytest.approx(2.0)

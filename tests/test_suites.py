@@ -104,6 +104,25 @@ def test_report_bytes_are_pinned_per_suite(suite):
     assert sha256(payload.encode()).hexdigest() == REPORT_SHA256[suite]
 
 
+@pytest.mark.parametrize("suite", ["sim", "chaos"])
+def test_report_bytes_do_not_depend_on_the_path_blocks(monkeypatch, suite):
+    # 37 paths per block on the 8-cell grids (18 on the 16-cell mixed grid),
+    # so 400 paths end in an uneven block
+    monkeypatch.setattr(suites, "_BLOCK_VALUES", 37 * 8)
+    blocks = []
+    real = suites.sample_ensemble
+
+    def recording(model, grid, seed, n_paths, first=0):
+        blocks.append((grid.n_cells, first, n_paths))
+        return real(model, grid, seed, n_paths, first=first)
+
+    monkeypatch.setattr(suites, "sample_ensemble", recording)
+    records = run_suite(RunConfig(suite=suite, **SMALL))
+    payload = "".join(json.dumps(r.row(), sort_keys=True) + "\n" for r in records)
+    assert sha256(payload.encode()).hexdigest() == REPORT_SHA256[suite]
+    assert (8, 370, 30) in blocks and (8, 333, 37) in blocks
+
+
 @pytest.mark.parametrize("n", range(7))
 def test_half_integral_agrees_with_quad_and_the_closed_form(n):
     from scipy.integrate import quad  # a reference route only; chaoskit never imports it
@@ -273,7 +292,7 @@ NAN_PROBES = [
     ),
     (
         "_check_chain_power",
-        [("iterated_chain", lambda real: lambda fields, ens, mode: math.nan)],
+        [("iterated_chain", lambda real: lambda fields, ens: math.nan)],
         ["sim.chain_power"],
     ),
     (
