@@ -6,7 +6,10 @@ Three engines, cross-validated in the tests:
   J(g_1, ..., g_n) = Int_{t_1 < ... < t_n} g_1(w_1) ... g_n(w_n) dM ... dM.
   Between events the state vector obeys a nilpotent triangular ODE driven by
   the compensator, solved in closed form per cell; jumps apply exact updates
-  at their event times. Exact for pure-jump models; with a diffusion part
+  at their event times. Inside a cell all jumpy paths advance together, one
+  event rank at a time, through stacks of transfer matrices, so the Python
+  work grows with the most jumps one path has in a cell, not with the number
+  of jumps or paths. Exact for pure-jump models; with a diffusion part
   (sigma > 0) it keeps the jump/compensator handling exact and adds an Euler
   left-point update for the diffusion part at each cell start, biased O(dt).
 
@@ -103,16 +106,49 @@ def product_integral(kernel, ens: PathEnsemble) -> np.ndarray:
     return out
 
 
-def _transfer_matrix(comp: np.ndarray, delta: float) -> np.ndarray:
-    """Closed-form flow of the compensator ODE z_j' = -comp[j-1] z_{j-1}."""
-    n = comp.shape[0]
-    L = np.eye(n + 1, dtype=np.complex128)
-    for i in range(n + 1):
-        prod = 1.0 + 0.0j
-        for j in range(i + 1, n + 1):
-            prod = prod * (-comp[j - 1])
-            L[j, i] = prod * delta ** (j - i) / factorial(j - i)
+def _compensator_weights(comp: np.ndarray) -> np.ndarray:
+    """Transfer weights of compensator rows comp (C, n), shape (C, n+1, n+1).
+
+    Entry (j, i) below the diagonal is prod_{i < l <= j} (-comp[c, l-1]),
+    multiplied up in l as complex scalars; the diagonal is 1, the rest 0.
+    """
+    C, n = comp.shape
+    out = np.zeros((C, n + 1, n + 1), dtype=np.complex128)
+    for c in range(C):
+        for i in range(n + 1):
+            out[c, i, i] = 1.0
+            prod = 1.0 + 0.0j
+            for j in range(i + 1, n + 1):
+                prod = prod * (-comp[c, j - 1])
+                out[c, j, i] = prod
+    return out
+
+
+def _transfer_matrices(weights: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+    """Closed-form flows of the compensator ODE z_j' = -comp[j-1] z_{j-1}.
+
+    One (n+1, n+1) matrix per gap, stacked as (m, n+1, n+1): entry (j, i) is
+    weights[j, i] * delta^(j-i) / (j-i)!, for weights of shape (m, n+1, n+1),
+    one per gap, or (1, n+1, n+1), shared. The powers come from Python's
+    float pow and the complex-by-real products are spelled out in real
+    arithmetic, because numpy's array power and complex multiply are not
+    bit-equal to the scalar operations; so every matrix has the bits of one
+    built from scalars, whatever the stack.
+    """
+    size = weights.shape[-1]
+    order = np.maximum(np.subtract.outer(np.arange(size), np.arange(size)), 0)
+    gaps = deltas.tolist()
+    pw = np.array([[d**k for d in gaps] for k in range(size)])[order].transpose(2, 0, 1)
+    L = np.empty(pw.shape, dtype=np.complex128)
+    L.real = weights.real * pw - weights.imag * 0.0
+    L.imag = weights.real * 0.0 + weights.imag * pw
+    L /= np.array([float(factorial(k)) for k in range(size)])[order]
     return L
+
+
+def _flow(weights: np.ndarray, deltas: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """Z[r] carried over the gap deltas[r] by its transfer matrix, per row."""
+    return np.matmul(_transfer_matrices(weights, deltas), Z[:, :, None])[:, :, 0]
 
 
 def _grid_refinement(field_grid: CellGrid, path_grid: CellGrid) -> int:
@@ -155,16 +191,26 @@ def iterated_chain(fields: list[StepField], ens: PathEnsemble) -> np.ndarray:
     for k in range(grid.n_time):
         for j in range(n):
             comp[k, j] = np.sum(field_vals[j][k, 1:n_bins] * rates)
+    weights = _compensator_weights(comp)
+    # the flow over each whole path cell
+    cell_flow = _transfer_matrices(weights[np.arange(K) // refine], np.full(K, dt))
 
-    # jumps sorted by (path cell, path, time)
+    # jumps sorted by (path cell, path, time); a run is one path's jumps in
+    # one cell, and an event's rank is its place in its run
     cells = ens.jump_cells
-    bins = ens.jump_bins
     order = np.lexsort((ens.jump_times, ens.jump_paths, cells))
     s_cells = cells[order]
     s_paths = ens.jump_paths[order]
     s_times = ens.jump_times[order]
-    s_bins = bins[order]
+    s_bins = ens.jump_bins[order]
     cell_start = np.searchsorted(s_cells, np.arange(K + 1))
+    new_run = np.ones(s_cells.size, dtype=bool)
+    new_run[1:] = (s_cells[1:] != s_cells[:-1]) | (s_paths[1:] != s_paths[:-1])
+    run_start = np.flatnonzero(new_run)
+    run_of = np.cumsum(new_run) - 1
+    rank = np.arange(s_cells.size) - run_start[run_of]
+    # the same events grouped by (path cell, rank, path)
+    by_rank = np.lexsort((s_paths, rank, s_cells))
 
     state = np.zeros((P, n + 1), dtype=np.complex128)
     state[:, 0] = 1.0
@@ -177,43 +223,49 @@ def iterated_chain(fields: list[StepField], ens: PathEnsemble) -> np.ndarray:
                 g = field_vals[j - 1][kf, 0]
                 if g != 0:
                     state[:, j] += g * db * state[:, j - 1]
-        L = _transfer_matrix(comp[kf], dt)
+        L = cell_flow[k]
+        w = weights[kf : kf + 1]
         lo, hi = cell_start[k], cell_start[k + 1]
         if lo == hi:
             state = state @ L.T
             continue
-        # the lexsort leaves each cell's paths sorted, so the distinct ones
-        # start each run (np.unique would also import numpy.ma at first call)
-        seg = s_paths[lo:hi]
-        jumpy = seg[np.concatenate(([True], seg[1:] != seg[:-1]))]
-        saved = state[jumpy].copy()
+        # row r of Z is the r-th run of this cell, i.e. path jumpy[r]
+        jumpy = s_paths[run_start[run_of[lo] : run_of[hi - 1] + 1]]
+        Z = state[jumpy]
         state = state @ L.T
-        row_of = {int(p): r for r, p in enumerate(jumpy)}
-        t_left = k * dt
+        seg = by_rank[lo:hi]
+        ranks = rank[seg]
+        rows = run_of[seg] - run_of[lo]
+        times = s_times[seg]
+        bins = s_bins[seg]
+        t_cur = np.full(jumpy.size, k * dt)
+        # rank by rank: every path with more than r jumps here takes its r-th
+        bounds = np.searchsorted(ranks, np.arange(ranks[-1] + 2))
+        for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+            r_rows, t_e = rows[a:b], times[a:b]
+            move = t_e > t_cur[r_rows]
+            if move.any():
+                sub = r_rows[move]
+                Z[sub] = _flow(w, t_e[move] - t_cur[sub], Z[sub])
+                t_cur[sub] = t_e[move]
+            for j in range(n, 0, -1):
+                g = field_vals[j - 1][kf, bins[a:b]]
+                hit = g != 0
+                if not hit.any():
+                    continue
+                # z[j] += g z[j-1] in real arithmetic, as the scalar product
+                # rounds: numpy's complex array multiply may fuse (FMA)
+                g, hit_rows = g[hit], r_rows[hit]
+                prev = Z[hit_rows, j - 1]
+                step = np.empty_like(prev)
+                step.real = g.real * prev.real - g.imag * prev.imag
+                step.imag = g.real * prev.imag + g.imag * prev.real
+                Z[hit_rows, j] += step
         t_right = (k + 1) * dt
-        # walk each jumpy path's events inside this cell
-        idx = lo
-        while idx < hi:
-            p = int(s_paths[idx])
-            stop = idx
-            while stop < hi and s_paths[stop] == p:
-                stop += 1
-            z = saved[row_of[p]]
-            t_cur = t_left
-            for e in range(idx, stop):
-                t_e = float(s_times[e])
-                if t_e > t_cur:
-                    z = _transfer_matrix(comp[kf], t_e - t_cur) @ z
-                    t_cur = t_e
-                b = int(s_bins[e])
-                for j in range(n, 0, -1):
-                    g = field_vals[j - 1][kf, b]
-                    if g != 0:
-                        z[j] += g * z[j - 1]
-            if t_right > t_cur:
-                z = _transfer_matrix(comp[kf], t_right - t_cur) @ z
-            state[p] = z
-            idx = stop
+        move = t_right > t_cur
+        if move.any():
+            Z[move] = _flow(w, t_right - t_cur[move], Z[move])
+        state[jumpy] = Z
     return state[:, n].copy()
 
 
@@ -225,24 +277,22 @@ def iterated_integral(field: StepField, n: int, ens: PathEnsemble) -> np.ndarray
 
 
 def _binomial_series(counts: np.ndarray, v: complex, n_max: int) -> np.ndarray:
-    """Coefficients of (1 + v z)^N per path, truncated at degree n_max."""
-    P = counts.shape[0]
-    out = np.zeros((P, n_max + 1), dtype=np.complex128)
-    out[:, 0] = 1.0
-    binom = np.ones(P)
+    """Coefficients of (1 + v z)^N per path, truncated: (n_max + 1, P) rows."""
+    out = np.zeros((n_max + 1, counts.shape[0]), dtype=np.complex128)
+    out[0] = 1.0
+    binom = np.ones(counts.shape[0])
     for r in range(1, n_max + 1):
         binom = binom * (counts - (r - 1)) / r
-        out[:, r] = binom * v**r
+        out[r] = binom * v**r
     return out
 
 
 def _convolve_into(acc: np.ndarray, fac: np.ndarray) -> np.ndarray:
-    n_max = acc.shape[1] - 1
+    """Series product of (n_max + 1, P) rows with per-path rows or constants."""
     out = np.zeros_like(acc)
-    for m in range(n_max + 1):
+    for m in range(acc.shape[0]):
         for r in range(m + 1):
-            col = fac[:, m - r] if fac.ndim == 2 else fac[m - r]
-            out[:, m] += acc[:, r] * col
+            out[m] += acc[r] * fac[m - r]
     return out
 
 
@@ -251,7 +301,8 @@ def power_integrals(field: StepField, n_max: int, ens: PathEnsemble) -> np.ndarr
 
     Coefficients of the stochastic exponential of z * field, multiplied by n!.
     Valid for any finite-activity model; per-cell factors only need the cell
-    increments and jump counts, which the exact simulation provides.
+    increments and jump counts, which the exact simulation provides. The
+    series are held order-major, one contiguous row of P paths per order.
     """
     grid = ens.grid
     if field.grid.spec() != grid.spec():
@@ -260,22 +311,22 @@ def power_integrals(field: StepField, n_max: int, ens: PathEnsemble) -> np.ndarr
     P = ens.n_paths
     K = grid.n_time
     dt = grid.dt
-    acc = np.zeros((P, n_max + 1), dtype=np.complex128)
-    acc[:, 0] = 1.0
+    acc = np.zeros((n_max + 1, P), dtype=np.complex128)
+    acc[0] = 1.0
     if n_max == 0:
-        return acc
-    counts = ens.cell_counts() if ens.jump_times.size else None
+        return acc.T.copy()
+    counts = ens.cell_counts().T.copy() if ens.jump_times.size else None
     expo = np.empty(n_max + 1, dtype=np.complex128)
-    herm = np.zeros((P, n_max + 1), dtype=np.complex128)
+    herm = np.zeros((n_max + 1, P), dtype=np.complex128)
     for k in range(K):
         if model.sigma > 0:
             v0 = field.values[k, 0]
             x = v0 * model.sigma * ens.brownian[:, k]
             s = v0 * v0 * model.sigma**2 * dt
-            herm[:, 0] = 1.0
-            herm[:, 1] = x
+            herm[0] = 1.0
+            herm[1] = x
             for m in range(2, n_max + 1):
-                herm[:, m] = (x * herm[:, m - 1] - (m - 1) * s * herm[:, m - 2]) / m
+                herm[m] = (x * herm[m - 1] - (m - 1) * s * herm[m - 2]) / m
             acc = _convolve_into(acc, herm)
         for b in range(1, grid.n_bins):
             v = complex(field.values[k, b])
@@ -289,12 +340,12 @@ def power_integrals(field: StepField, n_max: int, ens: PathEnsemble) -> np.ndarr
             if counts is None:
                 acc = _convolve_into(acc, expo)
             else:
-                binom = _binomial_series(counts[:, grid.column[k, b]], v, n_max)
+                binom = _binomial_series(counts[grid.column[k, b]], v, n_max)
                 both = _convolve_into(binom, expo)
                 acc = _convolve_into(acc, both)
     for m in range(n_max + 1):
-        acc[:, m] *= factorial(m)
-    return acc
+        acc[m] *= factorial(m)
+    return acc.T.copy()
 
 
 def doleans_exp(field: StepField, ens: PathEnsemble) -> np.ndarray:

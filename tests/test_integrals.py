@@ -4,6 +4,7 @@ from math import factorial
 import numpy as np
 import pytest
 
+from chaoskit import integrals
 from chaoskit.integrals import (
     doleans_exp,
     exp_martingale_grid,
@@ -17,6 +18,8 @@ from chaoskit.integrals import (
 )
 from chaoskit.levy import (
     CellGrid,
+    LevyModel,
+    PathEnsemble,
     StepField,
     brownian_preset,
     cell_increments,
@@ -214,3 +217,241 @@ def test_representation_residual_vanishes_for_pure_jump_paths():
         path = sample_ensemble(model, grid, 71, 1, first=i)
         worst = max(worst, representation_residual(prof, path))
     assert worst <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the chain engine against its per-event reference walk
+
+# the jump-dominated model of the verify-jumps benchmark: ~14 jumps per path
+JUMPY = LevyModel(sigma=0.3, atoms=((1.0, 8.0), (-0.5, 6.0)))
+MIXED = LevyModel(sigma=1.0, atoms=((1.0, 1.0),))
+
+
+def _reference_transfer_matrix(comp, delta):
+    """Closed-form flow of the compensator ODE z_j' = -comp[j-1] z_{j-1}."""
+    n = comp.shape[0]
+    L = np.eye(n + 1, dtype=np.complex128)
+    for i in range(n + 1):
+        prod = 1.0 + 0.0j
+        for j in range(i + 1, n + 1):
+            prod = prod * (-comp[j - 1])
+            L[j, i] = prod * delta ** (j - i) / factorial(j - i)
+    return L
+
+
+def _reference_chain(fields, ens):
+    """The chain engine walking every jump of every path on its own.
+
+    Cell by cell: the Euler diffusion update, the cell-wide transfer for all
+    paths, then each jumpy path's events in time order from its saved state.
+    """
+    grid = fields[0].grid
+    refine = ens.grid.n_time // grid.n_time
+
+    n = len(fields)
+    P = ens.n_paths
+    K = ens.grid.n_time
+    dt = ens.grid.dt
+    rates = ens.grid.bin_rates  # nu per jump bin
+    n_bins = ens.grid.n_bins
+
+    # per field-cell compensator rates c_j = sum_b g_j(cell, b) nu_b
+    field_vals = [f.values for f in fields]
+    comp = np.empty((grid.n_time, n), dtype=np.complex128)
+    for k in range(grid.n_time):
+        for j in range(n):
+            comp[k, j] = np.sum(field_vals[j][k, 1:n_bins] * rates)
+
+    # jumps sorted by (path cell, path, time)
+    cells = ens.jump_cells
+    bins = ens.jump_bins
+    order = np.lexsort((ens.jump_times, ens.jump_paths, cells))
+    s_cells = cells[order]
+    s_paths = ens.jump_paths[order]
+    s_times = ens.jump_times[order]
+    s_bins = bins[order]
+    cell_start = np.searchsorted(s_cells, np.arange(K + 1))
+
+    state = np.zeros((P, n + 1), dtype=np.complex128)
+    state[:, 0] = 1.0
+    sigma = ens.grid.model.sigma
+    for k in range(K):
+        kf = k // refine
+        if ens.brownian is not None:
+            db = sigma * ens.brownian[:, k]
+            for j in range(n, 0, -1):
+                g = field_vals[j - 1][kf, 0]
+                if g != 0:
+                    state[:, j] += g * db * state[:, j - 1]
+        L = _reference_transfer_matrix(comp[kf], dt)
+        lo, hi = cell_start[k], cell_start[k + 1]
+        if lo == hi:
+            state = state @ L.T
+            continue
+        seg = s_paths[lo:hi]
+        jumpy = seg[np.concatenate(([True], seg[1:] != seg[:-1]))]
+        saved = state[jumpy].copy()
+        state = state @ L.T
+        row_of = {int(p): r for r, p in enumerate(jumpy)}
+        t_left = k * dt
+        t_right = (k + 1) * dt
+        # walk each jumpy path's events inside this cell
+        idx = lo
+        while idx < hi:
+            p = int(s_paths[idx])
+            stop = idx
+            while stop < hi and s_paths[stop] == p:
+                stop += 1
+            z = saved[row_of[p]]
+            t_cur = t_left
+            for e in range(idx, stop):
+                t_e = float(s_times[e])
+                if t_e > t_cur:
+                    z = _reference_transfer_matrix(comp[kf], t_e - t_cur) @ z
+                    t_cur = t_e
+                b = int(s_bins[e])
+                for j in range(n, 0, -1):
+                    g = field_vals[j - 1][kf, b]
+                    if g != 0:
+                        z[j] += g * z[j - 1]
+            if t_right > t_cur:
+                z = _reference_transfer_matrix(comp[kf], t_right - t_cur) @ z
+            state[p] = z
+            idx = stop
+    return state[:, n].copy()
+
+
+def _random_fields(grid, count, rng, zero_share=0.3):
+    """Complex fields on every bin of the grid, with some bins set to zero."""
+    out = []
+    for _ in range(count):
+        vals = rng.standard_normal((grid.n_time, grid.n_bins)) + 1j * rng.standard_normal(
+            (grid.n_time, grid.n_bins)
+        )
+        vals[rng.random(vals.shape) < zero_share] = 0.0
+        out.append(StepField(grid, vals))
+    return out
+
+
+def _assert_same_bytes(got, want, label):
+    assert got.shape == want.shape and got.dtype == want.dtype, label
+    assert got.tobytes() == want.tobytes(), label
+
+
+def test_stacked_transfer_matrices_have_the_scalar_bits():
+    rng = np.random.default_rng(15)
+    dt = 0.125
+    gaps = dt * (1.0 - rng.random(10_000))  # in (0, dt]
+    gaps[:2] = (dt, np.nextafter(0.0, 1.0))
+    # add gaps whose powers numpy's array power rounds differently from
+    # Python's float pow, where this build of numpy has such gaps
+    pool = dt * (1.0 - rng.random(200_000))
+    for k in (2, 3, 4):
+        python_pow = np.array([d**k for d in pool.tolist()])
+        differ = pool[np.power(pool, k) != python_pow]
+        gaps = np.concatenate((gaps, differ[:200]))
+    for n in range(1, 5):
+        # one compensator row per gap, and one row shared by all gaps
+        comp = rng.standard_normal((gaps.size, n)) + 1j * rng.standard_normal((gaps.size, n))
+        comp[rng.random(comp.shape) < 0.25] = 0.0
+        weights = integrals._compensator_weights(comp)
+        got = integrals._transfer_matrices(weights, gaps)
+        shared = integrals._transfer_matrices(weights[:1], gaps)
+        for out in (got, shared):
+            assert out.shape == (gaps.size, n + 1, n + 1) and out.dtype == np.complex128
+        for i, d in enumerate(gaps.tolist()):
+            want = _reference_transfer_matrix(comp[i], d)
+            assert got[i].tobytes() == want.tobytes(), (n, i, d)
+            want = _reference_transfer_matrix(comp[0], d)
+            assert shared[i].tobytes() == want.tobytes(), (n, i, d, "shared")
+
+
+def test_chain_matches_the_reference_walk_on_drawn_paths():
+    rng = np.random.default_rng(16)
+    cases = [
+        ("poisson", poisson_preset(1.0, 1.0), 8, 1),
+        ("mixed", MIXED, 8, 1),
+        ("mixed refined", MIXED, 4, 2),
+        ("no jumps drawn", LevyModel(sigma=0.5, atoms=((1.0, 1e-12),)), 4, 2),
+        ("brownian", brownian_preset(1.0), 4, 1),
+    ]
+    cases += [("jumpy", JUMPY, 4, refine) for refine in (1, 2, 4)]
+    for name, model, K, refine in cases:
+        field_grid = CellGrid(model, K)
+        ens = sample_ensemble(model, CellGrid(model, K * refine), seed=K + refine, n_paths=150)
+        if name == "no jumps drawn":
+            assert ens.jump_times.size == 0
+        for count in range(1, 5):
+            fields = _random_fields(field_grid, count, rng)
+            label = (name, refine, count)
+            _assert_same_bytes(iterated_chain(fields, ens), _reference_chain(fields, ens), label)
+        # a constant field has no zero bins and repeats one field
+        field = _random_fields(field_grid, 1, rng, zero_share=0.0)[0]
+        for n in (1, 3):
+            _assert_same_bytes(
+                iterated_integral(field, n, ens),
+                _reference_chain([field] * n, ens),
+                (name, refine, "power", n),
+            )
+
+
+def _hand_built(model, grid, times_per_path, rng):
+    """A PathEnsemble from explicit sorted jump times, atoms taken in turn."""
+    times = np.concatenate([np.asarray(t, dtype=np.float64) for t in times_per_path])
+    counts = [len(t) for t in times_per_path]
+    offsets = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
+    paths = np.repeat(np.arange(len(counts)), counts).astype(np.int64)
+    atoms = (np.arange(times.size) % len(model.atoms)).astype(np.int64)
+    brownian = None
+    if model.sigma > 0:
+        brownian = rng.normal(0.0, np.sqrt(grid.dt), (len(counts), grid.n_time))
+    return PathEnsemble(grid, len(counts), brownian, times, atoms, paths, offsets)
+
+
+def test_chain_matches_the_reference_walk_on_edge_times():
+    rng = np.random.default_rng(17)
+    below = np.nextafter(0.5, 0.0)  # K = 6 puts it in cell 3, below that cell's left edge
+    times_per_path = [
+        [0.5],  # exactly at the left edge of cell 3
+        [0.2, 0.2, 0.7],  # two jumps of one path at the same time
+        [1.0],  # at the horizon
+        [],
+        [1.0 / 6.0, below, 0.5, 0.5, 0.9, 1.0, 1.0],
+    ]
+    for model in (LevyModel(sigma=0.0, atoms=((1.0, 2.0), (-0.5, 1.0))), JUMPY):
+        grid = CellGrid(model, 6)
+        ens = _hand_built(model, grid, times_per_path, rng)
+        assert ens.jump_cells.tolist() == [3, 1, 1, 4, 5, 1, 3, 3, 3, 5, 5, 5]
+        for refine in (1, 2, 3):
+            # the paths' grid refines the fields' grid by `refine`
+            field_grid = CellGrid(model, 6 // refine)
+            for count in range(1, 5):
+                fields = _random_fields(field_grid, count, rng)
+                _assert_same_bytes(
+                    iterated_chain(fields, ens),
+                    _reference_chain(fields, ens),
+                    (model.sigma, refine, count),
+                )
+
+
+def test_chain_python_work_grows_with_event_ranks(monkeypatch):
+    model = JUMPY
+    K = 4
+    grid = CellGrid(model, K)
+    ens = sample_ensemble(model, grid, seed=9, n_paths=400)
+    calls = []
+    builder = integrals._transfer_matrices
+
+    def counting(weights, deltas):
+        calls.append(deltas.size)
+        return builder(weights, deltas)
+
+    monkeypatch.setattr(integrals, "_transfer_matrices", counting)
+    field = _random_fields(grid, 1, np.random.default_rng(18), zero_share=0.0)[0]
+    iterated_chain([field] * 3, ens)
+    per_cell = np.zeros((ens.n_paths, K), dtype=np.int64)
+    np.add.at(per_cell, (ens.jump_paths, ens.jump_cells), 1)
+    bound = K + int(np.sum(per_cell.max(axis=0) + 1))
+    assert len(calls) <= bound
+    # the bound is far below one call per jump, so this is a real limit
+    assert bound < ens.jump_times.size // 10
