@@ -34,11 +34,8 @@ from .exponential import ExpCombo, exp_gram, exp_shift
 from .indices import GuardLimitError, level_dim, occupations
 from .integrals import (
     doleans_exp,
-    exp_martingale_terminal,
     iterated_chain,
-    iterated_integral,
     power_integrals,
-    product_integral,
     stochastic_integral,
 )
 from .levy import (
@@ -85,20 +82,17 @@ __all__ = [
     "embed_marked",
     "emit_report",
     "exp_gram",
-    "exp_martingale_terminal",
     "exp_shift",
     "exp_vector",
     "extract_chaos",
     "ito_skorohod",
     "ito_skorohod_chaos",
     "iterated_chain",
-    "iterated_integral",
     "level_dim",
     "load_chaos",
     "occupations",
     "poisson_preset",
     "power_integrals",
-    "product_integral",
     "project_mc",
     "run_suite",
     "sample_ensemble",

@@ -14,7 +14,7 @@ import sys
 
 from .config import SUITES, RunConfig
 from .reporting import emit_report, format_value, make_run_dir
-from .suites import pool_size, run_suite, suite_checks
+from .suites import run_suite
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -49,11 +49,6 @@ def main(argv=None) -> int:
         config = _resolved_config(args)
     except (OSError, ValueError) as exc:
         print(f"chaoskit: invalid config: {exc}", file=sys.stderr)
-        return 2
-    try:
-        pool_size(len(suite_checks(config.suite)))
-    except ValueError as exc:
-        print(f"chaoskit: invalid environment: {exc}", file=sys.stderr)
         return 2
     try:
         # an unusable output root is refused before any check runs

@@ -1,6 +1,6 @@
 """Pathwise stochastic integrals against the compensated noise.
 
-Three engines, cross-validated in the tests:
+Two engines, cross-validated in the tests:
 
 * chain engine (`iterated_chain`): time-ordered integrals of a field chain,
   J(g_1, ..., g_n) = Int_{t_1 < ... < t_n} g_1(w_1) ... g_n(w_n) dM ... dM.
@@ -19,10 +19,6 @@ Three engines, cross-validated in the tests:
   pathwise (heat-Hermite coefficients on the diffusion bin, shifted binomial
   coefficients on jump bins, truncated series product across cells).
 
-* product formula (`product_integral`): for kernels vanishing on diagonals,
-  the multiple integral is the plain contraction against products of cell
-  increments.
-
 First-order integrals, the stochastic (Doleans) exponential, and the
 characteristic-function martingale with its integrand reconstruction live
 here too. Every engine takes a PathEnsemble and returns one value per path;
@@ -34,7 +30,6 @@ from math import factorial
 
 import numpy as np
 
-from .indices import MAX_LEVEL_COEFFS, GuardLimitError
 from .levy import (
     CellGrid,
     PathEnsemble,
@@ -44,12 +39,9 @@ from .levy import (
 
 __all__ = [
     "stochastic_integral",
-    "product_integral",
     "iterated_chain",
-    "iterated_integral",
     "power_integrals",
     "doleans_exp",
-    "exp_martingale_terminal",
     "exp_martingale_grid",
     "representation_residual",
 ]
@@ -62,48 +54,6 @@ def stochastic_integral(field: StepField, ens: PathEnsemble) -> np.ndarray:
     vals = field.cell_values()
     inc = cell_increments(ens)
     return inc.astype(np.complex128) @ vals
-
-
-def product_integral(kernel, ens: PathEnsemble) -> np.ndarray:
-    """Contraction of an off-diagonal kernel against increment products.
-
-    kernel is a dense (c, ..., c) array over the retained cells; any entry
-    with two equal indices must vanish (the product formula does not see
-    diagonal mass). Complexity is one tensor contraction per path block.
-    """
-    kern = np.asarray(kernel, dtype=np.complex128)
-    c = ens.grid.n_cells
-    if kern.ndim == 0:
-        raise ValueError("kernel must have degree >= 1")
-    if kern.shape != (c,) * kern.ndim:
-        raise ValueError(
-            f"kernel shape {kern.shape} does not match {kern.ndim} copies of {c} cells"
-        )
-    if kern.size > MAX_LEVEL_COEFFS:
-        raise GuardLimitError(
-            f"kernel carries {kern.size} coefficients, budget is {MAX_LEVEL_COEFFS}"
-        )
-    for a in range(kern.ndim):
-        for b in range(a + 1, kern.ndim):
-            diag = np.diagonal(kern, axis1=a, axis2=b)
-            if np.any(diag != 0):
-                raise ValueError(
-                    "product integral requires the kernel to vanish on diagonals"
-                )
-    inc = cell_increments(ens).astype(np.complex128)
-    out = np.empty(ens.n_paths, dtype=np.complex128)
-    block = max(1, int(2_000_000 // max(kern.size // c, 1)))
-    flat = kern.reshape(-1, c)
-    for lo in range(0, ens.n_paths, block):
-        hi = min(lo + block, ens.n_paths)
-        part = flat @ inc[lo:hi].T  # (c^(n-1), P_block)
-        n = kern.ndim - 1
-        while n >= 1:
-            part = part.reshape(c ** (n - 1), c, hi - lo)
-            part = np.einsum("acp,pc->ap", part, inc[lo:hi])
-            n -= 1
-        out[lo:hi] = part.reshape(hi - lo)
-    return out
 
 
 def _compensator_weights(comp: np.ndarray) -> np.ndarray:
@@ -269,13 +219,6 @@ def iterated_chain(fields: list[StepField], ens: PathEnsemble) -> np.ndarray:
     return state[:, n].copy()
 
 
-def iterated_integral(field: StepField, n: int, ens: PathEnsemble) -> np.ndarray:
-    """J_n of the tensor power of one field: iterated_chain([field] * n)."""
-    if n < 1:
-        raise ValueError("iterated integral needs n >= 1")
-    return iterated_chain([field] * n, ens)
-
-
 def _binomial_series(counts: np.ndarray, v: complex, n_max: int) -> np.ndarray:
     """Coefficients of (1 + v z)^N per path, truncated: (n_max + 1, P) rows."""
     out = np.zeros((n_max + 1, counts.shape[0]), dtype=np.complex128)
@@ -395,17 +338,13 @@ def _eta_profile(model, prof: np.ndarray) -> np.ndarray:
     return np.array([model.symbol(u) for u in prof])
 
 
-def exp_martingale_terminal(f, ens: PathEnsemble) -> np.ndarray:
-    """M(T) = exp(i Int f dX + Int eta(f(s)) ds) per path.
+def exp_martingale_grid(f, ens: PathEnsemble) -> np.ndarray:
+    """M(t) = exp(i Int_0^t f dX + Int_0^t eta(f(s)) ds) at t_0..t_K, per path.
 
     f is a real cell profile integrated against the raw increment dX (drift,
-    diffusion, compensated small jumps, raw large jumps).
+    diffusion, compensated small jumps, raw large jumps). Shape (P, K + 1);
+    M(t_0) = 1.
     """
-    return exp_martingale_grid(f, ens)[:, -1].copy()
-
-
-def exp_martingale_grid(f, ens: PathEnsemble) -> np.ndarray:
-    """M at the grid times t_0..t_K, shape (P, K + 1); M(t_0) = 1."""
     grid = ens.grid
     model = grid.model
     prof = _real_profile(f, grid)
@@ -438,16 +377,20 @@ def _expm1_over(z: complex, ell: float) -> complex:
 def representation_residual(f, path: PathEnsemble) -> float:
     """Defect of the integrand reconstruction of M(T) - 1 on a one-path ensemble.
 
-    Pure-jump models: exact event walk (residual at rounding scale), using
+    Pure-jump models only: exact event walk (residual at rounding scale), using
     psi(s, x) = (exp(i f(s) x) - 1) M(s-) against the compensated jump
-    measure, with closed-form compensator integrals between events. With a
-    diffusion component the reconstruction is the left-point Euler sum, so
-    the residual only converges as the grid refines.
+    measure, with closed-form compensator integrals between events. A model
+    with a diffusion part (sigma > 0) raises ValueError, as the reconstruction
+    would not be exact.
     """
     if path.n_paths != 1:
         raise ValueError(f"expected one path, got {path.n_paths}")
     grid = path.grid
     model = grid.model
+    if model.sigma > 0:
+        raise ValueError(
+            "the integrand reconstruction is exact only for pure-jump models (sigma = 0)"
+        )
     prof = _real_profile(f, grid)
     K, dt = grid.n_time, grid.dt
     drift = model.b - model.small_jump_drift
@@ -456,48 +399,30 @@ def representation_residual(f, path: PathEnsemble) -> float:
     jump_cells = path.jump_cells
     order = np.argsort(path.jump_times, kind="stable")
 
-    if model.sigma == 0:
-        m_cur = 1.0 + 0.0j
-        jump_sum = 0.0 + 0.0j
-        comp_sum = 0.0 + 0.0j
-        by_cell: dict[int, list[int]] = {}
-        for e in order:
-            by_cell.setdefault(int(jump_cells[e]), []).append(int(e))
-        for k in range(K):
-            z = 1j * prof[k] * drift + eta[k]
-            lam_fac = sum(
-                lam * (np.exp(1j * prof[k] * x) - 1.0) for x, lam in atoms
-            )
-            t_cur = k * dt
-            for e in by_cell.get(k, ()):
-                t_e = float(path.jump_times[e])
-                ell = t_e - t_cur
-                comp_sum += lam_fac * m_cur * _expm1_over(z, ell)
-                m_cur = m_cur * np.exp(z * ell)
-                x = atoms[int(path.jump_atoms[e])][0]
-                phase = np.exp(1j * prof[k] * x)
-                jump_sum += (phase - 1.0) * m_cur
-                m_cur = m_cur * phase
-                t_cur = t_e
-            ell = (k + 1) * dt - t_cur
+    m_cur = 1.0 + 0.0j
+    jump_sum = 0.0 + 0.0j
+    comp_sum = 0.0 + 0.0j
+    by_cell: dict[int, list[int]] = {}
+    for e in order:
+        by_cell.setdefault(int(jump_cells[e]), []).append(int(e))
+    for k in range(K):
+        z = 1j * prof[k] * drift + eta[k]
+        lam_fac = sum(
+            lam * (np.exp(1j * prof[k] * x) - 1.0) for x, lam in atoms
+        )
+        t_cur = k * dt
+        for e in by_cell.get(k, ()):
+            t_e = float(path.jump_times[e])
+            ell = t_e - t_cur
             comp_sum += lam_fac * m_cur * _expm1_over(z, ell)
             m_cur = m_cur * np.exp(z * ell)
-        recon = 1.0 + jump_sum - comp_sum
-        return float(abs(m_cur - recon))
-
-    # diffusion present: left-point Euler reconstruction on the grid
-    mgrid = exp_martingale_grid(prof, path)[0]
-    recon = 1.0 + 0.0j
-    recon += np.sum(1j * prof * mgrid[:-1] * model.sigma * path.brownian[0])
-    lam_fac = np.array(
-        [
-            sum(lam * (np.exp(1j * u * x) - 1.0) for x, lam in atoms)
-            for u in prof
-        ]
-    )
-    recon -= np.sum(lam_fac * mgrid[:-1]) * dt
-    for e in order:
-        k = int(jump_cells[e])
-        x = atoms[int(path.jump_atoms[e])][0]
-        recon += (np.exp(1j * prof[k] * x) - 1.0) * mgrid[k]
-    return float(abs(mgrid[-1] - recon))
+            x = atoms[int(path.jump_atoms[e])][0]
+            phase = np.exp(1j * prof[k] * x)
+            jump_sum += (phase - 1.0) * m_cur
+            m_cur = m_cur * phase
+            t_cur = t_e
+        ell = (k + 1) * dt - t_cur
+        comp_sum += lam_fac * m_cur * _expm1_over(z, ell)
+        m_cur = m_cur * np.exp(z * ell)
+    recon = 1.0 + jump_sum - comp_sum
+    return float(abs(m_cur - recon))

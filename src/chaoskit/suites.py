@@ -23,10 +23,8 @@ anything else propagating out of a check is a bug and is allowed to surface.
 from __future__ import annotations
 
 import math
-import os
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from hashlib import sha256
 from io import StringIO
 
@@ -1247,27 +1245,10 @@ def _run_one(fn, cfg: RunConfig) -> list[CheckRecord]:
     return records
 
 
-def pool_size(n_checks: int) -> int:
-    """Worker threads for n_checks checks: CHAOSKIT_WORKERS, capped at n_checks.
-
-    The variable defaults to 1; any value other than a positive integer
-    raises ValueError.
-    """
-    raw = os.environ.get("CHAOSKIT_WORKERS", "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ValueError(f"CHAOSKIT_WORKERS must be a positive integer, got {raw!r}")
-    return min(workers, n_checks)
-
-
 def run_suite(config: RunConfig) -> list[CheckRecord]:
-    """All records of the configured suite, in registry order.
+    """All records of the configured suite.
 
-    Worker fan-out comes from CHAOSKIT_WORKERS (see pool_size) and changes
-    wall time only; record content is identical at any worker count.
+    The checks run one after another, in registry order, on the calling thread.
     """
     try:
         config.validate_guards()
@@ -1277,11 +1258,5 @@ def run_suite(config: RunConfig) -> list[CheckRecord]:
                 "config.guards", "fail", math.inf, 0.0, 0.0, note=f"guard limit: {exc}"
             )
         ]
-    checks = suite_checks(config.suite)
-    workers = pool_size(len(checks))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(lambda fn: _run_one(fn, config), checks))
-    else:
-        batches = [_run_one(fn, config) for fn in checks]
+    batches = [_run_one(fn, config) for fn in suite_checks(config.suite)]
     return [record for batch in batches for record in batch]

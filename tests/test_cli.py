@@ -122,17 +122,6 @@ def test_bad_config_values_exit_two_without_a_traceback(tmp_path, capsys, probe)
     assert not out.exists()
 
 
-def test_invalid_worker_count_exits_two(tmp_path, cfg_path, capsys, monkeypatch):
-    monkeypatch.setenv("CHAOSKIT_WORKERS", "0")
-    out = tmp_path / "runs"
-    code = main(["fock", "--config", cfg_path, "--out", os.fspath(out)])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert "CHAOSKIT_WORKERS must be a positive integer, got '0'" in err
-    assert "Traceback" not in err
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("sub", ["", "sub"])
 def test_unusable_output_root_exits_two_before_any_check(
     tmp_path, cfg_path, capsys, monkeypatch, sub

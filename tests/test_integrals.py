@@ -8,11 +8,8 @@ from chaoskit import integrals
 from chaoskit.integrals import (
     doleans_exp,
     exp_martingale_grid,
-    exp_martingale_terminal,
     iterated_chain,
-    iterated_integral,
     power_integrals,
-    product_integral,
     representation_residual,
     stochastic_integral,
 )
@@ -55,14 +52,10 @@ def test_one_path_input_returns_length_one_arrays():
     grid = CellGrid(model, 4)
     field = jump_field(grid, np.full(4, 0.5))
     path = sample_ensemble(model, grid, 3, 1)
-    kern = np.full((4, 4), 0.25) - np.diag(np.full(4, 0.25))
     for out in (
         stochastic_integral(field, path),
-        product_integral(kern, path),
         iterated_chain([field, field], path),
-        iterated_integral(field, 2, path),
         doleans_exp(field, path),
-        exp_martingale_terminal(np.full(4, 0.5), path),
     ):
         assert isinstance(out, np.ndarray) and out.shape == (1,)
     assert power_integrals(field, 3, path).shape == (1, 4)
@@ -76,6 +69,10 @@ def test_representation_residual_takes_exactly_one_path():
     with pytest.raises(ValueError, match="one path"):
         representation_residual(np.full(4, 0.5), ens)
     assert isinstance(representation_residual(np.full(4, 0.5), ens.paths(1, 2)), float)
+    mixed = LevyModel(sigma=0.5, atoms=((1.0, 1.0),))
+    path = sample_ensemble(mixed, CellGrid(mixed, 4), seed=3, n_paths=1)
+    with pytest.raises(ValueError, match="pure-jump"):
+        representation_residual(np.full(4, 0.5), path)
 
 
 def test_chain_times_factorial_equals_power_integrals():
@@ -93,13 +90,17 @@ def test_chain_times_factorial_equals_power_integrals():
 
 
 def test_iterated_integral_is_the_repeated_chain():
+    # pure jump: Y^2 = 2 J_2(g, g) + [Y], with [Y] the sum of g^2 over the jumps
     model = poisson_preset(1.0, 1.0)
     grid = CellGrid(model, 6)
-    field = jump_field(grid, np.full(6, 0.7))
+    prof = 0.7 + 0.2 * np.cos(np.arange(6)) + 0.1j * np.arange(6)
+    field = jump_field(grid, prof)
     ens = sample_ensemble(model, grid, seed=21, n_paths=50)
-    a = iterated_integral(field, 2, ens)
-    b = iterated_chain([field, field], ens)
-    assert np.allclose(a, b, atol=1e-13)
+    y = stochastic_integral(field, ens)
+    bracket = np.zeros(ens.n_paths, dtype=np.complex128)
+    np.add.at(bracket, ens.jump_paths, prof[ens.jump_cells] ** 2)
+    assert ens.jump_times.size > 0
+    assert np.allclose(iterated_chain([field] * 2, ens), (y * y - bracket) / 2, atol=1e-12)
 
 
 def test_euler_first_order_is_exact_on_the_shared_grid():
@@ -123,33 +124,6 @@ def test_path_grid_must_refine_the_field_grid():
     )
     with pytest.raises(ValueError, match="different models"):
         iterated_chain([field], other)
-
-
-def test_product_integral_matches_dense_contraction():
-    model = poisson_preset(2.0, 1.0)
-    grid = CellGrid(model, 5)
-    ens = sample_ensemble(model, grid, seed=37, n_paths=120)
-    inc = cell_increments(ens)
-    rng = np.random.default_rng(4)
-    kern = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-    np.fill_diagonal(kern, 0.0)
-    want = np.einsum("st,ps,pt->p", kern, inc, inc)
-    assert np.allclose(product_integral(kern, ens), want, atol=1e-11)
-
-    kern3 = np.zeros((5, 5, 5), dtype=np.complex128)
-    kern3[0, 2, 4] = 2.5 - 1j
-    want3 = (2.5 - 1j) * inc[:, 0] * inc[:, 2] * inc[:, 4]
-    assert np.allclose(product_integral(kern3, ens), want3, atol=1e-11)
-
-
-def test_product_integral_rejects_diagonal_mass():
-    model = poisson_preset(1.0, 1.0)
-    grid = CellGrid(model, 3)
-    ens = sample_ensemble(model, grid, seed=5, n_paths=4)
-    kern = np.zeros((3, 3))
-    kern[1, 1] = 1.0
-    with pytest.raises(ValueError, match="diagonal"):
-        product_integral(kern, ens)
 
 
 def test_doleans_pure_jump_product_formula():
@@ -193,11 +167,10 @@ def test_exp_martingale_has_unit_mean():
     grid = CellGrid(model, 8)
     prof = 0.7 + 0.25 * np.cos(2 * np.pi * np.arange(8) / 8)
     ens = sample_ensemble(model, grid, seed=61, n_paths=4000)
-    stat = summarize(exp_martingale_terminal(prof, ens))
-    assert abs(stat.mean - 1.0) <= 6.0 * stat.se
     grid_vals = exp_martingale_grid(prof, ens)
+    stat = summarize(grid_vals[:, -1])
+    assert abs(stat.mean - 1.0) <= 6.0 * stat.se
     assert np.allclose(grid_vals[:, 0], 1.0)
-    assert np.allclose(grid_vals[:, -1], exp_martingale_terminal(prof, ens))
 
 
 def test_exp_martingale_needs_a_real_profile():
@@ -205,7 +178,7 @@ def test_exp_martingale_needs_a_real_profile():
     grid = CellGrid(model, 4)
     ens = sample_ensemble(model, grid, seed=7, n_paths=4)
     with pytest.raises(ValueError, match="real profile"):
-        exp_martingale_terminal(np.full(4, 0.1 + 0.2j), ens)
+        exp_martingale_grid(np.full(4, 0.1 + 0.2j), ens)
 
 
 def test_representation_residual_vanishes_for_pure_jump_paths():
@@ -389,7 +362,7 @@ def test_chain_matches_the_reference_walk_on_drawn_paths():
         field = _random_fields(field_grid, 1, rng, zero_share=0.0)[0]
         for n in (1, 3):
             _assert_same_bytes(
-                iterated_integral(field, n, ens),
+                iterated_chain([field] * n, ens),
                 _reference_chain([field] * n, ens),
                 (name, refine, "power", n),
             )

@@ -1,6 +1,7 @@
 """Suite registry and runner behavior at a small configuration."""
 import json
 import math
+import threading
 from dataclasses import replace
 from hashlib import sha256
 from types import SimpleNamespace
@@ -16,7 +17,6 @@ from chaoskit.suites import (
     _trials,
     _worst,
     _worst_of,
-    pool_size,
     run_suite,
     suite_checks,
 )
@@ -147,30 +147,23 @@ def test_guard_breach_becomes_a_single_failing_record():
     assert "guard limit" in record.note
 
 
-def test_worker_count_changes_wall_time_only(monkeypatch):
-    config = RunConfig(suite="fock", **SMALL)
-    serial = run_suite(config)
-    monkeypatch.setenv("CHAOSKIT_WORKERS", "3")
-    threaded = run_suite(config)
-    assert [r.row() for r in threaded] == [r.row() for r in serial]
-
-
-def test_pool_size_reads_and_caps_the_worker_count(monkeypatch):
-    monkeypatch.delenv("CHAOSKIT_WORKERS", raising=False)
-    assert pool_size(11) == 1
+def test_checks_run_on_the_calling_thread_in_registry_order(monkeypatch):
+    # CHAOSKIT_WORKERS is set to show that no environment variable fans out
     monkeypatch.setenv("CHAOSKIT_WORKERS", "2")
-    assert pool_size(11) == 2
-    monkeypatch.setenv("CHAOSKIT_WORKERS", "10000")
-    assert pool_size(11) == 11
+    calls = []
 
+    def traced(fn):
+        def wrapped(cfg):
+            calls.append((fn.check_id, threading.get_ident()))
+            return fn(cfg)
 
-@pytest.mark.parametrize("raw", ["0", "-3", "two", "1.5", ""])
-def test_bad_worker_counts_are_refused(monkeypatch, raw):
-    monkeypatch.setenv("CHAOSKIT_WORKERS", raw)
-    with pytest.raises(ValueError, match="CHAOSKIT_WORKERS must be a positive integer"):
-        pool_size(11)
-    with pytest.raises(ValueError, match="CHAOSKIT_WORKERS"):
-        run_suite(RunConfig(suite="fock", **SMALL))
+        wrapped.check_id = fn.check_id
+        return wrapped
+
+    checks = suites.suite_checks("fock")
+    monkeypatch.setitem(suites._SUITE_CHECKS, "fock", [traced(fn) for fn in checks])
+    run_suite(RunConfig(suite="fock", **SMALL))
+    assert calls == [(fn.check_id, threading.get_ident()) for fn in checks]
 
 
 @pytest.mark.parametrize("residuals", [[math.nan, 0.0], [0.0, math.nan], [0.5, math.nan, 2.0]])
