@@ -12,7 +12,6 @@ from .chaos import (
     chaos_evaluate,
     embed_chaos,
     embed_marked,
-    extract_chaos,
     ito_skorohod_chaos,
     load_chaos,
     project_mc,
@@ -27,7 +26,6 @@ from .fock import (
     create,
     exp_vector,
     ito_skorohod,
-    second_quantize,
     tensor_power,
 )
 from .exponential import ExpCombo, exp_gram, exp_shift
@@ -84,7 +82,6 @@ __all__ = [
     "exp_gram",
     "exp_shift",
     "exp_vector",
-    "extract_chaos",
     "ito_skorohod",
     "ito_skorohod_chaos",
     "iterated_chain",
@@ -97,7 +94,6 @@ __all__ = [
     "run_suite",
     "sample_ensemble",
     "save_chaos",
-    "second_quantize",
     "stochastic_integral",
     "summarize",
     "tensor_power",

@@ -50,7 +50,6 @@ __all__ = [
     "MarkedChaos",
     "kernel_inner",
     "embed_chaos",
-    "extract_chaos",
     "embed_marked",
     "gradient",
     "divergence",
@@ -60,7 +59,6 @@ __all__ = [
     "dom_divergence_functional",
     "ou_semigroup",
     "sobolev_scale",
-    "process_inner",
     "ChaosSkorohod",
     "ito_skorohod_chaos",
     "BNSplit",
@@ -118,25 +116,6 @@ class ChaosCoefficients(_OnGrid):
 
     def _scaled_source(self, z: complex) -> list:
         return [(z * c, f, n) for c, f, n in self.source]
-
-    @classmethod
-    def constant(cls, grid: CellGrid, truncation: int, value) -> "ChaosCoefficients":
-        out = cls.zero(grid, truncation)
-        out.kernels[0][0] = value
-        out.source = [(complex(value), None, 0)]
-        return out
-
-    @classmethod
-    def from_field(
-        cls, field: StepField, truncation: int
-    ) -> "ChaosCoefficients":
-        """First-order functional I_1(field)."""
-        if truncation < 1:
-            raise ValueError("a first-order functional needs truncation >= 1")
-        out = cls.zero(field.grid, truncation)
-        out.kernels[1][raise_maps(field.grid.n_cells, 0)[0][0]] = field.cell_values()
-        out.source = [(1.0 + 0.0j, field, 1)]
-        return out
 
     @classmethod
     def from_power(
@@ -212,11 +191,6 @@ class MarkedChaos(_OnGrid):
                 "a,s,as,as->", w, grid.cell_masses, np.conj(g), h
             )
         return complex(total)
-
-
-def process_inner(u: MarkedChaos, v: MarkedChaos) -> complex:
-    """L2(mu; chaos) pairing of two processes, `MarkedChaos.inner`."""
-    return u.inner(v)
 
 
 def gradient(F: ChaosCoefficients) -> MarkedChaos:
@@ -320,16 +294,6 @@ def embed_chaos(F: ChaosCoefficients) -> FockVector:
     return FockVector(grid.n_cells, M, levels)
 
 
-def extract_chaos(psi: FockVector, grid: CellGrid) -> ChaosCoefficients:
-    """Inverse of `embed_chaos` for vectors over this grid's cells."""
-    if psi.d != grid.n_cells:
-        raise ValueError("mode count does not match the grid's retained cells")
-    kernels = [
-        psi.levels[n] / _embed_scale(grid, n) for n in range(psi.truncation + 1)
-    ]
-    return ChaosCoefficients(grid, psi.truncation, kernels)
-
-
 def embed_marked(u: MarkedChaos, truncation: int | None = None) -> MarkedFock:
     """Marked-vector embedding; extra truncation headroom adds zero levels."""
     grid, M = u.grid, u.truncation
@@ -391,7 +355,7 @@ def ito_skorohod_chaos(
         tv = _symmetrize(grid, v.kernels[m], m)
         lhs += factorial(m + 1) * kernel_inner(grid, m + 1, tu, tv)
 
-    base = process_inner(u, v)
+    base = u.inner(v)
 
     exchange = 0.0 + 0.0j
     for m in range(1, M + 1):
@@ -657,7 +621,8 @@ def _header_int(line: str, key: str) -> int:
 
 def load_chaos(src, grid: CellGrid) -> ChaosCoefficients:
     """Read `save_chaos` output; validates the hash, the grid spec and every
-    term's order and cell labels. Any malformed payload raises ValueError."""
+    term's order and cell labels, and refuses an occupation listed twice. Any
+    malformed payload raises ValueError."""
     if isinstance(src, (str, os.PathLike)):
         with open(src) as fh:
             text = fh.read()
@@ -679,6 +644,7 @@ def load_chaos(src, grid: CellGrid) -> ChaosCoefficients:
     if c != grid.n_cells:
         raise ValueError("cell count mismatch")
     out = ChaosCoefficients.zero(grid, truncation)
+    seen = set()
     for line in lines[4:-1]:
         parts = line.split()
         if len(parts) != 5 or parts[0] != "term":
@@ -695,5 +661,8 @@ def load_chaos(src, grid: CellGrid) -> ChaosCoefficients:
             occ = tuple(int(x) for x in np.bincount(labels, minlength=c))
         if sum(occ) != n:
             raise ValueError(f"occupation does not match order: {line}")
+        if occ in seen:
+            raise ValueError(f"repeated occupation: {line}")
+        seen.add(occ)
         out.kernels[n][position(occ)] = complex(float(parts[3]), float(parts[4]))
     return out

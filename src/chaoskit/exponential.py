@@ -12,11 +12,6 @@ term rewriting:
 A combination has one or more legs: a term (c, f_1, ..., f_k) stands for
 c e(f_1) (x) ... (x) e(f_k). The shift family acts on one leg, the pairing
 family maps one leg to two and its adjoint two legs back to one.
-
-Only recorded combinations can be shifted or paired; a plain truncated vector
-carries no exponential structure to rewrite (exp_vector stamps its source,
-and sums and multiples of stamped vectors stay stamped, so their truncations
-remain usable).
 """
 from __future__ import annotations
 
@@ -24,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockVector, as_mode_vector, exp_vector
+from .fock import as_mode_vector
 
 __all__ = [
     "ExpCombo",
@@ -77,23 +72,6 @@ class ExpCombo:
 
     __rmul__ = __mul__
 
-    def gram(self, other: "ExpCombo") -> complex:
-        return exp_gram(self, other)
-
-    def norm(self) -> float:
-        return float(np.sqrt(max(exp_gram(self, self).real, 0.0)))
-
-    def to_fock(self, truncation: int) -> FockVector:
-        """Truncate to levels 0..M; the result records this combo as source."""
-        self._require_legs(1)
-        out = FockVector.zero(self.d, truncation)
-        for c, f in self.terms:
-            ef = exp_vector(f, truncation)
-            for n in range(truncation + 1):
-                out.levels[n] += c * ef.levels[n]
-        out.source = self
-        return out
-
 
 def exp_gram(a: ExpCombo, b: ExpCombo) -> complex:
     """<a, b> via the exponential kernel, exact; over several legs the kernel
@@ -107,37 +85,23 @@ def exp_gram(a: ExpCombo, b: ExpCombo) -> complex:
     return complex(total)
 
 
-def _require_combo(x) -> ExpCombo:
-    if isinstance(x, ExpCombo):
-        return x._require_legs(1)
-    if isinstance(x, FockVector):
-        if isinstance(x.source, ExpCombo):
-            return x.source
-        raise ValueError(
-            "this operation needs exponential structure; the Fock vector does "
-            "not record a generating combination"
-        )
-    raise TypeError(f"expected ExpCombo or FockVector, got {type(x).__name__}")
+def _require_combo(x, legs: int = 1) -> ExpCombo:
+    if not isinstance(x, ExpCombo):
+        raise TypeError(f"expected ExpCombo, got {type(x).__name__}")
+    return x._require_legs(legs)
 
 
-def exp_shift(f, x, adjoint: bool = False):
+def exp_shift(f, x, adjoint: bool = False) -> ExpCombo:
     """Exponential shift family along f.
 
     Plain mode: e(g) -> exp(<f, g>) e(g). Adjoint mode: e(g) -> e(g + f).
-    Accepts a one-leg combination, or a Fock vector stamped by one (the
-    result is then re-truncated at the same roof).
+    Accepts a one-leg combination.
     """
     combo = _require_combo(x)
     fa = as_mode_vector(f, combo.d)
     if adjoint:
-        shifted = ExpCombo(combo.d, [(c, g + fa) for c, g in combo.terms])
-    else:
-        shifted = ExpCombo(
-            combo.d, [(c * np.exp(np.vdot(fa, g)), g) for c, g in combo.terms]
-        )
-    if isinstance(x, FockVector):
-        return shifted.to_fock(x.truncation)
-    return shifted
+        return ExpCombo(combo.d, [(c, g + fa) for c, g in combo.terms])
+    return ExpCombo(combo.d, [(c * np.exp(np.vdot(fa, g)), g) for c, g in combo.terms])
 
 
 def pair_map(t: float, x) -> ExpCombo:
@@ -149,8 +113,6 @@ def pair_map(t: float, x) -> ExpCombo:
 
 def pair_merge(t: float, x2: ExpCombo) -> ExpCombo:
     """Adjoint of the pairing family: e(f) (x) e(g) -> e(f + t g)."""
-    if not isinstance(x2, ExpCombo):
-        raise TypeError(f"expected ExpCombo, got {type(x2).__name__}")
-    x2._require_legs(2)
+    combo = _require_combo(x2, 2)
     s = float(t)
-    return ExpCombo(x2.d, [(c, f + s * g) for c, f, g in x2.terms])
+    return ExpCombo(combo.d, [(c, f + s * g) for c, f, g in combo.terms])

@@ -15,21 +15,18 @@ every inner product in this package.
 Values are dataclasses on the `Graded` base, which the chaos expansions of
 `chaos` share: levels 0..M of fixed shapes, validated and cast to complex on
 construction, with `zero`, `copy`, linear arithmetic and the plain pairing.
-Treat them as immutable (operations always allocate fresh output). A value
-may record its generator in `source` (for a Fock vector, the exponential
-combination it truncates); the record follows `+`, `-` and scalar `*` when
-every operand carries one and is dropped otherwise. Level-raising operations
-cannot write above the truncation roof: the would-be top content is dropped
-and its norm is returned to the caller, never silently discarded.
+Treat them as immutable (operations always allocate fresh output).
+Level-raising operations cannot write above the truncation roof: the
+would-be top content is dropped and its norm is returned to the caller,
+never silently discarded.
 """
 from __future__ import annotations
 
 import math
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
-from typing import Any
 
 import numpy as np
 
@@ -39,6 +36,8 @@ from .indices import (
     level_dim,
     lower_maps,
     occ_array,
+    occupations,
+    position,
     raise_maps,
 )
 
@@ -49,7 +48,6 @@ __all__ = [
     "SplitFock",
     "SkorohodIdentity",
     "as_mode_vector",
-    "mode_inner",
     "tensor_power",
     "exp_vector",
     "exp_tail_bound",
@@ -62,10 +60,7 @@ __all__ = [
     "number_semigroup",
     "sobolev_scale",
     "graph_inner",
-    "second_quantize",
-    "conservation",
     "split",
-    "merge",
     "split_gradient",
     "split_divergence",
     "marked_lower",
@@ -85,13 +80,6 @@ def as_mode_vector(f, d: int | None = None) -> np.ndarray:
     if d is not None and arr.shape[0] != d:
         raise ValueError(f"mode dimension mismatch: expected {d}, got {arr.shape[0]}")
     return arr
-
-
-def mode_inner(f, g) -> complex:
-    """One-particle inner product, conjugate linear on the left."""
-    fa = as_mode_vector(f)
-    ga = as_mode_vector(g, fa.shape[0])
-    return complex(np.vdot(fa, ga))
 
 
 @dataclass(eq=False)
@@ -129,9 +117,11 @@ class Graded:
     casts the levels and supplies `zero`, `copy`, the linear arithmetic and
     the plain coefficient pairing. A level given as None starts at zero.
 
-    Source rule: a value may record how it was generated in `source`. The
-    record follows `+`, `-` and scalar `*` when every operand carries one and
-    becomes None otherwise; `copy` keeps it.
+    Source rule, used by `chaos.ChaosCoefficients`: a value may record how it
+    was generated in `source`, and a subclass that does defines
+    `_scaled_source(z)`, the record of z times the value. The record follows
+    `+`, `-` and scalar `*` when every operand carries one and becomes None
+    otherwise; `copy` keeps it.
     """
 
     _SPACE = "d"
@@ -145,9 +135,6 @@ class Graded:
     @staticmethod
     def _same_space(a, b) -> bool:
         return a == b
-
-    def _scaled_source(self, z: complex):
-        return z * self.source
 
     def __post_init__(self):
         space, M = getattr(self, self._SPACE), self.truncation
@@ -233,15 +220,11 @@ class Graded:
 
 @dataclass(eq=False)
 class FockVector(Graded):
-    """Truncated Fock vector: levels[n] holds the degree-n coefficients.
-
-    source, when present, is the `ExpCombo` the vector truncates.
-    """
+    """Truncated Fock vector: levels[n] holds the degree-n coefficients."""
 
     d: int
     truncation: int
     levels: list[np.ndarray]
-    source: Any = field(default=None, repr=False)
 
     @staticmethod
     def _shape(d: int, n: int) -> tuple[int, ...]:
@@ -322,19 +305,16 @@ def tensor_power(f, n: int) -> SymTensor:
 def exp_vector(f, truncation: int) -> FockVector:
     """Truncated exponential vector: level n is tensor_power(f, n)/sqrt(n!).
 
-    The result records its generating combination so exponential-only maps
-    (exp_shift, pair maps) can act on it exactly. The discarded tail has
-    squared norm sum_{n>M} ||f||^(2n)/n!, reported by exp_tail_bound.
+    The discarded tail has squared norm sum_{n>M} ||f||^(2n)/n!, reported by
+    exp_tail_bound.
     """
-    from .exponential import ExpCombo  # local import to avoid a cycle
-
     fa = as_mode_vector(f)
     d = fa.shape[0]
     table = _power_table(fa, truncation)
     levels = [
         _tensor_coeffs(table, n) / math.sqrt(factorial(n)) for n in range(truncation + 1)
     ]
-    return FockVector(d, truncation, levels, source=ExpCombo(d, [(1.0 + 0j, fa)]))
+    return FockVector(d, truncation, levels)
 
 
 def _exp_tail(x: float, truncation: int) -> float:
@@ -472,92 +452,6 @@ def graph_inner(psi: FockVector, phi: FockVector) -> complex:
     )
 
 
-def _operator_norm(T: np.ndarray) -> float:
-    return float(np.linalg.svd(T, compute_uv=False)[0])
-
-
-def _apply_linear_form(vec: np.ndarray, ell: np.ndarray, d: int, k: int) -> np.ndarray:
-    # multiply a degree-k monomial coefficient array by the linear form ell . z
-    target, _ = raise_maps(d, k)
-    out = np.zeros(level_dim(d, k + 1), dtype=np.complex128)
-    for j in range(d):
-        if ell[j] != 0:
-            out[target[:, j]] += ell[j] * vec
-    return out
-
-
-def second_quantize(T, psi: FockVector) -> FockVector:
-    """Functor of a one-particle contraction T: acts as T on every slot.
-
-    Sends tensor_power(f, n) to tensor_power(Tf, n) and exp_vector(f, M) to
-    exp_vector(Tf, M) level by level. Requires the largest singular value of T
-    to be <= 1.
-    """
-    Tm = np.asarray(T, dtype=np.complex128)
-    d, M = psi.d, psi.truncation
-    if Tm.shape != (d, d):
-        raise ValueError(f"operator shape {Tm.shape} does not match d={d}")
-    if _operator_norm(Tm) > 1.0 + 1e-10:
-        raise ValueError("second quantization requires a contraction (||T|| <= 1)")
-    out = [psi.levels[0].copy()]
-    # occupation state alpha corresponds to the monomial z^alpha / sqrt(alpha!);
-    # applying T to every slot substitutes each z_i by the form (T^t z)_i
-    rows = [Tm[:, i] for i in range(d)]  # row i of T^t
-    for n in range(1, M + 1):
-        occ = occ_array(d, n)
-        ratio = factorial_ratio_sqrt(d, n)  # sqrt(n!/alpha!)
-        fac_sqrt = math.sqrt(factorial(n)) / ratio  # sqrt(alpha!)
-        mono = psi.levels[n] / fac_sqrt
-        acc = np.zeros(level_dim(d, n), dtype=np.complex128)
-        for p in range(occ.shape[0]):
-            coeff = mono[p]
-            if coeff == 0:
-                continue
-            vec = np.ones(1, dtype=np.complex128)
-            k = 0
-            for i in range(d):
-                for _ in range(int(occ[p, i])):
-                    vec = _apply_linear_form(vec, rows[i], d, k)
-                    k += 1
-            acc += coeff * vec
-        out.append(acc * fac_sqrt)
-    return FockVector(d, M, out)
-
-
-def conservation(A, psi: FockVector) -> FockVector:
-    """Quadratic (level-preserving) lift of a self-adjoint one-particle A.
-
-    Acts as sum_{ij} A_ij a*_i a_j on each level; with A = I this is the
-    number operator. The derivative of the second quantization of exp(itA)
-    at t = 0 is i times this map.
-    """
-    Am = np.asarray(A, dtype=np.complex128)
-    d, M = psi.d, psi.truncation
-    if Am.shape != (d, d):
-        raise ValueError(f"operator shape {Am.shape} does not match d={d}")
-    scale = max(float(np.max(np.abs(Am))), 1.0)
-    if float(np.max(np.abs(Am - Am.conj().T))) > 1e-12 * scale:
-        raise ValueError("conservation requires a self-adjoint operator")
-    out = [psi.levels[0] * 0.0]
-    for n in range(1, M + 1):
-        occ = occ_array(d, n)
-        low_t, low_w = lower_maps(d, n)
-        up_t, _ = raise_maps(d, n - 1)
-        src = psi.levels[n]
-        dst = np.zeros_like(src)
-        for j in range(d):
-            valid = low_t[:, j] >= 0
-            if not np.any(valid):
-                continue
-            mid = low_t[valid, j]
-            amp = low_w[valid, j] * src[valid]
-            for i in range(d):
-                w_up = np.sqrt(occ[valid, i] + 1.0 - (1.0 if i == j else 0.0))
-                dst[up_t[mid, i]] += Am[i, j] * w_up * amp
-        out.append(dst)
-    return FockVector(d, M, out)
-
-
 # ---------------------------------------------------------------------------
 # splitting along a partition of the modes
 
@@ -591,8 +485,6 @@ def _validate_partition(d: int, first) -> tuple[tuple[int, ...], tuple[int, ...]
 @lru_cache(maxsize=None)
 def _split_positions(d: int, n: int, first: tuple[int, ...]):
     """For each level-n position: (n1, pos1, pos2) under the partition."""
-    from .indices import position
-
     second = tuple(i for i in range(d) if i not in set(first))
     occ = occ_array(d, n)
     n1 = occ[:, list(first)].sum(axis=1)
@@ -632,25 +524,9 @@ def split(psi: FockVector, first) -> SplitFock:
     return SplitFock(d, first, second, M, blocks)
 
 
-def merge(sp: SplitFock) -> FockVector:
-    """Inverse of `split`."""
-    d, M = sp.d, sp.truncation
-    out = FockVector.zero(d, M)
-    for n in range(M + 1):
-        n1s, pos1, pos2 = _split_positions(d, n, sp.first)
-        dst = out.levels[n]
-        for n1 in range(n + 1):
-            blk = sp.blocks[(n1, n - n1)]
-            sel = n1s == n1
-            dst[sel] = blk[pos1[sel], pos2[sel]]
-    return out
-
-
 @lru_cache(maxsize=None)
 def _merge_positions(d: int, first: tuple[int, ...], n1: int, n2: int) -> np.ndarray:
     """Global level-(n1+n2) positions of merged (alpha1, alpha2) pairs."""
-    from .indices import occupations, position
-
     second = tuple(i for i in range(d) if i not in set(first))
     occ1 = occupations(len(first), n1)
     occ2 = occupations(len(second), n2)

@@ -101,51 +101,38 @@ def _flow(weights: np.ndarray, deltas: np.ndarray, Z: np.ndarray) -> np.ndarray:
     return np.matmul(_transfer_matrices(weights, deltas), Z[:, :, None])[:, :, 0]
 
 
-def _grid_refinement(field_grid: CellGrid, path_grid: CellGrid) -> int:
-    fs, ps = field_grid.spec(), path_grid.spec()
-    if {k: v for k, v in fs.items() if k != "n_time"} != {
-        k: v for k, v in ps.items() if k != "n_time"
-    }:
-        raise ValueError("field and path grids describe different models")
-    if path_grid.n_time % field_grid.n_time:
-        raise ValueError("path grid must refine the field grid")
-    return path_grid.n_time // field_grid.n_time
-
-
 def iterated_chain(fields: list[StepField], ens: PathEnsemble) -> np.ndarray:
     """Time-ordered chain integral J(fields[0], ..., fields[-1]).
 
-    fields[0] is innermost (integrated first). All fields share one grid; the
-    paths may live on a refinement of it (required for Euler resolution
-    studies). The walk is exact when sigma = 0 and Euler in the diffusion
+    fields[0] is innermost (integrated first). Every field lives on the
+    paths' grid. The walk is exact when sigma = 0 and Euler in the diffusion
     part otherwise.
     """
     if not fields:
         raise ValueError("need at least one field")
-    grid = fields[0].grid
-    for f in fields[1:]:
-        if f.grid is not grid and f.grid.spec() != grid.spec():
-            raise ValueError("chain fields live on different grids")
-    refine = _grid_refinement(grid, ens.grid)
+    grid = ens.grid
+    spec = grid.spec()
+    if any(f.grid.spec() != spec for f in fields):
+        raise ValueError("field and paths live on different grids")
 
     n = len(fields)
     P = ens.n_paths
-    K = ens.grid.n_time
-    dt = ens.grid.dt
-    rates = ens.grid.bin_rates  # nu per jump bin
-    n_bins = ens.grid.n_bins
+    K = grid.n_time
+    dt = grid.dt
+    rates = grid.bin_rates  # nu per jump bin
+    n_bins = grid.n_bins
 
-    # per field-cell compensator rates c_j = sum_b g_j(cell, b) nu_b
+    # per-cell compensator rates c_j = sum_b g_j(cell, b) nu_b
     field_vals = [f.values for f in fields]
-    comp = np.empty((grid.n_time, n), dtype=np.complex128)
-    for k in range(grid.n_time):
+    comp = np.empty((K, n), dtype=np.complex128)
+    for k in range(K):
         for j in range(n):
             comp[k, j] = np.sum(field_vals[j][k, 1:n_bins] * rates)
     weights = _compensator_weights(comp)
-    # the flow over each whole path cell
-    cell_flow = _transfer_matrices(weights[np.arange(K) // refine], np.full(K, dt))
+    # the flow over each whole cell
+    cell_flow = _transfer_matrices(weights, np.full(K, dt))
 
-    # jumps sorted by (path cell, path, time); a run is one path's jumps in
+    # jumps sorted by (cell, path, time); a run is one path's jumps in
     # one cell, and an event's rank is its place in its run
     cells = ens.jump_cells
     order = np.lexsort((ens.jump_times, ens.jump_paths, cells))
@@ -159,22 +146,21 @@ def iterated_chain(fields: list[StepField], ens: PathEnsemble) -> np.ndarray:
     run_start = np.flatnonzero(new_run)
     run_of = np.cumsum(new_run) - 1
     rank = np.arange(s_cells.size) - run_start[run_of]
-    # the same events grouped by (path cell, rank, path)
+    # the same events grouped by (cell, rank, path)
     by_rank = np.lexsort((s_paths, rank, s_cells))
 
     state = np.zeros((P, n + 1), dtype=np.complex128)
     state[:, 0] = 1.0
-    sigma = ens.grid.model.sigma
+    sigma = grid.model.sigma
     for k in range(K):
-        kf = k // refine
         if ens.brownian is not None:
             db = sigma * ens.brownian[:, k]
             for j in range(n, 0, -1):
-                g = field_vals[j - 1][kf, 0]
+                g = field_vals[j - 1][k, 0]
                 if g != 0:
                     state[:, j] += g * db * state[:, j - 1]
         L = cell_flow[k]
-        w = weights[kf : kf + 1]
+        w = weights[k : k + 1]
         lo, hi = cell_start[k], cell_start[k + 1]
         if lo == hi:
             state = state @ L.T
@@ -199,7 +185,7 @@ def iterated_chain(fields: list[StepField], ens: PathEnsemble) -> np.ndarray:
                 Z[sub] = _flow(w, t_e[move] - t_cur[sub], Z[sub])
                 t_cur[sub] = t_e[move]
             for j in range(n, 0, -1):
-                g = field_vals[j - 1][kf, bins[a:b]]
+                g = field_vals[j - 1][k, bins[a:b]]
                 hit = g != 0
                 if not hit.any():
                     continue

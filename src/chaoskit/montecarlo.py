@@ -26,7 +26,12 @@ class MCStat:
 
 
 def _fsum_mean(x: np.ndarray) -> float:
-    return math.fsum(x.tolist()) / x.size
+    """Exact-sum mean; NaN where fsum raises (inf - inf, or a sum past the
+    float range), so the statistic fails the way any NaN does."""
+    try:
+        return math.fsum(x.tolist()) / x.size
+    except (ValueError, OverflowError):
+        return math.nan
 
 
 def summarize(values: np.ndarray) -> MCStat:

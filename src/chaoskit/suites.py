@@ -45,13 +45,12 @@ from .chaos import (
     load_chaos,
     number_factorization_residual,
     ou_semigroup,
-    process_inner,
     project_mc,
     save_chaos,
     sobolev_scale as chaos_sobolev_scale,
 )
 from .config import RunConfig
-from .dense import isometry_residual, operator_matrix, operator_norm
+from .dense import isometry_residual, lower_matrix, operator_norm, raise_matrix
 from .exponential import (
     ExpCombo,
     exp_gram,
@@ -349,14 +348,13 @@ def _check_ladder_norms(cfg: RunConfig):
     nmax = min(cfg.max_degree, 6)
     pairs = [(d, n) for d in (2, 3, 4) for n in range(1, nmax + 1)]
     worst_low = _worst_of(
-        abs(operator_norm(operator_matrix("lower", n, d)) - math.sqrt(n)) for d, n in pairs
+        abs(operator_norm(lower_matrix(d, n)) - math.sqrt(n)) for d, n in pairs
     )
     worst_up = _worst_of(
-        abs(operator_norm(operator_matrix("raise", n, d)) - math.sqrt(n + 1))
-        for d, n in pairs
+        abs(operator_norm(raise_matrix(d, n)) - math.sqrt(n + 1)) for d, n in pairs
     )
     worst_iso = _worst_of(
-        isometry_residual(operator_matrix("isometry", n, d)) for d, n in pairs
+        isometry_residual(lower_matrix(d, n) / np.sqrt(n)) for d, n in pairs
     )
     spectral = cfg.tolerances["spectral"]
     span = f"d in 2..4, n <= {nmax}, dense SVD"
@@ -969,7 +967,7 @@ def _check_duality_adjoint(cfg: RunConfig):
         F = _random_levels(rng, ChaosCoefficients, grid, M, scale=0.5)
         div, _ = chaos_divergence(u)
         lhs = div.inner(F)
-        rhs = process_inner(u, chaos_gradient(F))
+        rhs = u.inner(chaos_gradient(F))
         return abs(lhs - rhs) / max(1.0, abs(lhs))
 
     return _trials(

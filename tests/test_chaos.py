@@ -18,14 +18,12 @@ from chaoskit.chaos import (
     dom_gradient_functional,
     embed_chaos,
     embed_marked,
-    extract_chaos,
     gradient,
     ito_skorohod_chaos,
     load_chaos,
     number_apply,
     number_factorization_residual,
     ou_semigroup,
-    process_inner,
     project_mc,
     save_chaos,
 )
@@ -86,25 +84,17 @@ def test_embedding_preserves_inner_products():
     assert embed_chaos(F).norm_sq() == pytest.approx(F.norm_sq(), rel=1e-11)
 
 
-def test_extract_inverts_embed():
-    rng = np.random.default_rng(16)
-    grid = mixed_grid()
-    F = rand_chaos(rng, grid, 3)
-    back = extract_chaos(embed_chaos(F), grid)
-    for a, b in zip(back.kernels, F.kernels):
-        assert np.allclose(a, b, atol=1e-12)
-
-
 def test_first_order_norm_is_the_field_mass():
     grid = jump_grid()
     prof = np.array([0.5, 0.2 - 0.1j, 0.8j, -0.3])
     field = StepField.from_columns(grid, bins={1: prof})
-    F = ChaosCoefficients.from_field(field, 2)
+    F = ChaosCoefficients.from_power(field, 1, 2)
     assert F.level_norm_sq(1) == pytest.approx(float(field.norm_sq()), rel=1e-12)
     assert F.level_norm_sq(0) == 0.0
-    # same storage layout as the power constructor, and the dense route must
-    # agree with the generating-series route once the source hint is gone
-    assert np.array_equal(F.kernels[1], ChaosCoefficients.from_power(field, 1, 2).kernels[1])
+    # order-one occupation rows list the last cell first
+    assert np.array_equal(F.kernels[1], prof[::-1])
+    # the dense route must agree with the generating-series route once the
+    # source hint is gone
     ens = sample_ensemble(grid.model, grid, seed=29, n_paths=8)
     via_source = chaos_evaluate(F, ens)
     F.source = None
@@ -128,7 +118,7 @@ def test_gradient_divergence_duality():
     u = rand_marked(rng, grid, 3, zero_top=True)
     div, dropped = divergence(u)
     assert dropped == 0.0
-    assert div.inner(F) == pytest.approx(process_inner(u, gradient(F)), rel=1e-11)
+    assert div.inner(F) == pytest.approx(u.inner(gradient(F)), rel=1e-11)
 
 
 def test_divergence_symmetrization_by_hand():
@@ -200,7 +190,7 @@ def test_embed_marked_respects_process_inner():
     grid = mixed_grid()
     u = rand_marked(rng, grid, 2, zero_top=True)
     v = rand_marked(rng, grid, 2, zero_top=True)
-    want = process_inner(u, v)
+    want = u.inner(v)
     got = embed_marked(u, 3).inner(embed_marked(v, 3))
     assert got == pytest.approx(want, rel=1e-11)
 
@@ -256,7 +246,7 @@ def test_power_table_of_a_path_range_matches_the_whole_ensemble():
 
 def test_evaluation_rejects_foreign_paths():
     grid = jump_grid()
-    F = ChaosCoefficients.constant(grid, 1, 1.0)
+    F = ChaosCoefficients.zero(grid, 1)
     other_grid = jump_grid(8)
     ens = sample_ensemble(other_grid.model, other_grid, seed=1, n_paths=3)
     with pytest.raises(ValueError, match="different grids"):
@@ -318,6 +308,8 @@ def test_serialization_rejects_tampering_and_foreign_grids():
         (lambda body: body + ["term 3 0,1,2 1.0 0.0"], "order"),
         (lambda body: body + ["term -1 - 1.0 0.0"], "order"),
         (lambda body: body[:2] + ["truncation"] + body[3:], "header"),
+        # the same occupation twice: no value may silently win
+        (lambda body: body + ["term 1 1 1.0 0.0", "term 1 1 5.0 0.0"], "repeated"),
     ],
 )
 def test_serialization_refuses_hashed_bad_payloads(edit, match):

@@ -140,6 +140,22 @@ def test_unusable_output_root_exits_two_before_any_check(
     assert "Traceback" not in err
 
 
+def test_overflowing_samples_fail_a_record_without_a_traceback(tmp_path, capsys):
+    # valid config whose mixed exponential martingale overflows to +-inf, so
+    # the exact sum of its samples is undefined
+    path = tmp_path / "heavy.json"
+    path.write_text(json.dumps({"atoms": [[1.0, 3000.0]], "n_time": 16}))
+    out = os.fspath(tmp_path / "runs")
+    code = main(["sim", "--config", os.fspath(path), "--paths", "50", "--out", out])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "Traceback" not in captured.err
+    with open(os.path.join(run_dir_of(captured.out), "report.jsonl")) as fh:
+        records = {r["check_id"]: r for r in map(json.loads, fh)}
+    mixed = records["sim.exp_martingale.mixed"]
+    assert (mixed["status"], mixed["value"]) == ("fail", "nan")
+
+
 def test_unknown_suite_is_refused_by_the_parser(capsys):
     with pytest.raises(SystemExit):
         main(["warp"])

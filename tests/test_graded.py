@@ -3,8 +3,7 @@ import numpy as np
 import pytest
 
 from chaoskit.chaos import ChaosCoefficients, MarkedChaos, chaos_evaluate
-from chaoskit.exponential import ExpCombo, exp_shift
-from chaoskit.fock import FockVector, MarkedFock, exp_vector
+from chaoskit.fock import FockVector, MarkedFock
 from chaoskit.indices import level_dim
 from chaoskit.levy import CellGrid, LevyModel, StepField, poisson_preset, sample_ensemble
 
@@ -71,21 +70,10 @@ def test_container_contract(cls, space, other, mark):
     assert not np.array_equal(_parts(dup)[1], _parts(x)[1])
 
 
-def _sources_equal(a, b) -> bool:
-    if isinstance(a, ExpCombo):
-        return a.legs == b.legs and len(a.terms) == len(b.terms) and all(
-            all(np.array_equal(x, y) for x, y in zip(s, t))
-            for s, t in zip(a.terms, b.terms)
-        )
-    return a == b
-
-
 def test_difference_is_the_sum_with_the_negated_operand():
     rng = np.random.default_rng(17)
-    f, g = (rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in range(2))
     field = StepField.from_columns(OTHER_GRID, bins={1: rng.standard_normal(4)})
-    stamped = [
-        (exp_vector(f, 4), 2.0 * exp_vector(g, 4)),
+    sourced = [
         (
             ChaosCoefficients.doleans(field, 3),
             ChaosCoefficients.from_power(field, 2, 3, coeff=0.5),
@@ -95,14 +83,12 @@ def test_difference_is_the_sum_with_the_negated_operand():
         (cls(space, 2, _levels(rng, space, 2, mark)), cls(space, 2, _levels(rng, space, 2, mark)))
         for cls, space, _, mark in CONTAINERS
     ]
-    for psi, phi in stamped + plain:
+    for psi, phi in sourced + plain:
         got, want = psi - phi, psi + (-1.0) * phi
         assert type(got) is type(want)
         for a, b in zip(_parts(got), _parts(want)):
             assert a.dtype == b.dtype and np.array_equal(a, b)
-        assert (got.source is None) == (want.source is None)
-        if want.source is not None:
-            assert _sources_equal(got.source, want.source)
+        assert got.source == want.source
 
 
 def test_chaos_sources_follow_the_linear_arithmetic():
@@ -124,18 +110,3 @@ def test_chaos_sources_follow_the_linear_arithmetic():
     assert np.allclose(chaos_evaluate(H, ens), chaos_evaluate(dense, ens), atol=1e-12)
     assert (H + ChaosCoefficients.zero(grid, 3)).source is None
 
-
-def test_sums_of_stamped_exponential_vectors_stay_stamped():
-    f = np.array([0.3 + 0.4j, -0.2 + 0.0j])
-    g = np.array([0.1 - 0.5j, 0.25 + 0.25j])
-    h = np.array([0.2 - 0.1j, 0.15 + 0.05j])
-    M = 8
-    combo = ExpCombo.single(f) + 2 * ExpCombo.single(g)
-    vec = exp_vector(f, M) + 2 * exp_vector(g, M)
-    for adjoint in (False, True):
-        got = exp_shift(h, vec, adjoint=adjoint)
-        want = exp_shift(h, combo, adjoint=adjoint).to_fock(M)
-        for a, b in zip(got.levels, want.levels):
-            assert np.allclose(a, b, atol=1e-14)
-    assert (vec - exp_vector(f, M)).source is not None
-    assert (vec + FockVector.zero(2, M)).source is None

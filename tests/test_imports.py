@@ -9,13 +9,18 @@ chain integral and one suite; none of the heavy modules may be loaded at
 import, and none of them, nor any numpy.random submodule, may first be loaded
 by the work after it (numpy imports some modules lazily, at first use). No
 wall-clock time is asserted.
+
+The package's modules import each other without a cycle, function-local
+imports included.
 """
+import ast
 import importlib
 import json
 import os
 import pkgutil
 import subprocess
 import sys
+from pathlib import Path
 
 import chaoskit
 from test_suites import SMALL
@@ -97,3 +102,37 @@ def test_every_exported_name_resolves():
         missing = [name for name in exported if not hasattr(module, name)]
         assert missing == [], module.__name__
     assert len(modules) > 10
+
+
+def _relative_imports(path: Path) -> set[str]:
+    """Sibling modules a source file imports, at any depth of its body."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is None:  # from . import x, y
+                out.update(alias.name for alias in node.names)
+            else:
+                out.add(node.module.split(".")[0])
+    return out
+
+
+def test_module_imports_form_no_cycle():
+    package = Path(chaoskit.__file__).parent
+    graph = {path.stem: _relative_imports(path) for path in package.glob("*.py")}
+    assert "indices" in graph.get("fock", ()), "the parse found no relative import"
+    # depth-first search; a grey node met again closes a cycle
+    state: dict[str, str] = {}
+
+    def visit(module: str, trail: list[str]):
+        state[module] = "grey"
+        for dep in sorted(graph.get(module, ())):
+            if state.get(dep) == "grey":
+                cycle = trail[trail.index(dep):] + [dep]
+                raise AssertionError("import cycle: " + " -> ".join(cycle))
+            if dep not in state:
+                visit(dep, trail + [dep])
+        state[module] = "black"
+
+    for module in sorted(graph):
+        if module not in state:
+            visit(module, [module])

@@ -113,17 +113,26 @@ def test_euler_first_order_is_exact_on_the_shared_grid():
     assert np.allclose(got, stochastic_integral(field, ens), atol=1e-12)
 
 
-def test_path_grid_must_refine_the_field_grid():
+def test_chain_refuses_fields_off_the_path_grid():
     model = poisson_preset(1.0, 1.0)
-    field = jump_field(CellGrid(model, 4), np.ones(4))
-    coarse_paths = sample_ensemble(model, CellGrid(model, 6), seed=2, n_paths=4)
-    with pytest.raises(ValueError, match="refine"):
-        iterated_chain([field], coarse_paths)
+    grid = CellGrid(model, 4)
+    field = jump_field(grid, np.ones(4))
+    paths = sample_ensemble(model, grid, seed=2, n_paths=4)
+    # a refinement of the fields' grid is refused like any other grid
+    finer = sample_ensemble(model, CellGrid(model, 8), seed=2, n_paths=4)
+    with pytest.raises(ValueError, match="different grids"):
+        iterated_chain([field], finer)
     other = sample_ensemble(
-        poisson_preset(2.0, 1.0), CellGrid(poisson_preset(2.0, 1.0), 8), seed=2, n_paths=4
+        poisson_preset(2.0, 1.0), CellGrid(poisson_preset(2.0, 1.0), 4), seed=2, n_paths=4
     )
-    with pytest.raises(ValueError, match="different models"):
+    with pytest.raises(ValueError, match="different grids"):
         iterated_chain([field], other)
+    # every field is checked, not only the first
+    coarse = jump_field(CellGrid(model, 2), np.ones(2))
+    with pytest.raises(ValueError, match="different grids"):
+        iterated_chain([field, coarse], paths)
+    with pytest.raises(ValueError, match="at least one field"):
+        iterated_chain([], paths)
 
 
 def test_doleans_pure_jump_product_formula():
@@ -218,24 +227,22 @@ def _reference_chain(fields, ens):
     Cell by cell: the Euler diffusion update, the cell-wide transfer for all
     paths, then each jumpy path's events in time order from its saved state.
     """
-    grid = fields[0].grid
-    refine = ens.grid.n_time // grid.n_time
-
+    grid = ens.grid
     n = len(fields)
     P = ens.n_paths
-    K = ens.grid.n_time
-    dt = ens.grid.dt
-    rates = ens.grid.bin_rates  # nu per jump bin
-    n_bins = ens.grid.n_bins
+    K = grid.n_time
+    dt = grid.dt
+    rates = grid.bin_rates  # nu per jump bin
+    n_bins = grid.n_bins
 
-    # per field-cell compensator rates c_j = sum_b g_j(cell, b) nu_b
+    # per-cell compensator rates c_j = sum_b g_j(cell, b) nu_b
     field_vals = [f.values for f in fields]
-    comp = np.empty((grid.n_time, n), dtype=np.complex128)
-    for k in range(grid.n_time):
+    comp = np.empty((K, n), dtype=np.complex128)
+    for k in range(K):
         for j in range(n):
             comp[k, j] = np.sum(field_vals[j][k, 1:n_bins] * rates)
 
-    # jumps sorted by (path cell, path, time)
+    # jumps sorted by (cell, path, time)
     cells = ens.jump_cells
     bins = ens.jump_bins
     order = np.lexsort((ens.jump_times, ens.jump_paths, cells))
@@ -247,16 +254,15 @@ def _reference_chain(fields, ens):
 
     state = np.zeros((P, n + 1), dtype=np.complex128)
     state[:, 0] = 1.0
-    sigma = ens.grid.model.sigma
+    sigma = grid.model.sigma
     for k in range(K):
-        kf = k // refine
         if ens.brownian is not None:
             db = sigma * ens.brownian[:, k]
             for j in range(n, 0, -1):
-                g = field_vals[j - 1][kf, 0]
+                g = field_vals[j - 1][k, 0]
                 if g != 0:
                     state[:, j] += g * db * state[:, j - 1]
-        L = _reference_transfer_matrix(comp[kf], dt)
+        L = _reference_transfer_matrix(comp[k], dt)
         lo, hi = cell_start[k], cell_start[k + 1]
         if lo == hi:
             state = state @ L.T
@@ -280,15 +286,15 @@ def _reference_chain(fields, ens):
             for e in range(idx, stop):
                 t_e = float(s_times[e])
                 if t_e > t_cur:
-                    z = _reference_transfer_matrix(comp[kf], t_e - t_cur) @ z
+                    z = _reference_transfer_matrix(comp[k], t_e - t_cur) @ z
                     t_cur = t_e
                 b = int(s_bins[e])
                 for j in range(n, 0, -1):
-                    g = field_vals[j - 1][kf, b]
+                    g = field_vals[j - 1][k, b]
                     if g != 0:
                         z[j] += g * z[j - 1]
             if t_right > t_cur:
-                z = _reference_transfer_matrix(comp[kf], t_right - t_cur) @ z
+                z = _reference_transfer_matrix(comp[k], t_right - t_cur) @ z
             state[p] = z
             idx = stop
     return state[:, n].copy()
@@ -342,29 +348,28 @@ def test_stacked_transfer_matrices_have_the_scalar_bits():
 def test_chain_matches_the_reference_walk_on_drawn_paths():
     rng = np.random.default_rng(16)
     cases = [
-        ("poisson", poisson_preset(1.0, 1.0), 8, 1),
-        ("mixed", MIXED, 8, 1),
-        ("mixed refined", MIXED, 4, 2),
-        ("no jumps drawn", LevyModel(sigma=0.5, atoms=((1.0, 1e-12),)), 4, 2),
-        ("brownian", brownian_preset(1.0), 4, 1),
+        ("poisson", poisson_preset(1.0, 1.0), 8),
+        ("mixed", MIXED, 8),
+        ("no jumps drawn", LevyModel(sigma=0.5, atoms=((1.0, 1e-12),)), 4),
+        ("brownian", brownian_preset(1.0), 4),
+        ("jumpy", JUMPY, 4),
     ]
-    cases += [("jumpy", JUMPY, 4, refine) for refine in (1, 2, 4)]
-    for name, model, K, refine in cases:
-        field_grid = CellGrid(model, K)
-        ens = sample_ensemble(model, CellGrid(model, K * refine), seed=K + refine, n_paths=150)
+    for name, model, K in cases:
+        grid = CellGrid(model, K)
+        ens = sample_ensemble(model, grid, seed=K + 1, n_paths=150)
         if name == "no jumps drawn":
             assert ens.jump_times.size == 0
         for count in range(1, 5):
-            fields = _random_fields(field_grid, count, rng)
-            label = (name, refine, count)
+            fields = _random_fields(grid, count, rng)
+            label = (name, count)
             _assert_same_bytes(iterated_chain(fields, ens), _reference_chain(fields, ens), label)
         # a constant field has no zero bins and repeats one field
-        field = _random_fields(field_grid, 1, rng, zero_share=0.0)[0]
+        field = _random_fields(grid, 1, rng, zero_share=0.0)[0]
         for n in (1, 3):
             _assert_same_bytes(
                 iterated_chain([field] * n, ens),
                 _reference_chain([field] * n, ens),
-                (name, refine, "power", n),
+                (name, "power", n),
             )
 
 
@@ -395,16 +400,13 @@ def test_chain_matches_the_reference_walk_on_edge_times():
         grid = CellGrid(model, 6)
         ens = _hand_built(model, grid, times_per_path, rng)
         assert ens.jump_cells.tolist() == [3, 1, 1, 4, 5, 1, 3, 3, 3, 5, 5, 5]
-        for refine in (1, 2, 3):
-            # the paths' grid refines the fields' grid by `refine`
-            field_grid = CellGrid(model, 6 // refine)
-            for count in range(1, 5):
-                fields = _random_fields(field_grid, count, rng)
-                _assert_same_bytes(
-                    iterated_chain(fields, ens),
-                    _reference_chain(fields, ens),
-                    (model.sigma, refine, count),
-                )
+        for count in range(1, 5):
+            fields = _random_fields(grid, count, rng)
+            _assert_same_bytes(
+                iterated_chain(fields, ens),
+                _reference_chain(fields, ens),
+                (model.sigma, count),
+            )
 
 
 def test_chain_python_work_grows_with_event_ranks(monkeypatch):

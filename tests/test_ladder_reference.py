@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from chaoskit import chaos
-from chaoskit.dense import operator_matrix
+from chaoskit.dense import lower_matrix
 from chaoskit.fock import (
     FockVector,
     MarkedFock,
@@ -135,7 +135,7 @@ def test_gradient_matches_the_dense_lowering_matrix(d):
     psi = FockVector(d, TRUNCATION, _levels(rng, d, TRUNCATION))
     grad = gradient(psi)
     for n in range(1, TRUNCATION + 1):
-        dense = operator_matrix("lower", n, d).matrix @ psi.levels[n]
+        dense = lower_matrix(d, n) @ psi.levels[n]
         want = dense.reshape(level_dim(d, n - 1), d)
         assert np.max(np.abs(grad.levels[n - 1] - want)) <= 1e-14
 

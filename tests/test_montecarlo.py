@@ -35,3 +35,16 @@ def test_summarize_input_validation():
     with pytest.raises(ValueError):
         summarize(np.array([]))
 
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        np.array([np.inf, -np.inf]),  # fsum raises ValueError on inf - inf
+        np.array([1e308, 1e308]),  # fsum raises OverflowError
+    ],
+)
+def test_unsummable_sample_gives_nan_instead_of_raising(values):
+    s = summarize(values)
+    assert np.isnan(s.mean.real)
+    assert np.isnan(s.se)
