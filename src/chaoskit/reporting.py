@@ -6,10 +6,11 @@ files themselves (report.jsonl, report.csv, manifest.json) are byte-stable
 for a fixed config and seed; wall-clock data lives in timing.jsonl only, so
 identical runs can be diffed file by file. env.json names what produced the
 bundle: the Python, numpy, scipy and chaoskit versions, a sha256 of the
-package source and the random stream version (`levy.STREAM_VERSION`); it is
-byte-stable in one environment. One registered check can emit
-several records; each timing line names that check in its `check` field and
-carries the check's batch total, so time sums per check, not per record.
+package source, the random stream version (`levy.STREAM_VERSION`) and the
+number of CPUs the process may run on; it is byte-stable in one environment.
+One registered check can emit several records; each timing line names that
+check in its `check` field and carries the check's batch total, so time sums
+per check, not per record.
 
 Complex values are serialized as "re+imi" with full-precision float reprs;
 parse_value is the reference parser and round-trips everything format_value
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -71,14 +73,20 @@ class CheckRecord:
         return self.status == "pass"
 
     def row(self) -> dict:
-        """Deterministic payload: runtime_ms and check are deliberately excluded."""
+        """Deterministic payload: runtime_ms and check are deliberately excluded.
+
+        A non-finite se is written as its format_value string, as value is, so
+        every line is strict JSON."""
+        se = self.se
+        if se is not None and not math.isfinite(se):
+            se = format_value(se)
         return {
             "check_id": self.check_id,
             "status": self.status,
             "value": format_value(self.value),
             "expected": format_value(self.expected),
             "tolerance": self.tolerance,
-            "se": self.se,
+            "se": se,
             "note": self.note,
         }
 
@@ -137,9 +145,12 @@ def _source_sha256() -> str:
 
 
 def _environment() -> dict:
-    """The env.json payload: versions, source digest and stream version."""
+    """The env.json payload: versions, source digest, stream version and the
+    CPUs this process may run on (the suite runner's pool size derives from
+    them)."""
     return {
         "chaoskit": __version__,
+        "cpus": len(os.sched_getaffinity(0)),
         "numpy": np.__version__,
         "python": ".".join(str(part) for part in sys.version_info[:3]),
         "scipy": scipy.__version__,

@@ -23,6 +23,8 @@ anything else propagating out of a check is a bug and is allowed to surface.
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
 import time
 import warnings
 from hashlib import sha256
@@ -1243,10 +1245,60 @@ def _run_one(fn, cfg: RunConfig) -> list[CheckRecord]:
     return records
 
 
-def run_suite(config: RunConfig) -> list[CheckRecord]:
-    """All records of the configured suite.
+# (checks, config) of the run a pool worker serves. _adopt sets it in each
+# forked worker; the calling process never sets it.
+_ADOPTED = None
+# Pool never returns the check a dead worker held (one killed by a signal, for
+# instance), so the runner looks for dead workers this often while it waits.
+_WORKER_POLL_S = 1.0
 
-    The checks run one after another, in registry order, on the calling thread.
+
+def _adopt(checks, config: RunConfig) -> None:
+    global _ADOPTED
+    _ADOPTED = (checks, config)
+
+
+def _run_adopted(index: int) -> list[CheckRecord]:
+    checks, config = _ADOPTED
+    return _run_one(checks[index], config)
+
+
+def _forked_batches(checks, config: RunConfig, n_workers: int) -> list[list[CheckRecord]]:
+    """Each check's records, in order, from a pool of n_workers forked workers."""
+    before = multiprocessing.active_children()
+    pool = multiprocessing.get_context("fork").Pool(n_workers, _adopt, (checks, config))
+    workers = [p for p in multiprocessing.active_children() if p not in before]
+    try:
+        results = pool.imap(_run_adopted, range(len(checks)))
+        batches = []
+        while len(batches) < len(checks):
+            try:
+                batches.append(results.next(_WORKER_POLL_S))
+            except multiprocessing.TimeoutError:
+                if not all(p.is_alive() for p in workers):
+                    raise RuntimeError("a suite worker process died during a check") from None
+        return batches
+    except BaseException:
+        pool.terminate()
+        raise
+    finally:
+        pool.close()
+        pool.join()
+
+
+def run_suite(config: RunConfig) -> list[CheckRecord]:
+    """All records of the configured suite, in registry order.
+
+    The checks are mapped over a pool of forked processes, one check at a
+    time, with one worker per CPU this process may run on (at most one per
+    check). A worker inherits the checks and the config through fork, is sent
+    only a check's index and sends back that check's records, timed in the
+    worker; so a check may be any callable, a wrapped one included. With one
+    usable CPU, or where fork is not available, the checks run one after
+    another in the calling process. Every check draws from its own stream, so
+    the records do not depend on where it ran. No worker outlives the call:
+    an exception raised by a check, or a worker that dies, ends the pool and
+    raises in the caller.
     """
     try:
         config.validate_guards()
@@ -1256,5 +1308,10 @@ def run_suite(config: RunConfig) -> list[CheckRecord]:
                 "config.guards", "fail", math.inf, 0.0, 0.0, note=f"guard limit: {exc}"
             )
         ]
-    batches = [_run_one(fn, config) for fn in suite_checks(config.suite)]
+    checks = suite_checks(config.suite)
+    n_workers = min(len(os.sched_getaffinity(0)), len(checks))
+    if n_workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        batches = [_run_one(fn, config) for fn in checks]
+    else:
+        batches = _forked_batches(checks, config, n_workers)
     return [record for batch in batches for record in batch]

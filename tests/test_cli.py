@@ -140,6 +140,14 @@ def test_unusable_output_root_exits_two_before_any_check(
     assert "Traceback" not in err
 
 
+def _refuse_constant(token):
+    raise ValueError(f"{token} is not strict JSON")
+
+
+def _strict_json(line: str) -> dict:
+    return json.loads(line, parse_constant=_refuse_constant)
+
+
 def test_overflowing_samples_fail_a_record_without_a_traceback(tmp_path, capsys):
     # valid config whose mixed exponential martingale overflows to +-inf, so
     # the exact sum of its samples is undefined
@@ -151,9 +159,9 @@ def test_overflowing_samples_fail_a_record_without_a_traceback(tmp_path, capsys)
     assert code == 1
     assert "Traceback" not in captured.err
     with open(os.path.join(run_dir_of(captured.out), "report.jsonl")) as fh:
-        records = {r["check_id"]: r for r in map(json.loads, fh)}
+        records = {r["check_id"]: r for r in map(_strict_json, fh)}
     mixed = records["sim.exp_martingale.mixed"]
-    assert (mixed["status"], mixed["value"]) == ("fail", "nan")
+    assert (mixed["status"], mixed["value"], mixed["se"]) == ("fail", "nan", "nan")
 
 
 def test_unknown_suite_is_refused_by_the_parser(capsys):

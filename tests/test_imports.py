@@ -3,12 +3,12 @@
 scipy's submodules pull in scipy.special, numpy.f2py, numpy.ma and more, which
 costs most of a process's start-up time and tens of MB. The package reads
 scipy's version for env.json and nothing else. concurrent.futures (about 5 ms
-of import) is listed too: checks run on the calling thread, so no pool is
-needed. A fresh interpreter imports chaoskit, then draws an ensemble, runs a
-chain integral and one suite; none of the heavy modules may be loaded at
-import, and none of them, nor any numpy.random submodule, may first be loaded
-by the work after it (numpy imports some modules lazily, at first use). No
-wall-clock time is asserted.
+of import) is listed too: the suite runner fans its checks out over a
+multiprocessing pool, which does not need it. A fresh interpreter imports
+chaoskit, then draws an ensemble, runs a chain integral and one suite; none of
+the heavy modules may be loaded at import, and none of them, nor any
+numpy.random submodule, may first be loaded by the work after it (numpy
+imports some modules lazily, at first use). No wall-clock time is asserted.
 
 The package's modules import each other without a cycle, function-local
 imports included.

@@ -167,6 +167,7 @@ def test_env_json_names_versions_source_and_stream(tmp_path):
             digest.update(fh.read())
     assert env == {
         "chaoskit": chaoskit.__version__,
+        "cpus": len(os.sched_getaffinity(0)),
         "numpy": np.__version__,
         "python": platform.python_version(),
         "scipy": scipy.__version__,

@@ -1,7 +1,9 @@
 """Suite registry and runner behavior at a small configuration."""
 import json
 import math
-import threading
+import multiprocessing
+import os
+import signal
 from dataclasses import replace
 from hashlib import sha256
 from types import SimpleNamespace
@@ -97,29 +99,40 @@ def test_fock_suite_passes_and_stamps_runtimes():
     assert {r.check for r in records} == {fn.check_id for fn in suite_checks("fock")}
 
 
+def _usable_cpus(monkeypatch, n: int) -> None:
+    """Make run_suite see n usable CPUs, so its pool has min(n, checks) workers."""
+    monkeypatch.setattr(suites.os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
 @pytest.mark.parametrize("suite", sorted(REPORT_SHA256))
-def test_report_bytes_are_pinned_per_suite(suite):
-    records = run_suite(RunConfig(suite=suite, **SMALL))
-    payload = "".join(json.dumps(r.row(), sort_keys=True) + "\n" for r in records)
-    assert sha256(payload.encode()).hexdigest() == REPORT_SHA256[suite]
+def test_report_bytes_are_pinned_per_suite(monkeypatch, suite):
+    # one usable CPU runs the checks in this process, two fan them out
+    for cpus in (1, 2):
+        _usable_cpus(monkeypatch, cpus)
+        records = run_suite(RunConfig(suite=suite, **SMALL))
+        payload = "".join(json.dumps(r.row(), sort_keys=True) + "\n" for r in records)
+        assert sha256(payload.encode()).hexdigest() == REPORT_SHA256[suite], cpus
 
 
 @pytest.mark.parametrize("suite", ["sim", "chaos"])
-def test_report_bytes_do_not_depend_on_the_path_blocks(monkeypatch, suite):
+def test_report_bytes_do_not_depend_on_the_path_blocks(monkeypatch, tmp_path, suite):
     # 37 paths per block on the 8-cell grids (18 on the 16-cell mixed grid),
     # so 400 paths end in an uneven block
     monkeypatch.setattr(suites, "_BLOCK_VALUES", 37 * 8)
-    blocks = []
+    # the checks may run in forked workers, so the blocks are recorded in a file
+    log = tmp_path / "blocks.jsonl"
     real = suites.sample_ensemble
 
     def recording(model, grid, seed, n_paths, first=0):
-        blocks.append((grid.n_cells, first, n_paths))
+        with open(log, "a") as fh:
+            fh.write(json.dumps([grid.n_cells, first, n_paths]) + "\n")
         return real(model, grid, seed, n_paths, first=first)
 
     monkeypatch.setattr(suites, "sample_ensemble", recording)
     records = run_suite(RunConfig(suite=suite, **SMALL))
     payload = "".join(json.dumps(r.row(), sort_keys=True) + "\n" for r in records)
     assert sha256(payload.encode()).hexdigest() == REPORT_SHA256[suite]
+    blocks = [tuple(json.loads(line)) for line in log.read_text().splitlines()]
     assert (8, 370, 30) in blocks and (8, 333, 37) in blocks
 
 
@@ -147,23 +160,64 @@ def test_guard_breach_becomes_a_single_failing_record():
     assert "guard limit" in record.note
 
 
-def test_checks_run_on_the_calling_thread_in_registry_order(monkeypatch):
-    # CHAOSKIT_WORKERS is set to show that no environment variable fans out
-    monkeypatch.setenv("CHAOSKIT_WORKERS", "2")
-    calls = []
+def _logging_checks(monkeypatch, suite: str, log, faults=None):
+    """Wrap each check of the suite so that it appends (check_id, pid) to log;
+    a check named in faults calls its fault instead of running."""
+    faults = faults or {}
 
-    def traced(fn):
+    def logged(fn):
         def wrapped(cfg):
-            calls.append((fn.check_id, threading.get_ident()))
-            return fn(cfg)
+            with open(log, "a") as fh:
+                fh.write(json.dumps([fn.check_id, os.getpid()]) + "\n")
+            return faults.get(fn.check_id, fn)(cfg)
 
         wrapped.check_id = fn.check_id
         return wrapped
 
-    checks = suites.suite_checks("fock")
-    monkeypatch.setitem(suites._SUITE_CHECKS, "fock", [traced(fn) for fn in checks])
+    checks = suite_checks(suite)
+    monkeypatch.setitem(suites._SUITE_CHECKS, suite, [logged(fn) for fn in checks])
+    return [fn.check_id for fn in checks]
+
+
+def test_checks_run_in_the_calling_process_or_forked_workers(monkeypatch, tmp_path):
+    # CHAOSKIT_WORKERS is set to show that no environment variable sizes the pool
+    monkeypatch.setenv("CHAOSKIT_WORKERS", "3")
+    log = tmp_path / "calls.jsonl"
+    order = _logging_checks(monkeypatch, "fock", log)
+    for cpus in (1, 2):
+        log.write_text("")
+        _usable_cpus(monkeypatch, cpus)
+        records = run_suite(RunConfig(suite="fock", **SMALL))
+        calls = [json.loads(line) for line in log.read_text().splitlines()]
+        assert sorted(check_id for check_id, _ in calls) == sorted(order)
+        pids = {pid for _, pid in calls}
+        if cpus == 1:
+            assert pids == {os.getpid()}
+        else:
+            assert os.getpid() not in pids and 1 <= len(pids) <= 2
+        assert list(dict.fromkeys(r.check for r in records)) == order
+
+
+def _broken(cfg):
+    raise RuntimeError("fock.ccr broke")
+
+
+def _killed(cfg):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def test_no_worker_outlives_run_suite(monkeypatch, tmp_path):
+    _usable_cpus(monkeypatch, 2)
     run_suite(RunConfig(suite="fock", **SMALL))
-    assert calls == [(fn.check_id, threading.get_ident()) for fn in checks]
+    assert multiprocessing.active_children() == []
+    # a check that raises, and a worker killed inside its check: both reach
+    # the caller instead of hanging it
+    for fault, message in ((_broken, "fock.ccr broke"), (_killed, "worker process died")):
+        with monkeypatch.context() as patch:
+            _logging_checks(patch, "fock", tmp_path / "calls.jsonl", {"fock.ccr": fault})
+            with pytest.raises(RuntimeError, match=message):
+                run_suite(RunConfig(suite="fock", **SMALL))
+        assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("residuals", [[math.nan, 0.0], [0.0, math.nan], [0.5, math.nan, 2.0]])
