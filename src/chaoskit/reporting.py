@@ -144,13 +144,21 @@ def _source_sha256() -> str:
     return digest.hexdigest()
 
 
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on; 1 where the platform
+    cannot say (os.sched_getaffinity exists on Linux only)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return 1
+
+
 def _environment() -> dict:
     """The env.json payload: versions, source digest, stream version and the
     CPUs this process may run on (the suite runner's pool size derives from
     them)."""
     return {
         "chaoskit": __version__,
-        "cpus": len(os.sched_getaffinity(0)),
+        "cpus": usable_cpus(),
         "numpy": np.__version__,
         "python": ".".join(str(part) for part in sys.version_info[:3]),
         "scipy": scipy.__version__,

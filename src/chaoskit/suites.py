@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 import multiprocessing
-import os
 import time
 import warnings
 from hashlib import sha256
@@ -96,7 +95,7 @@ from .levy import (
     terminal_value,
 )
 from .montecarlo import summarize
-from .reporting import CheckRecord
+from .reporting import CheckRecord, usable_cpus
 
 __all__ = ["run_suite", "suite_checks"]
 
@@ -1294,11 +1293,11 @@ def run_suite(config: RunConfig) -> list[CheckRecord]:
     check). A worker inherits the checks and the config through fork, is sent
     only a check's index and sends back that check's records, timed in the
     worker; so a check may be any callable, a wrapped one included. With one
-    usable CPU, or where fork is not available, the checks run one after
-    another in the calling process. Every check draws from its own stream, so
-    the records do not depend on where it ran. No worker outlives the call:
-    an exception raised by a check, or a worker that dies, ends the pool and
-    raises in the caller.
+    usable CPU (reporting.usable_cpus, which is 1 off Linux), the checks run
+    one after another in the calling process. Every check draws from its own
+    stream, so the records do not depend on where it ran. No worker outlives
+    the call: an exception raised by a check, or a worker killed during a
+    check, ends the pool and raises in the caller.
     """
     try:
         config.validate_guards()
@@ -1309,8 +1308,8 @@ def run_suite(config: RunConfig) -> list[CheckRecord]:
             )
         ]
     checks = suite_checks(config.suite)
-    n_workers = min(len(os.sched_getaffinity(0)), len(checks))
-    if n_workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
+    n_workers = min(usable_cpus(), len(checks))
+    if n_workers < 2:
         batches = [_run_one(fn, config) for fn in checks]
     else:
         batches = _forked_batches(checks, config, n_workers)

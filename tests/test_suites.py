@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from chaoskit import suites
+from chaoskit import reporting, suites
 from chaoskit.config import SUITES, RunConfig
 from chaoskit.indices import GuardLimitError
 from chaoskit.suites import (
@@ -101,7 +101,7 @@ def test_fock_suite_passes_and_stamps_runtimes():
 
 def _usable_cpus(monkeypatch, n: int) -> None:
     """Make run_suite see n usable CPUs, so its pool has min(n, checks) workers."""
-    monkeypatch.setattr(suites.os, "sched_getaffinity", lambda pid: set(range(n)))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
 @pytest.mark.parametrize("suite", sorted(REPORT_SHA256))
@@ -196,6 +196,23 @@ def test_checks_run_in_the_calling_process_or_forked_workers(monkeypatch, tmp_pa
         else:
             assert os.getpid() not in pids and 1 <= len(pids) <= 2
         assert list(dict.fromkeys(r.check for r in records)) == order
+
+
+def test_without_sched_getaffinity_the_checks_run_in_the_calling_process(
+    monkeypatch, tmp_path
+):
+    # os.sched_getaffinity exists on Linux only; elsewhere the runner sees one
+    # usable CPU and env.json records it
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert reporting.usable_cpus() == 1
+    assert reporting._environment()["cpus"] == 1
+    log = tmp_path / "calls.jsonl"
+    order = _logging_checks(monkeypatch, "fock", log)
+    records = run_suite(RunConfig(suite="fock", **SMALL))
+    calls = [json.loads(line) for line in log.read_text().splitlines()]
+    assert calls == [[check_id, os.getpid()] for check_id in order]
+    payload = "".join(json.dumps(r.row(), sort_keys=True) + "\n" for r in records)
+    assert sha256(payload.encode()).hexdigest() == REPORT_SHA256["fock"]
 
 
 def _broken(cfg):
