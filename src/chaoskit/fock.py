@@ -36,7 +36,6 @@ from .indices import (
     level_dim,
     lower_maps,
     occ_array,
-    occupations,
     position,
     raise_maps,
 )
@@ -484,21 +483,39 @@ def _validate_partition(d: int, first) -> tuple[tuple[int, ...], tuple[int, ...]
 
 @lru_cache(maxsize=None)
 def _split_positions(d: int, n: int, first: tuple[int, ...]):
-    """For each level-n position: (n1, pos1, pos2) under the partition."""
-    second = tuple(i for i in range(d) if i not in set(first))
+    """For each level-n position: (n1, pos1, pos2) under the partition.
+
+    The one table of the mode-partition bijection, built on the tuple and
+    dict enumeration of `position`; `_merge_positions` is its inverse.
+    """
     occ = occ_array(d, n)
+    second = [i for i in range(d) if i not in first]
     n1 = occ[:, list(first)].sum(axis=1)
-    pos1 = np.empty(occ.shape[0], dtype=np.int64)
-    pos2 = np.empty(occ.shape[0], dtype=np.int64)
-    for p in range(occ.shape[0]):
-        a1 = tuple(int(x) for x in occ[p, list(first)])
-        a2 = tuple(int(x) for x in occ[p, list(second)])
-        pos1[p] = position(a1)
-        pos2[p] = position(a2)
-    n1.setflags(write=False)
-    pos1.setflags(write=False)
-    pos2.setflags(write=False)
+    pos1, pos2 = (
+        np.array([position(a) for a in map(tuple, occ[:, modes].tolist())], dtype=np.int64)
+        for modes in (list(first), second)
+    )
+    for arr in (n1, pos1, pos2):
+        arr.setflags(write=False)
     return n1, pos1, pos2
+
+
+@lru_cache(maxsize=None)
+def _merge_positions(d: int, first: tuple[int, ...], n1: int, n2: int) -> np.ndarray:
+    """Global level-(n1+n2) positions of merged (alpha1, alpha2) pairs."""
+    n1s, pos1, pos2 = _split_positions(d, n1 + n2, first)
+    sel = n1s == n1
+    out = np.empty((level_dim(len(first), n1), level_dim(d - len(first), n2)), dtype=np.int64)
+    out[pos1[sel], pos2[sel]] = np.flatnonzero(sel)
+    out.setflags(write=False)
+    return out
+
+
+def _factor_merge(d: int, first: tuple[int, ...], factor: int, nf: int, no: int) -> np.ndarray:
+    """`_merge_positions` with the chosen factor's degree nf on axis 0."""
+    if factor == 1:
+        return _merge_positions(d, first, nf, no)
+    return _merge_positions(d, first, no, nf).T
 
 
 def split(psi: FockVector, first) -> SplitFock:
@@ -509,38 +526,12 @@ def split(psi: FockVector, first) -> SplitFock:
     """
     d, M = psi.d, psi.truncation
     first, second = _validate_partition(d, first)
-    d1, d2 = len(first), len(second)
-    blocks: dict[tuple[int, int], np.ndarray] = {}
-    for n in range(M + 1):
-        n1s, pos1, pos2 = _split_positions(d, n, first)
-        src = psi.levels[n]
-        for n1 in range(n + 1):
-            blk = blocks.setdefault(
-                (n1, n - n1),
-                np.zeros((level_dim(d1, n1), level_dim(d2, n - n1)), dtype=np.complex128),
-            )
-            sel = n1s == n1
-            blk[pos1[sel], pos2[sel]] = src[sel]
+    blocks = {
+        (n1, n - n1): psi.levels[n][_merge_positions(d, first, n1, n - n1)]
+        for n in range(M + 1)
+        for n1 in range(n + 1)
+    }
     return SplitFock(d, first, second, M, blocks)
-
-
-@lru_cache(maxsize=None)
-def _merge_positions(d: int, first: tuple[int, ...], n1: int, n2: int) -> np.ndarray:
-    """Global level-(n1+n2) positions of merged (alpha1, alpha2) pairs."""
-    second = tuple(i for i in range(d) if i not in set(first))
-    occ1 = occupations(len(first), n1)
-    occ2 = occupations(len(second), n2)
-    out = np.empty((len(occ1), len(occ2)), dtype=np.int64)
-    for p1, a1 in enumerate(occ1):
-        for p2, a2 in enumerate(occ2):
-            full = [0] * d
-            for i, a in zip(first, a1):
-                full[i] = a
-            for i, a in zip(second, a2):
-                full[i] = a
-            out[p1, p2] = position(tuple(full))
-    out.setflags(write=False)
-    return out
 
 
 def split_gradient(sp: SplitFock, factor: int) -> MarkedFock:
@@ -552,75 +543,43 @@ def split_gradient(sp: SplitFock, factor: int) -> MarkedFock:
     if factor not in (1, 2):
         raise ValueError("factor must be 1 or 2")
     d, M = sp.d, sp.truncation
-    modes = sp.first if factor == 1 else sp.second
-    df = len(modes)
+    modes = np.array(sp.first if factor == 1 else sp.second)
     out = MarkedFock.zero(d, M)
     for (n1, n2), blk in sp.blocks.items():
-        nf = n1 if factor == 1 else n2
-        if nf == 0 or n1 + n2 == 0:
+        # the chosen factor's axis first
+        nf, no, blk = (n1, n2, blk) if factor == 1 else (n2, n1, blk.T)
+        if nf == 0:
             continue
-        target, weight = lower_maps(df, nf)
-        for i_local in range(df):
-            valid = target[:, i_local] >= 0
-            if not np.any(valid):
-                continue
-            if factor == 1:
-                mpos = _merge_positions(d, sp.first, n1 - 1, n2)
-                lowered = mpos[target[valid, i_local], :]
-                vals = weight[valid, i_local, None] * blk[valid, :]
-            else:
-                mpos = _merge_positions(d, sp.first, n1, n2 - 1)
-                lowered = mpos[:, target[valid, i_local]]
-                vals = weight[None, valid, i_local] * blk[:, valid]
-            dst = out.levels[n1 + n2 - 1]
-            np.add.at(dst[:, modes[i_local]], lowered.ravel(), vals.ravel())
+        target, weight = lower_maps(len(modes), nf)
+        p, i = np.nonzero(target >= 0)
+        # each lowered entry has one source per mode
+        lowered = _factor_merge(d, sp.first, factor, nf - 1, no)[target[p, i]]
+        out.levels[n1 + n2 - 1][lowered, modes[i, None]] = weight[p, i, None] * blk[p]
     return out
 
 
 def split_divergence(phi: MarkedFock, first) -> tuple[FockVector, float]:
     """Raise each mark inside its own factor of the partition, merged back.
 
-    Equals `divergence` of the same marked vector; exercised as the
-    independent route for the split identity checks.
+    Equals `divergence` of the same marked vector, bit for bit: marks are
+    added in ascending order, as there. Exercised as the independent route
+    for the split identity checks.
     """
     d, M = phi.d, phi.truncation
     first, second = _validate_partition(d, first)
-    local_index = {}
-    for k, i in enumerate(first):
-        local_index[i] = (1, k)
-    for k, i in enumerate(second):
-        local_index[i] = (2, k)
     out = FockVector.zero(d, M)
     spill = np.zeros(level_dim(d, M + 1), dtype=np.complex128)
     for n in range(M + 1):
-        n1s, pos1, pos2 = _split_positions(d, n, first)
-        src = phi.levels[n]
         dest = out.levels[n + 1] if n < M else spill
         for mark in range(d):
-            col = src[:, mark]
-            if not np.any(col):
-                continue
-            factor, local = local_index[mark]
-            for n1 in range(n + 1):
-                sel = n1s == n1
-                if not np.any(sel):
-                    continue
-                vals = col[sel]
-                nz = vals != 0
-                if not np.any(nz):
-                    continue
-                p1 = pos1[sel][nz]
-                p2 = pos2[sel][nz]
-                # raise the mark inside its own factor, then merge back
-                if factor == 1:
-                    t, w = raise_maps(len(first), n1)
-                    p1, amp = t[p1, local], w[p1, local] * vals[nz]
-                    mpos = _merge_positions(d, first, n1 + 1, n - n1)
-                else:
-                    t, w = raise_maps(len(second), n - n1)
-                    p2, amp = t[p2, local], w[p2, local] * vals[nz]
-                    mpos = _merge_positions(d, first, n1, n - n1 + 1)
-                np.add.at(dest, mpos[p1, p2], amp)
+            factor, modes = (1, first) if mark in first else (2, second)
+            local = modes.index(mark)
+            for nf in range(n + 1):
+                # raising inside a factor is one-to-one, so += adds every term
+                src = phi.levels[n][_factor_merge(d, first, factor, nf, n - nf), mark]
+                raised = _factor_merge(d, first, factor, nf + 1, n - nf)
+                target, weight = raise_maps(len(modes), nf)
+                dest[raised[target[:, local]]] += weight[:, local, None] * src
     return out, float(np.linalg.norm(spill))
 
 

@@ -38,7 +38,7 @@ entries:
   (object dtype) one above; either way the exact integer is rounded to
   float64 once, as float(n! / alpha!) is.
 
-`lower_maps`, `position` and `fock._merge_positions` stay on the tuple and
+`lower_maps`, `position` and `fock._split_positions` stay on the tuple and
 dict enumeration, so the dense matrices and the split route keep a table
 builder that the kernels they check do not use.
 """

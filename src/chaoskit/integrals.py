@@ -348,7 +348,9 @@ def exp_martingale_grid(f, ens: PathEnsemble) -> np.ndarray:
         np.add.at(steps, (ens.jump_paths, ens.jump_cells), contrib)
     out = np.ones((P, K + 1), dtype=np.complex128)
     np.cumsum(steps, axis=1, out=steps)
-    out[:, 1:] = np.exp(steps)
+    # a heavy jump law can overflow to inf here; the record then fails as NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        out[:, 1:] = np.exp(steps)
     return out
 
 

@@ -43,13 +43,15 @@ def summarize(values: np.ndarray) -> MCStat:
     re = np.ascontiguousarray(v.real, dtype=np.float64)
     im = np.ascontiguousarray(v.imag, dtype=np.float64) if np.iscomplexobj(v) else None
     mean_re = _fsum_mean(re)
-    var_re = _fsum_mean((re - mean_re) ** 2) * n / max(n - 1, 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        var_re = _fsum_mean((re - mean_re) ** 2) * n / max(n - 1, 1)
     se_re = math.sqrt(var_re / n)
     if im is None:
         mean_im, se_im = 0.0, 0.0
     else:
         mean_im = _fsum_mean(im)
-        var_im = _fsum_mean((im - mean_im) ** 2) * n / max(n - 1, 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            var_im =_fsum_mean((im - mean_im) ** 2) * n / max(n - 1, 1)
         se_im = math.sqrt(var_im / n)
     return MCStat(
         mean=complex(mean_re, mean_im),

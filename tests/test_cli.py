@@ -1,11 +1,14 @@
 """End-to-end command line runs (in process, small configurations)."""
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import chaoskit
 from chaoskit.cli import main
 from chaoskit.config import DEFAULT_TOLERANCES, SUITES
 
@@ -162,6 +165,27 @@ def test_overflowing_samples_fail_a_record_without_a_traceback(tmp_path, capsys)
         records = {r["check_id"]: r for r in map(_strict_json, fh)}
     mixed = records["sim.exp_martingale.mixed"]
     assert (mixed["status"], mixed["value"], mixed["se"]) == ("fail", "nan", "nan")
+
+
+def test_overflowing_samples_print_no_numpy_warning(tmp_path):
+    # pool workers write to the inherited stderr descriptor, which capsys does
+    # not see, so the run goes through a separate interpreter
+    path = tmp_path / "heavy.json"
+    path.write_text(json.dumps({"atoms": [[1.0, 3000.0]], "n_time": 16}))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(chaoskit.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = ["sim", "--config", os.fspath(path), "--paths", "50", "--out", os.fspath(tmp_path)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "chaoskit.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert proc.returncode == 1
+    assert "sim.exp_martingale.mixed" in proc.stdout
+    assert "RuntimeWarning" not in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_unknown_suite_is_refused_by_the_parser(capsys):

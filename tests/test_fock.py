@@ -258,26 +258,56 @@ def test_split_rejects_trivial_partitions():
         split(psi, (0, 5))
 
 
+# (d, first): contiguous groups, single modes, and the interleaved even modes
+# that the mixed grid's diffusion cells form
+SPLIT_PARTITIONS = [
+    (2, (1,)),
+    (3, (0, 2)),
+    (4, (1, 3)),
+    (4, (0, 1)),
+    (5, (0, 2, 4)),
+    (6, (0, 2, 4)),
+    (6, (5,)),
+    (6, (0, 1, 2, 3)),
+]
+
+
+def test_split_exponential_vectors_factor_into_products():
+    rng = np.random.default_rng(71)
+    for d, first in SPLIT_PARTITIONS:
+        f = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        M = 4 if d <= 4 else 3
+        sp = split(exp_vector(f, M), first)
+        e1 = exp_vector(f[list(sp.first)], M)
+        e2 = exp_vector(f[list(sp.second)], M)
+        assert len(sp.blocks) == (M + 1) * (M + 2) // 2
+        for (n1, n2), blk in sp.blocks.items():
+            want = np.outer(e1.levels[n1], e2.levels[n2])
+            assert np.all(np.abs(blk - want) <= 2e-15 * np.abs(want))
+
+
 def test_split_gradient_factors_sum_to_the_gradient():
     rng = np.random.default_rng(79)
-    psi = rand_fock(rng, 4, 3)
-    sp = split(psi, (1, 3))
-    total = split_gradient(sp, 1) + split_gradient(sp, 2)
-    full = gradient(psi)
-    for a, b in zip(total.levels, full.levels):
-        assert np.allclose(a, b, atol=1e-12)
+    for d, first in SPLIT_PARTITIONS:
+        psi = rand_fock(rng, d, 3)
+        sp = split(psi, first)
+        total = split_gradient(sp, 1) + split_gradient(sp, 2)
+        for a, b in zip(total.levels, gradient(psi).levels):
+            assert np.array_equal(a, b)
     with pytest.raises(ValueError):
         split_gradient(sp, 3)
 
 
 def test_split_divergence_agrees_with_divergence():
     rng = np.random.default_rng(83)
-    phi = rand_marked(rng, 4, 3, zero_top=1)
-    via_split, drop1 = split_divergence(phi, (0, 1))
-    direct, drop2 = divergence(phi)
-    assert drop1 == pytest.approx(drop2, abs=1e-12)
-    for a, b in zip(via_split.levels, direct.levels):
-        assert np.allclose(a, b, atol=1e-12)
+    for d, first in SPLIT_PARTITIONS:
+        for zero_top in (0, 1):
+            phi = rand_marked(rng, d, 3, zero_top=zero_top)
+            via_split, drop1 = split_divergence(phi, first)
+            direct, drop2 = divergence(phi)
+            assert drop1 == drop2
+            for a, b in zip(via_split.levels, direct.levels):
+                assert np.array_equal(a, b)
 
 
 def test_skorohod_identity_on_random_marked_pairs():
