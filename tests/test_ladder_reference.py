@@ -1,9 +1,10 @@
 """Ladder and tensor-power kernels against their masked-loop references.
 
-The vector kernels read lowering through the raise tables and build tensor
-powers from a per-mode power table. The references below are the earlier
-loop forms over `lower_maps`, and the kernels must reproduce them bit for
-bit: each output element gets the same products, added in the same order.
+The vector kernels read lowering through the raise tables, raise every level
+of a vector at once, and build tensor powers from a per-mode power table.
+The references below are per-level loop forms over `lower_maps`, and the
+kernels must reproduce them bit for bit: each output element gets the same
+products, added in the same order.
 """
 from math import factorial, sqrt
 
@@ -16,6 +17,8 @@ from chaoskit.fock import (
     FockVector,
     MarkedFock,
     annihilate,
+    create,
+    divergence,
     exp_vector,
     gradient,
     marked_lower,
@@ -26,6 +29,8 @@ from chaoskit.levy import CellGrid, LevyModel
 
 DIMS = [1, 2, 3, 4, 5]
 TRUNCATION = 5
+LADDER_TRUNCATIONS = [0, 1, 5]
+LADDER_KINDS = ["random", "negative_zero", "large"]
 
 
 def _levels(rng, d, truncation, trailing=()):
@@ -49,6 +54,32 @@ def reference_annihilate(fa, psi):
                 continue
             dst[target[valid, i]] += np.conj(fa[i]) * weight[valid, i] * src[valid]
     return out
+
+
+def reference_create(fa, psi):
+    """Levels and spill norm of a*(f) psi, raising level n - 1 into level n."""
+    d, M = psi.d, psi.truncation
+    out = [np.zeros(level_dim(d, n), dtype=np.complex128) for n in range(M + 2)]
+    for n in range(1, M + 2):
+        target, weight = lower_maps(d, n)
+        src = psi.levels[n - 1]
+        for i in range(d):
+            valid = target[:, i] >= 0
+            out[n][valid] += fa[i] * weight[valid, i] * src[target[valid, i]]
+    return out[: M + 1], float(np.linalg.norm(out[M + 1]))
+
+
+def reference_divergence(phi):
+    """Levels and dropped mass of the divergence, mark by mark in mode order."""
+    d, M = phi.d, phi.truncation
+    out = [np.zeros(level_dim(d, n), dtype=np.complex128) for n in range(M + 2)]
+    for n in range(1, M + 2):
+        target, weight = lower_maps(d, n)
+        src = phi.levels[n - 1]
+        for j in range(d):
+            valid = target[:, j] >= 0
+            out[n][valid] += weight[valid, j] * src[target[valid, j], j]
+    return out[: M + 1], float(np.linalg.norm(out[M + 1]))
 
 
 def reference_gradient(psi):
@@ -100,6 +131,13 @@ def reference_tensor_coeffs(fa, n):
     return factorial_ratio_sqrt(d, n) * np.prod(table[np.arange(d), occ_array(d, n)], axis=1)
 
 
+def assert_levels_bytes_equal(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
 def assert_levels_equal(got, want):
     assert len(got) == len(want)
     for a, b in zip(got, want):
@@ -113,6 +151,51 @@ def test_annihilate_matches_the_masked_loop(d):
     psi = FockVector(d, TRUNCATION, _levels(rng, d, TRUNCATION))
     fa = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     assert_levels_equal(annihilate(fa, psi).levels, reference_annihilate(fa, psi))
+
+
+def _fock_inputs(kind, d, truncation):
+    """(f, psi): a mode vector and a vector with random or exponential levels."""
+    rng = np.random.default_rng(700 + 10 * d + truncation)
+    if kind == "random":
+        fa = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        return fa, FockVector(d, truncation, _levels(rng, d, truncation))
+    fa = _mode_vector(kind, d)
+    return fa, exp_vector(fa, truncation)
+
+
+@pytest.mark.parametrize("d", DIMS)
+@pytest.mark.parametrize("truncation", LADDER_TRUNCATIONS)
+@pytest.mark.parametrize("kind", LADDER_KINDS)
+def test_create_matches_the_masked_loop(d, truncation, kind):
+    fa, psi = _fock_inputs(kind, d, truncation)
+    got, got_spill = create(fa, psi)
+    want, want_spill = reference_create(fa, psi)
+    assert_levels_bytes_equal(got.levels, want)
+    assert got_spill == want_spill
+    if truncation > 0 and kind != "random":
+        assert got_spill > 0.0  # the exponential vector fills the top level
+
+
+@pytest.mark.parametrize("d", DIMS)
+@pytest.mark.parametrize("truncation", LADDER_TRUNCATIONS)
+@pytest.mark.parametrize("kind", LADDER_KINDS)
+def test_annihilate_matches_the_masked_loop_at_every_truncation(d, truncation, kind):
+    fa, psi = _fock_inputs(kind, d, truncation)
+    assert_levels_bytes_equal(annihilate(fa, psi).levels, reference_annihilate(fa, psi))
+
+
+@pytest.mark.parametrize("d", DIMS)
+@pytest.mark.parametrize("truncation", LADDER_TRUNCATIONS)
+@pytest.mark.parametrize("kind", LADDER_KINDS)
+def test_divergence_matches_the_masked_loop(d, truncation, kind):
+    # the marked levels are psi_n (x) f: signed zeros and large entries
+    # reach every product of the kernel
+    fa, psi = _fock_inputs(kind, d, truncation)
+    phi = MarkedFock(d, truncation, [np.outer(lev, fa) for lev in psi.levels])
+    got, got_dropped = divergence(phi)
+    want, want_dropped = reference_divergence(phi)
+    assert_levels_bytes_equal(got.levels, want)
+    assert got_dropped == want_dropped
 
 
 @pytest.mark.parametrize("d", DIMS)
@@ -221,3 +304,13 @@ def test_exp_vector_matches_the_occupation_product(d, truncation, kind):
     assert len(levels) == truncation + 1
     for n, got in enumerate(levels):
         assert_same_bytes(got, reference_tensor_coeffs(fa, n) / sqrt(factorial(n)))
+
+
+@pytest.mark.parametrize("d", TENSOR_DIMS)
+@pytest.mark.parametrize("kind", sorted(MODE_VECTORS))
+def test_exp_vector_levels_do_not_depend_on_the_roof(d, kind):
+    fa = _mode_vector(kind, d)
+    roof = 7 if d > 3 else 30
+    top = exp_vector(fa, roof).levels
+    for n in range(roof + 1):
+        assert_same_bytes(top[n], exp_vector(fa, n).levels[n])

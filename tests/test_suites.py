@@ -46,6 +46,15 @@ REPORT_SHA256 = {
     "malliavin": "24310f948ac131af746227e8b8b9e6579d586ef161e666a44e81af8c4445cab3",
 }
 
+# The Fock and Malliavin suites at the benchmark's algebra config (d = 3,
+# truncation 6, max_degree 7) with fewer paths, where the Fock kernels work
+# on larger levels than at SMALL; pinned like REPORT_SHA256.
+ALGEBRA = dict(d=3, truncation=6, max_degree=7, n_paths=400, seed=7)
+ALGEBRA_SHA256 = {
+    "fock": "c14930d1a650a862fec5945821ef7735c2a752e8eb0f282e6213102a287cdf72",
+    "malliavin": "ce19e279eac34e7c5c412ed427f87ef7cd13eaecf68559797a1924452fab594d",
+}
+
 
 def test_all_is_the_concatenation_of_the_four_suites():
     parts = [suite_checks(s) for s in ("fock", "sim", "chaos", "malliavin")]
@@ -112,6 +121,14 @@ def test_report_bytes_are_pinned_per_suite(monkeypatch, suite):
         records = run_suite(RunConfig(suite=suite, **SMALL))
         payload = "".join(json.dumps(r.row(), sort_keys=True) + "\n" for r in records)
         assert sha256(payload.encode()).hexdigest() == REPORT_SHA256[suite], cpus
+
+
+@pytest.mark.parametrize("suite", sorted(ALGEBRA_SHA256))
+def test_report_bytes_are_pinned_at_the_algebra_config(suite):
+    records = run_suite(RunConfig(suite=suite, **ALGEBRA))
+    assert all(r.passed for r in records)
+    payload = "".join(json.dumps(r.row(), sort_keys=True) + "\n" for r in records)
+    assert sha256(payload.encode()).hexdigest() == ALGEBRA_SHA256[suite]
 
 
 @pytest.mark.parametrize("suite", ["sim", "chaos"])
