@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import os
 import warnings
+import weakref
 from dataclasses import dataclass
 from hashlib import sha256
 from math import factorial
@@ -70,12 +71,25 @@ __all__ = [
 ]
 
 
+# per grid instance, order -> mass weights; an entry goes with its grid
+_MASS_WEIGHTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def _mass_weights(grid: CellGrid, n: int) -> np.ndarray:
-    """Product of cell masses over each occupation, mu^alpha."""
-    if n == 0:
-        return np.ones(1)
-    occ = occ_array(grid.n_cells, n)
-    return np.exp(occ @ np.log(grid.cell_masses))
+    """Product of cell masses over each occupation, mu^alpha, read-only.
+
+    Memoized per grid instance and order; the grid's cell masses are
+    read-only, so an entry cannot go stale.
+    """
+    per_order = _MASS_WEIGHTS.setdefault(grid, {})
+    if n not in per_order:
+        if n == 0:
+            weights = np.ones(1)
+        else:
+            weights = np.exp(occ_array(grid.n_cells, n) @ np.log(grid.cell_masses))
+        weights.setflags(write=False)
+        per_order[n] = weights
+    return per_order[n]
 
 
 def kernel_inner(grid: CellGrid, n: int, f: np.ndarray, g: np.ndarray) -> complex:

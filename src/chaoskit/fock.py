@@ -15,10 +15,20 @@ every inner product in this package.
 Values are dataclasses on the `Graded` base, which the chaos expansions of
 `chaos` share: levels 0..M of fixed shapes, validated and cast to complex on
 construction, with `zero`, `copy`, linear arithmetic and the plain pairing.
-Treat them as immutable (operations always allocate fresh output).
+Treat them as immutable: operations never write into their inputs. The
+levels of a kernel's output may be views of one buffer that stacks levels
+0..M (`exp_vector`, `create`, `annihilate`, `divergence`), so a level may
+keep that buffer alive; `copy` gives separate arrays.
 Level-raising operations cannot write above the truncation roof: the
 would-be top content is dropped and its norm is returned to the caller,
 never silently discarded.
+
+The kernels work on the whole level stack at once. `exp_vector` folds the
+modes left to right over every prefix of every occupation up to the roof, so
+each prefix product is computed once, and the ladder maps raise or lower all
+levels through one stacked raise table, one numpy pass per mode. Every
+coefficient gets the same products, added in the same order, as in a
+per-level loop, so the bits do not depend on the roof.
 """
 from __future__ import annotations
 
@@ -27,6 +37,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -254,66 +265,125 @@ class MarkedFock(Graded):
 
 
 def _power_table(fa: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Real and imaginary parts of table[k, i] = f_i ** k for k = 0..n.
+    """Flat real and imaginary parts of table[k, i] = f_i ** k for k = 0..n.
 
-    The powers come from the same ufunc as fa ** occ; each part is a
-    C-contiguous (n + 1, d) array, so its flat index is k * d + i.
+    The powers come from the same ufunc as fa ** occ; the table is
+    C-contiguous (n + 1, d), so entry (k, i) sits at flat index k * d + i.
     """
     table = (fa[:, None] ** np.arange(n + 1)).T
-    return np.ascontiguousarray(table.real), np.ascontiguousarray(table.imag)
+    return table.real.ravel(), table.imag.ravel()
+
+
+# coefficients per block of the fold's last step; temporaries this small are
+# reused by the allocator instead of faulting in fresh pages on every call
+_FOLD_BLOCK = 4096
+
+
+class _FoldPlan(NamedTuple):
+    """Left fold over the modes that builds prod_i f_i ** alpha_i for levels 0..M.
+
+    Step 0 is the power-table index alpha_0 * d of every alpha_0 <= M. Step
+    i >= 1 lists every prefix (alpha_0, ..., alpha_i) with sum <= M in
+    lexicographic order, as its parent prefix's index in step i - 1 and the
+    power-table index alpha_i * d + i. The last step is sorted stably by total
+    degree, so it lists levels 0..M one after another, each in `occ_array`
+    order: level n is the slice [bounds[n], bounds[n + 1]). `weights` is
+    factorial_ratio_sqrt of each level, and `roots` is sqrt(n!) over level n.
+    """
+
+    first: np.ndarray
+    steps: tuple[tuple[np.ndarray, np.ndarray], ...]
+    bounds: tuple[int, ...]
+    weights: np.ndarray
+    roots: np.ndarray
 
 
 @lru_cache(maxsize=None)
-def _flat_index(d: int, n: int) -> np.ndarray:
-    """index[i, p] = alpha_i * d + i for the level-n vector alpha at position p."""
-    out = np.ascontiguousarray((occ_array(d, n) * d + np.arange(d)).T)
-    out.setflags(write=False)
+def _fold_plan(d: int, truncation: int) -> _FoldPlan:
+    """The read-only fold plan of levels 0..truncation over d modes."""
+    sizes = [check_level(d, n) for n in range(truncation + 1)]
+    sums = np.arange(truncation + 1)
+    first = sums * d
+    steps = []
+    for i in range(1, d):
+        # each prefix takes alpha_i = 0..truncation - sum, in ascending order
+        counts = truncation + 1 - sums
+        parent = np.repeat(np.arange(sums.size), counts)
+        alpha = np.arange(parent.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        sums = sums[parent] + alpha
+        steps.append((parent, alpha * d + i))
+    if steps:
+        order = np.argsort(sums, kind="stable")
+        steps[-1] = (steps[-1][0][order], steps[-1][1][order])
+    weights = np.concatenate([factorial_ratio_sqrt(d, n) for n in range(truncation + 1)])
+    roots = np.repeat([math.sqrt(factorial(n)) for n in range(truncation + 1)], sizes)
+    for arr in (first, weights, roots, *(a for step in steps for a in step)):
+        arr.setflags(write=False)
+    bounds = tuple(np.cumsum([0] + sizes).tolist())
+    return _FoldPlan(first, tuple(steps), bounds, weights, roots)
+
+
+def _fold(fa: np.ndarray, truncation: int) -> np.ndarray:
+    """prod_i f_i ** alpha_i over the stack of levels 0..truncation, one buffer.
+
+    Each step multiplies a prefix product by f_i ** alpha_i on separate real
+    and imaginary arrays, (ar*br - ai*bi, ar*bi + ai*br). That is the scalar
+    complex multiply of np.prod's reduction over the modes, so every
+    coefficient equals np.prod(table[arange(d), occ], axis=1) bit for bit,
+    signed zeros included; numpy's vectorized complex `*` differs in the last
+    bit on most rows. A prefix product is computed once and shared by every
+    coefficient that extends it.
+    """
+    plan = _fold_plan(fa.shape[0], truncation)
+    re_table, im_table = _power_table(fa, truncation)
+    re, im = re_table[plan.first], im_table[plan.first]
+    out = np.empty(plan.bounds[-1], dtype=np.complex128)
+    if not plan.steps:
+        out.real, out.imag = re, im
+    for k, (parent, index) in enumerate(plan.steps):
+        if k == len(plan.steps) - 1:
+            new_re, new_im = out.real, out.imag
+        else:
+            new_re, new_im = np.empty(parent.size), np.empty(parent.size)
+        for lo in range(0, parent.size, _FOLD_BLOCK):
+            block = slice(lo, lo + _FOLD_BLOCK)
+            ar, ai = re[parent[block]], im[parent[block]]
+            br, bi = re_table[index[block]], im_table[index[block]]
+            new_re[block] = ar * br - ai * bi
+            new_im[block] = ar * bi + ai * br
+        re, im = new_re, new_im
     return out
 
 
-def _tensor_coeffs(table: tuple[np.ndarray, np.ndarray], n: int) -> np.ndarray:
-    """sqrt(n!/alpha!) * prod_i f_i ** alpha_i over the level-n enumeration.
-
-    The product is a left fold over the modes on separate real and imaginary
-    arrays, (ar*br - ai*bi, ar*bi + ai*br) per step. That is the scalar
-    complex multiply of np.prod's reduction, so the powers equal
-    np.prod(table[arange(d), occ], axis=1) bit for bit, signed zeros
-    included; numpy's vectorized complex `*` differs in the last bit on most
-    rows.
-    """
-    re_table, im_table = (part.ravel() for part in table)
-    d = table[0].shape[1]
-    index = _flat_index(d, n)
-    re, im = re_table[index[0]], im_table[index[0]]
-    for i in range(1, d):
-        br, bi = re_table[index[i]], im_table[index[i]]
-        re, im = re * br - im * bi, re * bi + im * br
-    powers = np.empty(re.shape, dtype=np.complex128)
-    powers.real, powers.imag = re, im
-    return factorial_ratio_sqrt(d, n) * powers
-
-
 def tensor_power(f, n: int) -> SymTensor:
-    """n-fold tensor power of f, so <tensor_power(f,n), tensor_power(g,n)> = <f,g>^n."""
+    """n-fold tensor power of f, so <tensor_power(f,n), tensor_power(g,n)> = <f,g>^n.
+
+    The coefficients are sqrt(n!/alpha!) prod_i f_i ** alpha_i: level n of
+    the fold that `exp_vector(f, n)` runs, before its division by sqrt(n!).
+    """
     fa = as_mode_vector(f)
     if n < 0:
         raise ValueError("tensor power degree must be >= 0")
-    return SymTensor(fa.shape[0], n, _tensor_coeffs(_power_table(fa, n), n))
+    plan = _fold_plan(fa.shape[0], n)
+    top = slice(plan.bounds[n], None)
+    return SymTensor(fa.shape[0], n, plan.weights[top] * _fold(fa, n)[top])
 
 
 def exp_vector(f, truncation: int) -> FockVector:
     """Truncated exponential vector: level n is tensor_power(f, n)/sqrt(n!).
 
-    The discarded tail has squared norm sum_{n>M} ||f||^(2n)/n!, reported by
-    exp_tail_bound.
+    One fold builds every level, and the levels are views of one buffer.
+    Level n does not depend on the truncation, bit for bit. The discarded
+    tail has squared norm sum_{n>M} ||f||^(2n)/n!, reported by exp_tail_bound.
     """
     fa = as_mode_vector(f)
-    d = fa.shape[0]
-    table = _power_table(fa, truncation)
-    levels = [
-        _tensor_coeffs(table, n) / math.sqrt(factorial(n)) for n in range(truncation + 1)
-    ]
-    return FockVector(d, truncation, levels)
+    if truncation < 0:
+        raise ValueError("truncation must be >= 0")
+    plan = _fold_plan(fa.shape[0], truncation)
+    stack = plan.weights * _fold(fa, truncation) / plan.roots
+    b = plan.bounds
+    levels = [stack[b[n] : b[n + 1]] for n in range(truncation + 1)]
+    return FockVector(fa.shape[0], truncation, levels)
 
 
 def _exp_tail(x: float, truncation: int) -> float:
@@ -347,23 +417,60 @@ def gram_tail_bound(f, g, truncation: int) -> float:
     return _exp_tail(x, truncation)
 
 
+class _RaiseStack(NamedTuple):
+    """raise_maps of levels 0..M stacked, so a mode raises every level at once.
+
+    Row p of target and weight is the entry of the stack of levels 0..M, in
+    which level n is [rows[n], rows[n + 1]). target[p, i] indexes the stack
+    of levels 1..M+1, in which level n + 1 is [cols[n], cols[n + 1]); its last
+    block is level M + 1, above the roof. weight[p, i] is as in raise_maps.
+    """
+
+    target: np.ndarray
+    weight: np.ndarray
+    rows: tuple[int, ...]
+    cols: tuple[int, ...]
+
+
+@lru_cache(maxsize=None)
+def _raise_stack(d: int, truncation: int) -> _RaiseStack:
+    """The read-only raising table of levels 0..truncation over d modes."""
+    tables = [raise_maps(d, n) for n in range(truncation + 1)]
+    rows = tuple(np.cumsum([0] + [w.shape[0] for _, w in tables]).tolist())
+    sizes = [level_dim(d, n + 1) for n in range(truncation + 1)]
+    cols = tuple(np.cumsum([0] + sizes).tolist())
+    target = np.concatenate([t + lo for (t, _), lo in zip(tables, cols)])
+    weight = np.concatenate([w for _, w in tables])
+    target.setflags(write=False)
+    weight.setflags(write=False)
+    return _RaiseStack(target, weight, rows, cols)
+
+
+def _raised(d: int, truncation: int, stack: np.ndarray, cols) -> tuple[FockVector, float]:
+    """Levels 1..M of a raised stack as a vector, and the norm of level M + 1."""
+    levels = [None] + [stack[cols[n] : cols[n + 1]] for n in range(truncation)]
+    return FockVector(d, truncation, levels), float(np.linalg.norm(stack[cols[truncation] :]))
+
+
 def annihilate(f, psi: FockVector) -> FockVector:
     """Pointwise annihilation a(f): maps level n to level n-1.
 
     On occupation states: a(f)|alpha> = sum_i conj(f_i) sqrt(alpha_i)
     |alpha - e_i>. The top output level M is zero (its preimage lies above
-    the truncation roof).
+    the truncation roof). Each mode gathers from levels 1..M at once through
+    the raising table of levels 0..M-1; the output levels are views of one
+    buffer.
     """
     fa = as_mode_vector(f, psi.d)
     d, M = psi.d, psi.truncation
-    out = FockVector.zero(d, M)
-    for n in range(1, M + 1):
-        target, weight = raise_maps(d, n - 1)
-        src = psi.levels[n]
-        dst = out.levels[n - 1]
-        for i in range(d):
-            dst += np.conj(fa[i]) * weight[:, i] * src[target[:, i]]
-    return out
+    if M == 0:
+        return FockVector.zero(d, 0)
+    target, weight, rows, _ = _raise_stack(d, M - 1)
+    src = np.concatenate(psi.levels[1:])
+    out = np.zeros(rows[-1], dtype=np.complex128)
+    for i in range(d):
+        out += np.conj(fa[i]) * weight[:, i] * src[target[:, i]]
+    return FockVector(d, M, [out[rows[n] : rows[n + 1]] for n in range(M)] + [None])
 
 
 def create(f, psi: FockVector) -> tuple[FockVector, float]:
@@ -372,19 +479,18 @@ def create(f, psi: FockVector) -> tuple[FockVector, float]:
     On occupation states: a*(f)|alpha> = sum_i f_i sqrt(alpha_i + 1)
     |alpha + e_i>. Content pushed above the truncation roof is dropped;
     returns (vector, dropped_mass) with dropped_mass the norm of that content.
+    Each mode scatters all levels at once through the raising table of levels
+    0..M; the output levels are views of one buffer.
     """
     fa = as_mode_vector(f, psi.d)
     d, M = psi.d, psi.truncation
-    out = FockVector.zero(d, M)
-    # the top level raises into the would-be level M+1
-    spill = np.zeros(level_dim(d, M + 1), dtype=np.complex128)
-    for n in range(M + 1):
-        target, weight = raise_maps(d, n)
-        src = psi.levels[n]
-        dst = out.levels[n + 1] if n < M else spill
-        for i in range(d):
-            dst[target[:, i]] += fa[i] * weight[:, i] * src
-    return out, float(np.linalg.norm(spill))
+    target, weight, _, cols = _raise_stack(d, M)
+    src = np.concatenate(psi.levels)
+    # the top block is the would-be level M+1
+    stack = np.zeros(cols[-1], dtype=np.complex128)
+    for i in range(d):
+        stack[target[:, i]] += fa[i] * weight[:, i] * src
+    return _raised(d, M, stack, cols)
 
 
 def gradient(psi: FockVector) -> MarkedFock:
@@ -405,18 +511,17 @@ def divergence(phi: MarkedFock) -> tuple[FockVector, float]:
     """Adjoint of `gradient`: (|beta> (x) slot_j) -> sqrt(beta_j + 1) |beta + e_j>.
 
     Returns (vector, dropped_mass); dropped_mass is the norm of the content the
-    top marked level would have produced above the truncation roof.
+    top marked level would have produced above the truncation roof. Each mark
+    scatters all levels at once through the raising table of levels 0..M, in
+    ascending order; the output levels are views of one buffer.
     """
     d, M = phi.d, phi.truncation
-    out = FockVector.zero(d, M)
-    spill = np.zeros(level_dim(d, M + 1), dtype=np.complex128)
-    for n in range(M + 1):
-        target, weight = raise_maps(d, n)
-        src = phi.levels[n]
-        dst = out.levels[n + 1] if n < M else spill
-        for j in range(d):
-            dst[target[:, j]] += weight[:, j] * src[:, j]
-    return out, float(np.linalg.norm(spill))
+    target, weight, _, cols = _raise_stack(d, M)
+    src = np.concatenate(phi.levels)
+    stack = np.zeros(cols[-1], dtype=np.complex128)
+    for j in range(d):
+        stack[target[:, j]] += weight[:, j] * src[:, j]
+    return _raised(d, M, stack, cols)
 
 
 def number_apply(psi: Graded) -> Graded:

@@ -153,6 +153,7 @@ class CellGrid:
             table.setflags(write=False)
         self.cells = tuple(zip(self.cell_time.tolist(), self.cell_bin.tolist()))
         self.cell_masses = masses[self.cell_bin]
+        self.cell_masses.setflags(write=False)
 
     @property
     def n_bins(self) -> int:

@@ -51,7 +51,7 @@ def summarize(values: np.ndarray) -> MCStat:
     else:
         mean_im = _fsum_mean(im)
         with np.errstate(over="ignore", invalid="ignore"):
-            var_im =_fsum_mean((im - mean_im) ** 2) * n / max(n - 1, 1)
+            var_im = _fsum_mean((im - mean_im) ** 2) * n / max(n - 1, 1)
         se_im = math.sqrt(var_im / n)
     return MCStat(
         mean=complex(mean_re, mean_im),

@@ -242,7 +242,8 @@ def _mc_per_model(
 ) -> list[CheckRecord]:
     """One mc_sigmas record per model, id f"{family}.{model}": the worst z over
     the (per-path values, target) pairs that stats(model, grid, ens) yields,
-    the first one on a tie. note is a string or a function of the grid.
+    the first one on a tie. note is a string or a function of the grid; a
+    failing record whose worst statistic has non-finite samples says how many.
 
     The paths are drawn, evaluated and kept in blocks of consecutive paths;
     each statistic's values are joined in path order and summarized once, so
@@ -269,17 +270,23 @@ def _mc_per_model(
         for col in zip(*blocks):
             stat = summarize(np.concatenate([v for v, _ in col]))
             pairs.append((_zscore(stat, col[0][1]), stat.se))
-        z, se = _worst(pairs)
-        records.append(
-            _make_record(
-                check_id,
-                z,
-                0.0,
-                cfg.tolerances["mc_sigmas"],
-                se=se,
-                note=note(grid) if callable(note) else note,
-            )
+        worst = _worst(pairs)
+        record = _make_record(
+            check_id,
+            worst[0],
+            0.0,
+            cfg.tolerances["mc_sigmas"],
+            se=worst[1],
+            note=note(grid) if callable(note) else note,
         )
+        if not record.passed:
+            # the worst pair is the first one equal to it, as _worst picks it
+            k = pairs.index(worst)
+            bad = sum(int(np.count_nonzero(~np.isfinite(blk[k][0]))) for blk in blocks)
+            if bad:
+                total = sum(blk[k][0].size for blk in blocks)
+                record.note += f"; {bad} of {total} samples non-finite"
+        records.append(record)
     return records
 
 

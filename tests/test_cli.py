@@ -165,6 +165,12 @@ def test_overflowing_samples_fail_a_record_without_a_traceback(tmp_path, capsys)
         records = {r["check_id"]: r for r in map(_strict_json, fh)}
     mixed = records["sim.exp_martingale.mixed"]
     assert (mixed["status"], mixed["value"], mixed["se"]) == ("fail", "nan", "nan")
+    # only the record whose worst statistic overflowed says so; the mixed
+    # Doleans record fails on finite samples
+    assert mixed["note"].endswith("; 50 of 50 samples non-finite")
+    assert records["sim.doleans_martingale.mixed"]["status"] == "fail"
+    flagged = [cid for cid, r in records.items() if "non-finite" in r["note"]]
+    assert flagged == ["sim.exp_martingale.mixed"]
 
 
 def test_overflowing_samples_print_no_numpy_warning(tmp_path):

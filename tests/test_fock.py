@@ -8,6 +8,7 @@ import pytest
 
 from chaoskit.fock import (
     FockVector,
+    _fold_plan,
     _merge_positions,
     MarkedFock,
     annihilate,
@@ -338,3 +339,13 @@ def test_marked_exchange_is_an_involution():
     twice = marked_exchange(marked_exchange(doubled))
     for a, b in zip(twice, doubled):
         assert np.array_equal(a, b)
+
+
+def test_fold_plan_holds_no_more_than_the_per_level_index_tables():
+    # the bound is d int64 gather indices per coefficient, one per mode
+    d, M = 5, 20
+    plan = _fold_plan(d, M)
+    arrays = [plan.first, plan.weights, plan.roots, *(a for step in plan.steps for a in step)]
+    assert all(not a.flags.writeable for a in arrays)
+    assert plan.bounds[-1] == sum(level_dim(d, n) for n in range(M + 1))
+    assert sum(a.nbytes for a in arrays) <= d * plan.bounds[-1] * 8

@@ -8,7 +8,8 @@ multiprocessing pool, which does not need it. A fresh interpreter imports
 chaoskit, then draws an ensemble, runs a chain integral and one suite; none of
 the heavy modules may be loaded at import, and none of them, nor any
 numpy.random submodule, may first be loaded by the work after it (numpy
-imports some modules lazily, at first use). No wall-clock time is asserted.
+imports some modules lazily, at first use). Import builds none of the Fock
+kernels' cached tables either. No wall-clock time is asserted.
 
 The package's modules import each other without a cycle, function-local
 imports included.
@@ -21,6 +22,8 @@ import pkgutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import chaoskit
 from test_suites import SMALL
@@ -40,6 +43,8 @@ PROBE = """
 import json, sys
 import chaoskit
 loaded = set(sys.modules)
+from chaoskit import fock
+tables = [fock._fold_plan.cache_info().currsize, fock._raise_stack.cache_info().currsize]
 import numpy as np
 from chaoskit.config import RunConfig
 from chaoskit.integrals import iterated_chain
@@ -55,7 +60,8 @@ ens = sample_ensemble(model, grid, seed=3, n_paths=50)
 assert ens.jump_times.size > 0
 iterated_chain([field, field], ens)
 run_suite(cfg)
-print(json.dumps({"import": sorted(loaded), "run": sorted(set(sys.modules) - loaded)}))
+run = sorted(set(sys.modules) - loaded)
+print(json.dumps({"import": sorted(loaded), "run": run, "tables": tables}))
 """
 
 
@@ -63,7 +69,8 @@ def _is_under(name: str, package: str) -> bool:
     return name == package or name.startswith(package + ".")
 
 
-def _probe() -> dict:
+@pytest.fixture(scope="module")
+def probe() -> dict:
     src = os.path.dirname(os.path.dirname(os.path.abspath(chaoskit.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run(
@@ -77,17 +84,22 @@ def _probe() -> dict:
     return json.loads(out.stdout.strip().splitlines()[-1])
 
 
-def test_import_and_work_load_no_heavy_module():
-    modules = _probe()
-    at_import = modules["import"]
+def test_import_and_work_load_no_heavy_module(probe):
+    at_import = probe["import"]
     assert "scipy" in at_import
     assert [m for m in at_import if any(_is_under(m, h) for h in HEAVY)] == []
     late = [
         m
-        for m in modules["run"]
+        for m in probe["run"]
         if any(_is_under(m, h) for h in HEAVY) or m.startswith("numpy.random.")
     ]
     assert late == []
+
+
+def test_import_builds_no_fold_plan_or_raising_table(probe):
+    # the Fock kernels' tables are built on first use, in the process that
+    # uses them (each pool worker builds its own)
+    assert probe["tables"] == [0, 0]
 
 
 def test_every_exported_name_resolves():
