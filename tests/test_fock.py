@@ -31,7 +31,7 @@ from chaoskit.fock import (
     split_gradient,
     tensor_power,
 )
-from chaoskit.indices import level_dim, occupations
+from chaoskit.indices import GuardLimitError, level_dim, occupations
 
 F_PAIR = np.array([0.3 + 0.4j, -0.2 + 0.0j])
 G_PAIR = np.array([0.1 - 0.5j, 0.25 + 0.25j])
@@ -349,3 +349,11 @@ def test_fold_plan_holds_no_more_than_the_per_level_index_tables():
     assert all(not a.flags.writeable for a in arrays)
     assert plan.bounds[-1] == sum(level_dim(d, n) for n in range(M + 1))
     assert sum(a.nbytes for a in arrays) <= d * plan.bounds[-1] * 8
+
+
+def test_a_roof_above_the_guard_is_refused_before_any_fold():
+    # level 1999 of d = 3 is the first above the coefficient budget
+    with pytest.raises(GuardLimitError, match="n=1999"):
+        exp_vector(np.ones(3), 2000)
+    with pytest.raises(GuardLimitError, match="n=1999"):
+        tensor_power(np.ones(3), 2000)
