@@ -424,6 +424,8 @@ class _RaiseStack(NamedTuple):
     which level n is [rows[n], rows[n + 1]). target[p, i] indexes the stack
     of levels 1..M+1, in which level n + 1 is [cols[n], cols[n + 1]); its last
     block is level M + 1, above the roof. weight[p, i] is as in raise_maps.
+    Raising one mode is one-to-one, so a scatter-add through a column of
+    target adds every term.
     """
 
     target: np.ndarray
