@@ -499,14 +499,17 @@ def gradient(psi: FockVector) -> MarkedFock:
     """Universal lowering map: |alpha> -> sum_i sqrt(alpha_i) |alpha - e_i> (x) slot_i.
 
     Sends tensor_power(f, n) to sqrt(n) tensor_power(f, n-1) (x) f. The output
-    keeps the input truncation; its top marked level is zero.
+    keeps the input truncation; its top marked level is zero. Levels 1..M are
+    gathered at once through the raising table of levels 0..M-1; the output
+    levels are views of one buffer.
     """
     d, M = psi.d, psi.truncation
-    out = MarkedFock.zero(d, M)
-    for n in range(1, M + 1):
-        target, weight = raise_maps(d, n - 1)
-        out.levels[n - 1][:] = weight * psi.levels[n][target]
-    return out
+    if M == 0:
+        return MarkedFock.zero(d, 0)
+    target, weight, rows, _ = _raise_stack(d, M - 1)
+    out = np.concatenate(psi.levels[1:])[target]
+    out *= weight
+    return MarkedFock(d, M, [out[rows[n] : rows[n + 1]] for n in range(M)] + [None])
 
 
 def divergence(phi: MarkedFock) -> tuple[FockVector, float]:
@@ -698,13 +701,16 @@ def marked_lower(phi: MarkedFock) -> list[np.ndarray]:
     """Lower the symmetric part of each marked level.
 
     Output[n] has shape (dim_n, d, d); axis 1 is the new mark from lowering,
-    axis 2 the original mark.
+    axis 2 the original mark. Levels 1..M are gathered at once, as in
+    `gradient`; the output levels are views of one buffer.
     """
-    out = []
-    for n in range(1, phi.truncation + 1):
-        target, weight = raise_maps(phi.d, n - 1)
-        out.append(weight[:, :, None] * phi.levels[n][target])
-    return out
+    M = phi.truncation
+    if M == 0:
+        return []
+    target, weight, rows, _ = _raise_stack(phi.d, M - 1)
+    out = np.concatenate(phi.levels[1:])[target]
+    out *= weight[:, :, None]
+    return [out[rows[n] : rows[n + 1]] for n in range(M)]
 
 
 def marked_exchange(doubled: list[np.ndarray]) -> list[np.ndarray]:

@@ -27,6 +27,7 @@ a single path is a one-path ensemble.
 from __future__ import annotations
 
 from math import factorial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,6 +55,69 @@ def stochastic_integral(field: StepField, ens: PathEnsemble) -> np.ndarray:
     vals = field.cell_values()
     inc = cell_increments(ens)
     return inc.astype(np.complex128) @ vals
+
+
+def _cmul(a, b) -> np.ndarray:
+    """a * b for complex or real arrays and scalars, in real arithmetic.
+
+    numpy's complex array multiply may fuse (FMA), so it is not bit-equal to
+    the scalar product; this is, and a real operand acts as x + 0j, as numpy
+    promotes it.
+    """
+    out = np.empty(np.broadcast(a, b).shape, dtype=np.complex128)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+class _CellEvents(NamedTuple):
+    """One cell's jumps, grouped for a walk that moves all paths at once.
+
+    Row r is path paths[r], the r-th path with a jump in the cell. events
+    indexes the ensemble's jump arrays, grouped by (rank, path): an event's
+    rank is its place among its path's jumps in the cell, in time order, and
+    the events of rank j are events[bounds[j]:bounds[j + 1]], with rows[i]
+    the row of events[i].
+    """
+
+    paths: np.ndarray
+    rows: np.ndarray
+    events: np.ndarray
+    bounds: list[int]
+
+
+def _cell_events(ens: PathEnsemble) -> list[_CellEvents | None]:
+    """Per cell of the paths' grid, its jumps by rank, or None if it has none."""
+    K = ens.grid.n_time
+    # jumps sorted by (cell, path, time); a run is one path's jumps in one cell
+    cells = ens.jump_cells
+    order = np.lexsort((ens.jump_times, ens.jump_paths, cells))
+    s_cells = cells[order]
+    s_paths = ens.jump_paths[order]
+    cell_start = np.searchsorted(s_cells, np.arange(K + 1)).tolist()
+    new_run = np.ones(s_cells.size, dtype=bool)
+    new_run[1:] = (s_cells[1:] != s_cells[:-1]) | (s_paths[1:] != s_paths[:-1])
+    run_start = np.flatnonzero(new_run)
+    run_of = np.cumsum(new_run) - 1
+    rank = np.arange(s_cells.size) - run_start[run_of]
+    # the same events grouped by (cell, rank, path)
+    by_rank = np.lexsort((s_paths, rank, s_cells))
+    out = []
+    for lo, hi in zip(cell_start[:-1], cell_start[1:]):
+        if lo == hi:
+            out.append(None)
+            continue
+        seg = by_rank[lo:hi]
+        ranks = rank[seg]
+        out.append(
+            _CellEvents(
+                s_paths[run_start[run_of[lo] : run_of[hi - 1] + 1]],
+                run_of[seg] - run_of[lo],
+                order[seg],
+                np.searchsorted(ranks, np.arange(ranks[-1] + 2)).tolist(),
+            )
+        )
+    return out
 
 
 def _compensator_weights(comp: np.ndarray) -> np.ndarray:
@@ -89,9 +153,7 @@ def _transfer_matrices(weights: np.ndarray, deltas: np.ndarray) -> np.ndarray:
     order = np.maximum(np.subtract.outer(np.arange(size), np.arange(size)), 0)
     gaps = deltas.tolist()
     pw = np.array([[d**k for d in gaps] for k in range(size)])[order].transpose(2, 0, 1)
-    L = np.empty(pw.shape, dtype=np.complex128)
-    L.real = weights.real * pw - weights.imag * 0.0
-    L.imag = weights.real * 0.0 + weights.imag * pw
+    L = _cmul(weights, pw)
     L /= np.array([float(factorial(k)) for k in range(size)])[order]
     return L
 
@@ -132,27 +194,12 @@ def iterated_chain(fields: list[StepField], ens: PathEnsemble) -> np.ndarray:
     # the flow over each whole cell
     cell_flow = _transfer_matrices(weights, np.full(K, dt))
 
-    # jumps sorted by (cell, path, time); a run is one path's jumps in
-    # one cell, and an event's rank is its place in its run
-    cells = ens.jump_cells
-    order = np.lexsort((ens.jump_times, ens.jump_paths, cells))
-    s_cells = cells[order]
-    s_paths = ens.jump_paths[order]
-    s_times = ens.jump_times[order]
-    s_bins = ens.jump_bins[order]
-    cell_start = np.searchsorted(s_cells, np.arange(K + 1))
-    new_run = np.ones(s_cells.size, dtype=bool)
-    new_run[1:] = (s_cells[1:] != s_cells[:-1]) | (s_paths[1:] != s_paths[:-1])
-    run_start = np.flatnonzero(new_run)
-    run_of = np.cumsum(new_run) - 1
-    rank = np.arange(s_cells.size) - run_start[run_of]
-    # the same events grouped by (cell, rank, path)
-    by_rank = np.lexsort((s_paths, rank, s_cells))
-
+    jump_times = ens.jump_times
+    jump_bins = ens.jump_bins
     state = np.zeros((P, n + 1), dtype=np.complex128)
     state[:, 0] = 1.0
     sigma = grid.model.sigma
-    for k in range(K):
+    for k, cell in enumerate(_cell_events(ens)):
         if ens.brownian is not None:
             db = sigma * ens.brownian[:, k]
             for j in range(n, 0, -1):
@@ -161,23 +208,18 @@ def iterated_chain(fields: list[StepField], ens: PathEnsemble) -> np.ndarray:
                     state[:, j] += g * db * state[:, j - 1]
         L = cell_flow[k]
         w = weights[k : k + 1]
-        lo, hi = cell_start[k], cell_start[k + 1]
-        if lo == hi:
+        if cell is None:
             state = state @ L.T
             continue
-        # row r of Z is the r-th run of this cell, i.e. path jumpy[r]
-        jumpy = s_paths[run_start[run_of[lo] : run_of[hi - 1] + 1]]
-        Z = state[jumpy]
+        # row r of Z is path cell.paths[r]
+        Z = state[cell.paths]
         state = state @ L.T
-        seg = by_rank[lo:hi]
-        ranks = rank[seg]
-        rows = run_of[seg] - run_of[lo]
-        times = s_times[seg]
-        bins = s_bins[seg]
-        t_cur = np.full(jumpy.size, k * dt)
+        rows = cell.rows
+        times = jump_times[cell.events]
+        bins = jump_bins[cell.events]
+        t_cur = np.full(cell.paths.size, k * dt)
         # rank by rank: every path with more than r jumps here takes its r-th
-        bounds = np.searchsorted(ranks, np.arange(ranks[-1] + 2))
-        for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        for a, b in zip(cell.bounds[:-1], cell.bounds[1:]):
             r_rows, t_e = rows[a:b], times[a:b]
             move = t_e > t_cur[r_rows]
             if move.any():
@@ -189,19 +231,13 @@ def iterated_chain(fields: list[StepField], ens: PathEnsemble) -> np.ndarray:
                 hit = g != 0
                 if not hit.any():
                     continue
-                # z[j] += g z[j-1] in real arithmetic, as the scalar product
-                # rounds: numpy's complex array multiply may fuse (FMA)
-                g, hit_rows = g[hit], r_rows[hit]
-                prev = Z[hit_rows, j - 1]
-                step = np.empty_like(prev)
-                step.real = g.real * prev.real - g.imag * prev.imag
-                step.imag = g.real * prev.imag + g.imag * prev.real
-                Z[hit_rows, j] += step
+                hit_rows = r_rows[hit]
+                Z[hit_rows, j] += _cmul(g[hit], Z[hit_rows, j - 1])
         t_right = (k + 1) * dt
         move = t_right > t_cur
         if move.any():
             Z[move] = _flow(w, t_right - t_cur[move], Z[move])
-        state[jumpy] = Z
+        state[cell.paths] = Z
     return state[:, n].copy()
 
 
@@ -354,63 +390,71 @@ def exp_martingale_grid(f, ens: PathEnsemble) -> np.ndarray:
     return out
 
 
-def _expm1_over(z: complex, ell: float) -> complex:
-    """(exp(z ell) - 1) / z, stable near z = 0."""
-    w = z * ell
-    if abs(w) < 1e-8:
-        return ell * (1.0 + w / 2.0 + w * w / 6.0)
-    return (np.exp(w) - 1.0) / z
+def _expm1_over(z: complex, ell: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """exp(z ell) and (exp(z ell) - 1) / z per gap ell, the latter stable near
+    z ell = 0, with the bits of the scalar complex arithmetic."""
+    w = _cmul(z, ell)
+    grow = np.exp(w)
+    small = np.hypot(w.real, w.imag) < 1e-8
+    integral = np.empty_like(w)
+    big = ~small
+    integral[big] = (grow[big] - 1.0) / z
+    ws = w[small]
+    integral[small] = _cmul(ell[small], 1.0 + ws / 2.0 + _cmul(ws, ws) / 6.0)
+    return grow, integral
 
 
-def representation_residual(f, path: PathEnsemble) -> float:
-    """Defect of the integrand reconstruction of M(T) - 1 on a one-path ensemble.
+def representation_residual(f, ens: PathEnsemble) -> np.ndarray:
+    """Defect of the integrand reconstruction of M(T) - 1, one value per path.
 
     Pure-jump models only: exact event walk (residual at rounding scale), using
     psi(s, x) = (exp(i f(s) x) - 1) M(s-) against the compensated jump
-    measure, with closed-form compensator integrals between events. A model
-    with a diffusion part (sigma > 0) raises ValueError, as the reconstruction
-    would not be exact.
+    measure, with closed-form compensator integrals between events. The cell
+    constants are computed once; inside a cell all paths move together, one
+    event rank at a time, and a path without an event there takes only the
+    cell-end step. Complex products are spelled out (`_cmul`), so every value
+    has the bits of a scalar walk along its path. A model with a diffusion
+    part (sigma > 0) raises ValueError, as the reconstruction would not be
+    exact.
     """
-    if path.n_paths != 1:
-        raise ValueError(f"expected one path, got {path.n_paths}")
-    grid = path.grid
+    grid = ens.grid
     model = grid.model
     if model.sigma > 0:
         raise ValueError(
             "the integrand reconstruction is exact only for pure-jump models (sigma = 0)"
         )
     prof = _real_profile(f, grid)
-    K, dt = grid.n_time, grid.dt
+    dt = grid.dt
     drift = model.b - model.small_jump_drift
     eta = _eta_profile(model, prof)
-    atoms = model.atoms
-    jump_cells = path.jump_cells
-    order = np.argsort(path.jump_times, kind="stable")
+    P = ens.n_paths
+    jump_times = ens.jump_times
+    jump_atoms = ens.jump_atoms
 
-    m_cur = 1.0 + 0.0j
-    jump_sum = 0.0 + 0.0j
-    comp_sum = 0.0 + 0.0j
-    by_cell: dict[int, list[int]] = {}
-    for e in order:
-        by_cell.setdefault(int(jump_cells[e]), []).append(int(e))
-    for k in range(K):
+    m = np.ones(P, dtype=np.complex128)
+    jump_sum = np.zeros(P, dtype=np.complex128)
+    comp_sum = np.zeros(P, dtype=np.complex128)
+    for k, cell in enumerate(_cell_events(ens)):
         z = 1j * prof[k] * drift + eta[k]
-        lam_fac = sum(
-            lam * (np.exp(1j * prof[k] * x) - 1.0) for x, lam in atoms
-        )
-        t_cur = k * dt
-        for e in by_cell.get(k, ()):
-            t_e = float(path.jump_times[e])
-            ell = t_e - t_cur
-            comp_sum += lam_fac * m_cur * _expm1_over(z, ell)
-            m_cur = m_cur * np.exp(z * ell)
-            x = atoms[int(path.jump_atoms[e])][0]
-            phase = np.exp(1j * prof[k] * x)
-            jump_sum += (phase - 1.0) * m_cur
-            m_cur = m_cur * phase
-            t_cur = t_e
-        ell = (k + 1) * dt - t_cur
-        comp_sum += lam_fac * m_cur * _expm1_over(z, ell)
-        m_cur = m_cur * np.exp(z * ell)
-    recon = 1.0 + jump_sum - comp_sum
-    return float(abs(m_cur - recon))
+        phases = [np.exp(1j * prof[k] * x) for x, _ in model.atoms]
+        lam_fac = sum(lam * (ph - 1.0) for ph, (_, lam) in zip(phases, model.atoms))
+        t_cur = np.full(P, k * dt)
+        if cell is not None:
+            phases = np.array(phases)
+            for a, b in zip(cell.bounds[:-1], cell.bounds[1:]):
+                rows = cell.paths[cell.rows[a:b]]
+                events = cell.events[a:b]
+                t_e = jump_times[events]
+                grow, integral = _expm1_over(z, t_e - t_cur[rows])
+                m_r = m[rows]
+                comp_sum[rows] += _cmul(_cmul(lam_fac, m_r), integral)
+                m_r = _cmul(m_r, grow)
+                phase = phases[jump_atoms[events]]
+                jump_sum[rows] += _cmul(phase - 1.0, m_r)
+                m[rows] = _cmul(m_r, phase)
+                t_cur[rows] = t_e
+        grow, integral = _expm1_over(z, (k + 1) * dt - t_cur)
+        comp_sum += _cmul(_cmul(lam_fac, m), integral)
+        m = _cmul(m, grow)
+    diff = m - (1.0 + jump_sum - comp_sum)
+    return np.hypot(diff.real, diff.imag)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import os
 import time
 import warnings
 from hashlib import sha256
@@ -726,10 +727,7 @@ def _check_representation(cfg: RunConfig):
     return [
         _make_record(
             check_id,
-            _worst_of(
-                representation_residual(prof, ens.paths(i, i + 1))
-                for i in range(n_paths)
-            ),
+            _worst_of(representation_residual(prof, ens).tolist()),
             0.0,
             cfg.tolerances["pathwise"],
             note=f"martingale representation residual, pure jump, {n_paths} paths",
@@ -1259,9 +1257,23 @@ _ADOPTED = None
 _WORKER_POLL_S = 1.0
 
 
-def _adopt(checks, config: RunConfig) -> None:
+def _adopt(checks, config: RunConfig, cpus: list[int], taken) -> None:
+    """Pool initializer: keep the run, and pin this worker to the next CPU.
+
+    A forked worker starts on its parent's CPU, and a kernel that does not
+    balance load may leave every worker there; so worker i pins itself to
+    cpus[i], counting workers in the shared counter taken. The pin is
+    placement only: if the CPU cannot be had, the worker runs unpinned.
+    """
     global _ADOPTED
     _ADOPTED = (checks, config)
+    with taken.get_lock():
+        index = taken.value
+        taken.value += 1
+    try:
+        os.sched_setaffinity(0, {cpus[index % len(cpus)]})
+    except OSError:
+        pass
 
 
 def _run_adopted(index: int) -> list[CheckRecord]:
@@ -1272,7 +1284,9 @@ def _run_adopted(index: int) -> list[CheckRecord]:
 def _forked_batches(checks, config: RunConfig, n_workers: int) -> list[list[CheckRecord]]:
     """Each check's records, in order, from a pool of n_workers forked workers."""
     before = multiprocessing.active_children()
-    pool = multiprocessing.get_context("fork").Pool(n_workers, _adopt, (checks, config))
+    context = multiprocessing.get_context("fork")
+    cpus = sorted(os.sched_getaffinity(0))
+    pool = context.Pool(n_workers, _adopt, (checks, config, cpus, context.Value("i", 0)))
     workers = [p for p in multiprocessing.active_children() if p not in before]
     try:
         results = pool.imap(_run_adopted, range(len(checks)))
@@ -1297,14 +1311,15 @@ def run_suite(config: RunConfig) -> list[CheckRecord]:
 
     The checks are mapped over a pool of forked processes, one check at a
     time, with one worker per CPU this process may run on (at most one per
-    check). A worker inherits the checks and the config through fork, is sent
-    only a check's index and sends back that check's records, timed in the
-    worker; so a check may be any callable, a wrapped one included. With one
-    usable CPU (reporting.usable_cpus, which is 1 off Linux), the checks run
-    one after another in the calling process. Every check draws from its own
-    stream, so the records do not depend on where it ran. No worker outlives
-    the call: an exception raised by a check, or a worker killed during a
-    check, ends the pool and raises in the caller.
+    check), each pinned to its own CPU of that set. A worker inherits the
+    checks and the config through fork, is sent only a check's index and
+    sends back that check's records, timed in the worker; so a check may be
+    any callable, a wrapped one included. With one usable CPU
+    (reporting.usable_cpus, which is 1 off Linux), the checks run one after
+    another in the calling process. Every check draws from its own stream,
+    so the records do not depend on where it ran. No worker outlives the
+    call: an exception raised by a check, or a worker killed during a check,
+    ends the pool and raises in the caller.
     """
     try:
         config.validate_guards()

@@ -62,17 +62,19 @@ def test_one_path_input_returns_length_one_arrays():
     assert exp_martingale_grid(np.full(4, 0.5), path).shape == (1, 5)
 
 
-def test_representation_residual_takes_exactly_one_path():
+def test_representation_residual_returns_one_value_per_path():
     model = poisson_preset(1.0, 1.0)
     grid = CellGrid(model, 4)
-    ens = sample_ensemble(model, grid, seed=3, n_paths=2)
-    with pytest.raises(ValueError, match="one path"):
-        representation_residual(np.full(4, 0.5), ens)
-    assert isinstance(representation_residual(np.full(4, 0.5), ens.paths(1, 2)), float)
+    ens = sample_ensemble(model, grid, seed=3, n_paths=5)
+    got = representation_residual(np.full(4, 0.5), ens)
+    assert got.shape == (5,) and got.dtype == np.float64
+    for i in range(5):
+        one = representation_residual(np.full(4, 0.5), ens.paths(i, i + 1))
+        assert one.shape == (1,) and one[0] == got[i]
     mixed = LevyModel(sigma=0.5, atoms=((1.0, 1.0),))
-    path = sample_ensemble(mixed, CellGrid(mixed, 4), seed=3, n_paths=1)
+    paths = sample_ensemble(mixed, CellGrid(mixed, 4), seed=3, n_paths=3)
     with pytest.raises(ValueError, match="pure-jump"):
-        representation_residual(np.full(4, 0.5), path)
+        representation_residual(np.full(4, 0.5), paths)
 
 
 def test_chain_times_factorial_equals_power_integrals():
@@ -194,11 +196,8 @@ def test_representation_residual_vanishes_for_pure_jump_paths():
     model = poisson_preset(1.5, 1.0)
     grid = CellGrid(model, 8)
     prof = 0.6 + 0.3 * np.sin(2 * np.pi * np.arange(8) / 8)
-    worst = 0.0
-    for i in range(20):
-        path = sample_ensemble(model, grid, 71, 1, first=i)
-        worst = max(worst, representation_residual(prof, path))
-    assert worst <= 1e-10
+    ens = sample_ensemble(model, grid, 71, 20)
+    assert representation_residual(prof, ens).max() <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -430,3 +429,116 @@ def test_chain_python_work_grows_with_event_ranks(monkeypatch):
     assert len(calls) <= bound
     # the bound is far below one call per jump, so this is a real limit
     assert bound < ens.jump_times.size // 10
+
+
+# ---------------------------------------------------------------------------
+# the representation walk against its per-path reference walk
+
+
+def _reference_expm1_over(z, ell):
+    """(exp(z ell) - 1) / z, stable near z = 0."""
+    w = z * ell
+    if abs(w) < 1e-8:
+        return ell * (1.0 + w / 2.0 + w * w / 6.0)
+    return (np.exp(w) - 1.0) / z
+
+
+def _reference_representation(f, path):
+    """The representation residual of a one-path ensemble, walked event by
+    event in scalar complex arithmetic, with every cell constant recomputed."""
+    assert path.n_paths == 1
+    grid = path.grid
+    model = grid.model
+    prof = np.asarray(f, dtype=np.float64)
+    K, dt = grid.n_time, grid.dt
+    drift = model.b - model.small_jump_drift
+    eta = np.array([model.symbol(u) for u in prof])
+    atoms = model.atoms
+    jump_cells = path.jump_cells
+    order = np.argsort(path.jump_times, kind="stable")
+
+    m_cur = 1.0 + 0.0j
+    jump_sum = 0.0 + 0.0j
+    comp_sum = 0.0 + 0.0j
+    by_cell = {}
+    for e in order:
+        by_cell.setdefault(int(jump_cells[e]), []).append(int(e))
+    for k in range(K):
+        z = 1j * prof[k] * drift + eta[k]
+        lam_fac = sum(lam * (np.exp(1j * prof[k] * x) - 1.0) for x, lam in atoms)
+        t_cur = k * dt
+        for e in by_cell.get(k, ()):
+            t_e = float(path.jump_times[e])
+            ell = t_e - t_cur
+            comp_sum += lam_fac * m_cur * _reference_expm1_over(z, ell)
+            m_cur = m_cur * np.exp(z * ell)
+            x = atoms[int(path.jump_atoms[e])][0]
+            phase = np.exp(1j * prof[k] * x)
+            jump_sum += (phase - 1.0) * m_cur
+            m_cur = m_cur * phase
+            t_cur = t_e
+        ell = (k + 1) * dt - t_cur
+        comp_sum += lam_fac * m_cur * _reference_expm1_over(z, ell)
+        m_cur = m_cur * np.exp(z * ell)
+    recon = 1.0 + jump_sum - comp_sum
+    return float(abs(m_cur - recon))
+
+
+def _reference_residuals(prof, ens):
+    return np.array(
+        [_reference_representation(prof, ens.paths(i, i + 1)) for i in range(ens.n_paths)]
+    )
+
+
+def test_representation_matches_the_reference_walk_on_drawn_paths():
+    rng = np.random.default_rng(19)
+    cases = [
+        # drift, an atom with |x| < 1 and two atoms in one bin
+        (LevyModel(b=0.4, atoms=((0.5, 2.0), (-1.3, 1.0)), horizon=0.5), 8, ((0, 1),)),
+        # one cell holding every jump of a path
+        (LevyModel(b=-0.3, atoms=((1.0, 8.0), (-0.5, 6.0)), horizon=2.0), 1, None),
+        (LevyModel(atoms=((0.3, 3.0), (1.7, 0.5), (-0.8, 1.5)), horizon=1.5), 16, ((0, 2), (1,))),
+        (poisson_preset(1.0, 1.0), 64, None),
+    ]
+    most_in_a_cell, fewest_on_a_path = 0, np.inf
+    for model, K, groups in cases:
+        grid = CellGrid(model, K, groups)
+        ens = sample_ensemble(model, grid, seed=K, n_paths=60)
+        counts = np.zeros((ens.n_paths, K), dtype=np.int64)
+        np.add.at(counts, (ens.jump_paths, ens.jump_cells), 1)
+        most_in_a_cell = max(most_in_a_cell, counts.max())
+        fewest_on_a_path = min(fewest_on_a_path, counts.sum(axis=1).min())
+        profiles = [
+            0.6 + 0.3 * np.cos(2 * np.pi * np.arange(K) / K),
+            rng.normal(0.0, 1.0, K),
+            np.zeros(K),  # z = 0: the series branch of the compensator integral
+        ]
+        for j, prof in enumerate(profiles):
+            _assert_same_bytes(
+                representation_residual(prof, ens), _reference_residuals(prof, ens), (K, j)
+            )
+    # paths with several jumps in one cell, and paths without a jump
+    assert most_in_a_cell >= 5 and fewest_on_a_path == 0
+    # no jump drawn at all
+    model = LevyModel(b=0.2, atoms=((1.0, 1e-12),))
+    ens = sample_ensemble(model, CellGrid(model, 4), seed=1, n_paths=20)
+    assert ens.jump_times.size == 0
+    prof = np.full(4, 0.7)
+    _assert_same_bytes(representation_residual(prof, ens), _reference_residuals(prof, ens), "none")
+
+
+def test_representation_matches_the_reference_walk_on_edge_times():
+    rng = np.random.default_rng(20)
+    below = np.nextafter(0.5, 0.0)  # K = 6 puts it in cell 3, below that cell's left edge
+    times_per_path = [
+        [0.5],  # exactly at the left edge of cell 3
+        [0.2, 0.2, 0.7],  # two jumps of one path at the same time
+        [1.0],  # at the horizon
+        [],
+        [1.0 / 6.0, below, 0.5, 0.5, 0.9, 1.0, 1.0],
+    ]
+    model = LevyModel(b=0.1, atoms=((1.0, 2.0), (-0.5, 1.0)))
+    grid = CellGrid(model, 6)
+    ens = _hand_built(model, grid, times_per_path, rng)
+    for prof in (np.full(6, 0.6), rng.normal(0.0, 1.0, 6)):
+        _assert_same_bytes(representation_residual(prof, ens), _reference_residuals(prof, ens), "")

@@ -24,7 +24,13 @@ from chaoskit.fock import (
     marked_lower,
     tensor_power,
 )
-from chaoskit.indices import factorial_ratio_sqrt, level_dim, lower_maps, occ_array
+from chaoskit.indices import (
+    factorial_ratio_sqrt,
+    level_dim,
+    lower_maps,
+    occ_array,
+    raise_maps,
+)
 from chaoskit.levy import CellGrid, LevyModel
 
 DIMS = [1, 2, 3, 4, 5]
@@ -112,6 +118,25 @@ def reference_marked_lower(phi):
     return out
 
 
+def level_loop_gradient(psi):
+    """Levels of the gradient, gathered level by level through raise_maps."""
+    d, M = psi.d, psi.truncation
+    out = [np.zeros((level_dim(d, n), d), dtype=np.complex128) for n in range(M + 1)]
+    for n in range(1, M + 1):
+        target, weight = raise_maps(d, n - 1)
+        out[n - 1][:] = weight * psi.levels[n][target]
+    return out
+
+
+def level_loop_marked_lower(phi):
+    """The lowered marked levels, gathered level by level through raise_maps."""
+    out = []
+    for n in range(1, phi.truncation + 1):
+        target, weight = raise_maps(phi.d, n - 1)
+        out.append(weight[:, :, None] * phi.levels[n][target])
+    return out
+
+
 def reference_symmetrize(grid, g, m):
     c = grid.n_cells
     occ = occ_array(c, m + 1)
@@ -196,6 +221,27 @@ def test_divergence_matches_the_masked_loop(d, truncation, kind):
     want, want_dropped = reference_divergence(phi)
     assert_levels_bytes_equal(got.levels, want)
     assert got_dropped == want_dropped
+
+
+@pytest.mark.parametrize("d", DIMS)
+@pytest.mark.parametrize("truncation", LADDER_TRUNCATIONS)
+@pytest.mark.parametrize("kind", LADDER_KINDS)
+def test_gradient_matches_the_level_loop(d, truncation, kind):
+    _, psi = _fock_inputs(kind, d, truncation)
+    got = gradient(psi).levels
+    assert_levels_bytes_equal(got, level_loop_gradient(psi))
+    assert_levels_bytes_equal(got, reference_gradient(psi))
+
+
+@pytest.mark.parametrize("d", DIMS)
+@pytest.mark.parametrize("truncation", LADDER_TRUNCATIONS)
+@pytest.mark.parametrize("kind", LADDER_KINDS)
+def test_marked_lower_matches_the_level_loop(d, truncation, kind):
+    fa, psi = _fock_inputs(kind, d, truncation)
+    phi = MarkedFock(d, truncation, [np.outer(lev, fa) for lev in psi.levels])
+    got = marked_lower(phi)
+    assert_levels_bytes_equal(got, level_loop_marked_lower(phi))
+    assert_levels_bytes_equal(got, reference_marked_lower(phi))
 
 
 @pytest.mark.parametrize("d", DIMS)

@@ -232,6 +232,37 @@ def test_without_sched_getaffinity_the_checks_run_in_the_calling_process(
     assert sha256(payload.encode()).hexdigest() == REPORT_SHA256["fock"]
 
 
+@pytest.mark.skipif(
+    len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+    reason="needs two CPUs this process may run on",
+)
+def test_each_pool_worker_is_pinned_to_its_own_cpu(monkeypatch, tmp_path):
+    allowed = os.sched_getaffinity(0)
+    log = tmp_path / "cpus.jsonl"
+
+    def logged(fn):
+        def wrapped(cfg):
+            with open(log, "a") as fh:
+                fh.write(json.dumps([os.getpid(), sorted(os.sched_getaffinity(0))]) + "\n")
+            return fn(cfg)
+
+        wrapped.check_id = fn.check_id
+        return wrapped
+
+    checks = suite_checks("fock")
+    monkeypatch.setitem(suites._SUITE_CHECKS, "fock", [logged(fn) for fn in checks])
+    records = run_suite(RunConfig(suite="fock", **SMALL))
+    cpu_of = {}
+    for pid, cpus in (json.loads(line) for line in log.read_text().splitlines()):
+        assert pid != os.getpid() and len(cpus) == 1 and cpus[0] in allowed
+        assert cpu_of.setdefault(pid, cpus[0]) == cpus[0]
+    assert len(set(cpu_of.values())) == len(cpu_of) >= 1
+    # the calling process keeps its own affinity, and the bytes are the pinned ones
+    assert os.sched_getaffinity(0) == allowed
+    payload = "".join(json.dumps(r.row(), sort_keys=True) + "\n" for r in records)
+    assert sha256(payload.encode()).hexdigest() == REPORT_SHA256["fock"]
+
+
 def _broken(cfg):
     raise RuntimeError("fock.ccr broke")
 
@@ -298,6 +329,17 @@ def test_worst_of_is_floored_at_zero():
 
 def _nan_const(real):
     return lambda *args, **kwargs: math.nan
+
+
+def _nan_path(real):
+    """The real per-path values with one path's value replaced by NaN."""
+
+    def fake(*args, **kwargs):
+        out = real(*args, **kwargs)
+        out[out.size // 2] = math.nan
+        return out
+
+    return fake
 
 
 def _nan_second(real):
@@ -378,7 +420,7 @@ NAN_PROBES = [
     ),
     (
         "_check_representation",
-        [("representation_residual", _nan_const)],
+        [("representation_residual", _nan_path)],
         ["sim.representation"],
     ),
     ("_check_projection", [("project_mc", _nan_errors)], ["chaos.projection"]),
