@@ -20,9 +20,11 @@ Two engines, cross-validated in the tests:
   coefficients on jump bins, truncated series product across cells).
 
 First-order integrals, the stochastic (Doleans) exponential, and the
-characteristic-function martingale with its integrand reconstruction live
-here too. Every engine takes a PathEnsemble and returns one value per path;
-a single path is a one-path ensemble.
+characteristic-function martingale with its integrand reconstruction
+(`representation_residual`, which walks all paths at once, event rank by
+event rank, through the chain engine's grouping) live here too. Every
+engine takes a PathEnsemble and returns one value per path; a single path
+is a one-path ensemble.
 """
 from __future__ import annotations
 
@@ -64,9 +66,14 @@ def _cmul(a, b) -> np.ndarray:
     the scalar product; this is, and a real operand acts as x + 0j, as numpy
     promotes it.
     """
-    out = np.empty(np.broadcast(a, b).shape, dtype=np.complex128)
-    out.real = a.real * b.real - a.imag * b.imag
-    out.imag = a.real * b.imag + a.imag * b.real
+    # a real operand's imaginary part is the scalar 0.0, so no array of zeros is made
+    ar, br = a.real, b.real
+    ai = a.imag if np.iscomplexobj(a) else 0.0
+    bi = b.imag if np.iscomplexobj(b) else 0.0
+    real = ar * br - ai * bi
+    out = np.empty(np.shape(real), dtype=np.complex128)
+    out.real = real
+    out.imag = ar * bi + ai * br
     return out
 
 
@@ -390,9 +397,9 @@ def exp_martingale_grid(f, ens: PathEnsemble) -> np.ndarray:
     return out
 
 
-def _expm1_over(z: complex, ell: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """exp(z ell) and (exp(z ell) - 1) / z per gap ell, the latter stable near
-    z ell = 0, with the bits of the scalar complex arithmetic."""
+def _exp_and_integral(z: complex, ell: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """exp(z ell) and its integral (exp(z ell) - 1) / z per gap ell, the latter
+    by its series near z ell = 0, with the bits of scalar complex arithmetic."""
     w = _cmul(z, ell)
     grow = np.exp(w)
     small = np.hypot(w.real, w.imag) < 1e-8
@@ -440,20 +447,20 @@ def representation_residual(f, ens: PathEnsemble) -> np.ndarray:
         lam_fac = sum(lam * (ph - 1.0) for ph, (_, lam) in zip(phases, model.atoms))
         t_cur = np.full(P, k * dt)
         if cell is not None:
-            phases = np.array(phases)
+            atom_phase = np.array(phases)
             for a, b in zip(cell.bounds[:-1], cell.bounds[1:]):
                 rows = cell.paths[cell.rows[a:b]]
                 events = cell.events[a:b]
                 t_e = jump_times[events]
-                grow, integral = _expm1_over(z, t_e - t_cur[rows])
+                grow, integral = _exp_and_integral(z, t_e - t_cur[rows])
                 m_r = m[rows]
                 comp_sum[rows] += _cmul(_cmul(lam_fac, m_r), integral)
                 m_r = _cmul(m_r, grow)
-                phase = phases[jump_atoms[events]]
+                phase = atom_phase[jump_atoms[events]]
                 jump_sum[rows] += _cmul(phase - 1.0, m_r)
                 m[rows] = _cmul(m_r, phase)
                 t_cur[rows] = t_e
-        grow, integral = _expm1_over(z, (k + 1) * dt - t_cur)
+        grow, integral = _exp_and_integral(z, (k + 1) * dt - t_cur)
         comp_sum += _cmul(_cmul(lam_fac, m), integral)
         m = _cmul(m, grow)
     diff = m - (1.0 + jump_sum - comp_sum)

@@ -263,6 +263,25 @@ def test_each_pool_worker_is_pinned_to_its_own_cpu(monkeypatch, tmp_path):
     assert sha256(payload.encode()).hexdigest() == REPORT_SHA256["fock"]
 
 
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="Linux only")
+def test_adopt_hands_out_each_worker_index_once():
+    # more workers than CPUs, started at once: a lost update of the shared
+    # counter would hand two workers one index
+    context = multiprocessing.get_context("fork")
+    taken = context.Value("i", 0)
+    cpus = sorted(os.sched_getaffinity(0))
+    n = 4 * len(cpus)
+    workers = [
+        context.Process(target=suites._adopt, args=([], None, cpus, taken)) for _ in range(n)
+    ]
+    for p in workers:
+        p.start()
+    for p in workers:
+        p.join(timeout=30)
+        assert not p.is_alive() and p.exitcode == 0
+    assert taken.value == n
+
+
 def _broken(cfg):
     raise RuntimeError("fock.ccr broke")
 
