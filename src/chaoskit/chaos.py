@@ -24,8 +24,10 @@ import os
 import warnings
 import weakref
 from dataclasses import dataclass
+from functools import lru_cache
 from hashlib import sha256
 from math import factorial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -438,41 +440,137 @@ def bn_split(F: ChaosCoefficients) -> BNSplit:
 
 
 def _power_table(ens: PathEnsemble, n_max: int) -> np.ndarray:
-    """Per-path compensated cell powers, shape (n_paths, n_cells, n_max + 1).
+    """Per-path compensated cell powers, cell-major (n_cells, n_max + 1, n_paths).
 
-    Entry m at cell w is the m-fold integral of the cell's own indicator:
-    monic heat Hermite in the Brownian increment on the diffusion bin,
-    Charlier-style count polynomials on jump bins. These are the building
-    blocks of every multiple integral via the occupation product formula.
+    Row (w, m) is the m-fold integral of cell w's own indicator, one entry
+    per path: monic heat Hermite in the Brownian increment on the diffusion
+    bin, Charlier-style count polynomials on jump bins. These are the
+    building blocks of every multiple integral via the occupation product
+    formula. Row (w, m) is contiguous, and the recursions run one cell at a
+    time, so their operands stay in cache.
     """
     grid = ens.grid
     sigma = grid.model.sigma
     s = sigma**2 * grid.dt
     nb = ens.n_paths
-    table = np.zeros((nb, grid.n_cells, n_max + 1))
-    table[:, :, 0] = 1.0
+    table = np.empty((grid.n_cells, n_max + 1, nb))
+    table[:, 0] = 1.0
     if n_max == 0:
         return table
     counts = ens.cell_counts() if grid.n_bins > 1 else None
     for w, (k, b) in enumerate(grid.cells):
+        t = table[w]
         if b == 0:
             x = sigma * ens.brownian[:, k]
-            table[:, w, 1] = x
+            t[1] = x
             for m in range(2, n_max + 1):
-                table[:, w, m] = x * table[:, w, m - 1] - (m - 1) * s * table[:, w, m - 2]
+                t[m] = x * t[m - 1] - (m - 1) * s * t[m - 2]
             continue
         a = grid.bin_rates[b - 1] * grid.dt
-        N = counts[:, w]
-        # convolve C(N, r) with the exponential series, times m!
-        binom = [np.ones(nb)]
+        N = counts[w]
+        # C(N, r) goes to row r; then, top down, row m becomes m! times the
+        # convolution of C(N, r) with the exponential series, which reads
+        # only rows r <= m
         for r in range(1, n_max + 1):
-            binom.append(binom[-1] * (N - (r - 1)) / r)
-        for m in range(1, n_max + 1):
+            t[r] = t[r - 1] * (N - (r - 1)) / r
+        for m in range(n_max, 0, -1):
             acc = np.zeros(nb)
             for r in range(m + 1):
-                acc += binom[r] * ((-a) ** (m - r) / factorial(m - r))
-            table[:, w, m] = factorial(m) * acc
+                acc += t[r] * ((-a) ** (m - r) / factorial(m - r))
+            t[m] = factorial(m) * acc
     return table
+
+
+class _OccupationPlan(NamedTuple):
+    """The occupations of levels 0..M over c cells, as factor lists for `_walk`.
+
+    An occupation's factors are its nonzero (cell w, exponent a) entries in
+    ascending cell order, each named by its power-table row w * (M + 1) + a.
+    Level n's occupations are positions bounds[n]..bounds[n + 1] - 1, in
+    `occ_array` order. Position q shares its first shared[q] factors with
+    position q - 1 of its level (none for a level's first); its other
+    factors are rest[starts[q]:starts[q + 1]].
+    """
+
+    bounds: tuple[int, ...]
+    shared: np.ndarray
+    starts: np.ndarray
+    rest: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def _occupation_plan(c: int, truncation: int) -> _OccupationPlan:
+    """The read-only occupation plan of levels 0..truncation over c cells."""
+    sizes = [check_level(c, n) for n in range(truncation + 1)]
+    shared, rest, n_rest = [], [], []
+    for n in range(truncation + 1):
+        occ = occ_array(c, n)
+        row, col = np.nonzero(occ)
+        # the first cell in which each occupation differs from the one before
+        first = np.zeros(occ.shape[0], dtype=np.int64)
+        first[1:] = np.argmax(occ[1:] != occ[:-1], axis=1)
+        lead = col < first[row]
+        shared.append(np.bincount(row[lead], minlength=occ.shape[0]))
+        rest.append((col * (truncation + 1) + occ[row, col])[~lead])
+        n_rest.append(np.bincount(row[~lead], minlength=occ.shape[0]))
+    starts = np.concatenate([[0], np.cumsum(np.concatenate(n_rest))])
+    plan = _OccupationPlan(
+        tuple(np.cumsum([0] + sizes).tolist()),
+        np.concatenate(shared),
+        starts,
+        np.concatenate(rest),
+    )
+    for arr in plan[1:]:
+        arr.setflags(write=False)
+    return plan
+
+
+def _walk(
+    table: np.ndarray,
+    plan: _OccupationPlan,
+    n: int,
+    start: np.ndarray,
+    keep: list[bool] | None = None,
+):
+    """Yield (p, product) for each level-n occupation p, in enumeration order.
+
+    keep, when given, marks the occupations to yield; the others cost no
+    multiply. table is the power table with its rows flattened,
+    (n_cells * (M + 1), n_paths). An occupation's product is start times its
+    factor rows, multiplied one at a time in ascending cell order. The walk
+    keeps one buffer per depth, depth d + 1 being depth d times the next
+    factor, so an occupation recomputes only the depths past the factors it
+    shares with the last occupation yielded: one multiply for most. A
+    product is the walk's buffer (or start, at level 0); read it before the
+    next step, never write it.
+    """
+    lo, hi = plan.bounds[n], plan.bounds[n + 1]
+    shared = plan.shared[lo:hi].tolist()
+    starts = plan.starts[lo : hi + 1].tolist()
+    rest = plan.rest[starts[0] : starts[-1]].tolist()
+    base = starts[0]
+    depth = [start] + [np.empty_like(start) for _ in range(n)]
+    factors: list[int] = []
+    ready = 0  # depths whose products the current factors still share
+    for p in range(hi - lo):
+        del factors[shared[p] :]
+        factors += rest[starts[p] - base : starts[p + 1] - base]
+        ready = min(ready, shared[p])
+        if keep is not None and not keep[p]:
+            continue
+        for d in range(ready, len(factors)):
+            np.multiply(depth[d], table[factors[d]], out=depth[d + 1])
+        ready = len(factors)
+        yield p, depth[ready]
+
+
+# power-table entries per block of paths; project_mc's sums are pairwise within
+# a block, so its records depend on this rule
+_BLOCK_ENTRIES = 8_000_000
+
+
+def _block_paths(c: int, truncation: int) -> int:
+    return max(1, _BLOCK_ENTRIES // (c * (truncation + 1)))
 
 
 def _dense_values(F: ChaosCoefficients, ens: PathEnsemble) -> np.ndarray:
@@ -480,36 +578,35 @@ def _dense_values(F: ChaosCoefficients, ens: PathEnsemble) -> np.ndarray:
     c = grid.n_cells
     P = ens.n_paths
     out = np.full(P, complex(F.kernels[0][0]), dtype=np.complex128)
-    plans = []
-    for n in range(1, M + 1):
-        occ = occ_array(c, n)
-        mult = multiplicities(c, n)
-        kern = F.kernels[n]
-        rows = np.nonzero(kern)[0]
-        plan = []
-        for p in rows:
-            cols = np.nonzero(occ[p])[0]
-            plan.append((kern[p] * mult[p], cols, occ[p, cols]))
-        plans.append(plan)
-    block = max(1, int(8_000_000 // max(c * (M + 1), 1)))
+    plan = _occupation_plan(c, M)
+    levels = [n for n in range(1, M + 1) if np.any(F.kernels[n])]
+    if not levels:
+        return out
+    block = _block_paths(c, M)
     for lo in range(0, P, block):
         hi = min(lo + block, P)
-        table = _power_table(ens.paths(lo, hi), M)
-        for plan in plans:
-            for coeff, cols, exps in plan:
-                acc = table[:, cols[0], exps[0]].copy()
-                for cc, ee in zip(cols[1:], exps[1:]):
-                    acc *= table[:, cc, ee]
-                out[lo:hi] += coeff * acc
+        table = _power_table(ens.paths(lo, hi), M).reshape(c * (M + 1), hi - lo)
+        part = out[lo:hi]
+        # products start from 1.0, and 1.0 * t == t
+        ones = np.ones(hi - lo)
+        for n in levels:
+            kern, mult = F.kernels[n], multiplicities(c, n)
+            for p, prod in _walk(table, plan, n, ones, (kern != 0).tolist()):
+                part += kern[p] * mult[p] * prod
     return out
 
 
 def chaos_evaluate(F: ChaosCoefficients, ens: PathEnsemble) -> np.ndarray:
     """Per-path value of the truncated expansion.
 
-    Recorded power terms go through the exact generating-series engine; the
-    fallback multiplies per-cell compensated powers over each occupation,
-    which is exact too but scales with the stored coefficient count.
+    Recorded power terms go through the exact generating-series engine. The
+    dense fallback adds, per occupation with a nonzero kernel entry, the
+    entry times its multiplicity times the product of the occupation's
+    compensated cell powers. The powers come from one cell-major table per
+    block of paths, and the products from one walk over a cached plan of
+    each level's occupations that shares every prefix product with the
+    occupations after it. This route is exact too, but scales with the
+    stored coefficient count.
     """
     if ens.grid.spec() != F.grid.spec():
         raise ValueError("expansion and paths live on different grids")
@@ -539,7 +636,12 @@ def project_mc(
     Monte Carlo, not exact: each kernel entry comes with a standard error,
     and the returned map gives the largest one per order. The order-n
     estimator correlates the samples against the occupation's compensated
-    power product divided by n! and the occupation's mass.
+    power product divided by n! and the occupation's mass. The products
+    come from the same walk as the dense route of `chaos_evaluate`, started
+    from the samples. Each entry's sum and sums of squares are pairwise
+    sums within one block of paths, added up block by block, so the
+    estimates depend on the block rule (`_block_paths`) bit for bit: keep it
+    to keep the records.
     """
     grid = ens.grid
     c = grid.n_cells
@@ -547,35 +649,26 @@ def project_mc(
     vals = np.asarray(values, dtype=np.complex128)
     if vals.shape != (P,):
         raise ValueError(f"expected {P} per-path samples, got shape {vals.shape}")
+    plan = _occupation_plan(c, truncation)
     sums = [np.zeros(level_dim(c, n), dtype=np.complex128) for n in range(truncation + 1)]
     sq_re = [np.zeros(level_dim(c, n)) for n in range(truncation + 1)]
     sq_im = [np.zeros(level_dim(c, n)) for n in range(truncation + 1)]
     scale = [
         1.0 / (factorial(n) * _mass_weights(grid, n)) for n in range(truncation + 1)
     ]
-    plans = []
-    for n in range(truncation + 1):
-        occ = occ_array(c, n)
-        plan = []
-        for p in range(occ.shape[0]):
-            cols = np.nonzero(occ[p])[0]
-            plan.append((p, cols, occ[p, cols]))
-        plans.append(plan)
-    block = max(1, int(8_000_000 // max(c * (truncation + 1), 1)))
+    block = _block_paths(c, truncation)
     for lo in range(0, P, block):
         hi = min(lo + block, P)
         table = _power_table(ens.paths(lo, hi), truncation)
-        v = vals[lo:hi]
+        table = table.reshape(c * (truncation + 1), hi - lo)
+        acc = np.empty(hi - lo, dtype=np.complex128)
         for n in range(truncation + 1):
             sc = scale[n]
-            for p, cols, exps in plans[n]:
-                acc = v.copy()
-                for cc, ee in zip(cols, exps):
-                    acc *= table[:, cc, ee]
-                acc *= sc[p]
+            for p, prod in _walk(table, plan, n, vals[lo:hi]):
+                np.multiply(prod, sc[p], out=acc)
                 sums[n][p] += acc.sum()
-                sq_re[n][p] += np.sum(acc.real**2)
-                sq_im[n][p] += np.sum(acc.imag**2)
+                sq_re[n][p] += (acc.real**2).sum()
+                sq_im[n][p] += (acc.imag**2).sum()
     kernels = [s / P for s in sums]
     se_max: dict[int, float] = {}
     denom = max(P - 1, 1)

@@ -287,7 +287,7 @@ def power_integrals(field: StepField, n_max: int, ens: PathEnsemble) -> np.ndarr
     acc[0] = 1.0
     if n_max == 0:
         return acc.T.copy()
-    counts = ens.cell_counts().T.copy() if ens.jump_times.size else None
+    counts = ens.cell_counts() if ens.jump_times.size else None
     expo = np.empty(n_max + 1, dtype=np.complex128)
     herm = np.zeros((n_max + 1, P), dtype=np.complex128)
     for k in range(K):

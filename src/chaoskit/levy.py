@@ -285,9 +285,13 @@ class PathEnsemble:
         return self.grid.column[self.jump_cells, self.jump_bins]
 
     def cell_counts(self) -> np.ndarray:
-        """Jump counts over the retained cells, float (n_paths, n_cells)."""
-        out = np.zeros((self.n_paths, self.grid.n_cells))
-        np.add.at(out, (self.jump_paths, self._jump_columns()), 1.0)
+        """Jump counts over the retained cells, float (n_cells, n_paths).
+
+        Cell-major: row w holds every path's count in cell w, contiguous, as
+        the engines read it (one cell at a time over all paths).
+        """
+        out = np.zeros((self.grid.n_cells, self.n_paths))
+        np.add.at(out, (self._jump_columns(), self.jump_paths), 1.0)
         return out
 
 

@@ -1,5 +1,6 @@
 """Chaos expansions over grid cells: calculus, embeddings, serialization."""
 import io
+import tracemalloc
 import warnings
 from hashlib import sha256
 from math import factorial
@@ -7,10 +8,13 @@ from math import factorial
 import numpy as np
 import pytest
 
+from chaoskit import chaos
 from chaoskit.chaos import (
     CHAOS_FORMAT,
     ChaosCoefficients,
     MarkedChaos,
+    _dense_values,
+    _occupation_plan,
     _power_table,
     bn_split,
     chaos_evaluate,
@@ -27,7 +31,7 @@ from chaoskit.chaos import (
     project_mc,
     save_chaos,
 )
-from chaoskit.indices import level_dim
+from chaoskit.indices import GuardLimitError, level_dim, multiplicities, occ_array
 from chaoskit.integrals import power_integrals, stochastic_integral
 from chaoskit.levy import (
     CellGrid,
@@ -241,7 +245,7 @@ def test_power_table_of_a_path_range_matches_the_whole_ensemble():
             ranges.append((lo, hi))
         for lo, hi in ranges:
             part = _power_table(ens.paths(lo, hi), 4)
-            assert part.tobytes() == whole[lo:hi].tobytes(), (name, lo, hi)
+            assert part.tobytes() == whole[:, :, lo:hi].tobytes(), (name, lo, hi)
 
 
 def test_evaluation_rejects_foreign_paths():
@@ -344,3 +348,252 @@ def test_bn_split_warns_on_single_component_grids():
     assert res.degenerate
     assert any("single block" in str(w.message) for w in caught)
     assert res.total == pytest.approx(F.norm_sq(), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the dense route against the occupation loops it replaced
+
+
+def _reference_power_table(ens, n_max):
+    """Per-path cell powers, (n_paths, n_cells, n_max + 1), one cell at a time."""
+    grid = ens.grid
+    sigma = grid.model.sigma
+    s = sigma**2 * grid.dt
+    nb = ens.n_paths
+    table = np.zeros((nb, grid.n_cells, n_max + 1))
+    table[:, :, 0] = 1.0
+    if n_max == 0:
+        return table
+    counts = ens.cell_counts().T if grid.n_bins > 1 else None
+    for w, (k, b) in enumerate(grid.cells):
+        if b == 0:
+            x = sigma * ens.brownian[:, k]
+            table[:, w, 1] = x
+            for m in range(2, n_max + 1):
+                table[:, w, m] = x * table[:, w, m - 1] - (m - 1) * s * table[:, w, m - 2]
+            continue
+        a = grid.bin_rates[b - 1] * grid.dt
+        N = counts[:, w]
+        binom = [np.ones(nb)]
+        for r in range(1, n_max + 1):
+            binom.append(binom[-1] * (N - (r - 1)) / r)
+        for m in range(1, n_max + 1):
+            acc = np.zeros(nb)
+            for r in range(m + 1):
+                acc += binom[r] * ((-a) ** (m - r) / factorial(m - r))
+            table[:, w, m] = factorial(m) * acc
+    return table
+
+
+def _reference_dense_values(F, ens, block_entries=8_000_000):
+    """One product per nonzero kernel entry: a copy of its first factor, then
+    a multiply per further factor."""
+    grid, M = F.grid, F.truncation
+    c = grid.n_cells
+    P = ens.n_paths
+    out = np.full(P, complex(F.kernels[0][0]), dtype=np.complex128)
+    plans = []
+    for n in range(1, M + 1):
+        occ = occ_array(c, n)
+        mult = multiplicities(c, n)
+        kern = F.kernels[n]
+        plan = []
+        for p in np.nonzero(kern)[0]:
+            cols = np.nonzero(occ[p])[0]
+            plan.append((kern[p] * mult[p], cols, occ[p, cols]))
+        plans.append(plan)
+    block = max(1, int(block_entries // max(c * (M + 1), 1)))
+    for lo in range(0, P, block):
+        hi = min(lo + block, P)
+        table = _reference_power_table(ens.paths(lo, hi), M)
+        for plan in plans:
+            for coeff, cols, exps in plan:
+                acc = table[:, cols[0], exps[0]].copy()
+                for cc, ee in zip(cols[1:], exps[1:]):
+                    acc *= table[:, cc, ee]
+                out[lo:hi] += coeff * acc
+    return out
+
+
+def _reference_project_mc(values, ens, truncation, block_entries=8_000_000):
+    """Kernels and se_max from one copy of the samples per occupation."""
+    grid = ens.grid
+    c = grid.n_cells
+    P = ens.n_paths
+    vals = np.asarray(values, dtype=np.complex128)
+    sums = [np.zeros(level_dim(c, n), dtype=np.complex128) for n in range(truncation + 1)]
+    sq_re = [np.zeros(level_dim(c, n)) for n in range(truncation + 1)]
+    sq_im = [np.zeros(level_dim(c, n)) for n in range(truncation + 1)]
+    scale = [
+        1.0 / (factorial(n) * chaos._mass_weights(grid, n)) for n in range(truncation + 1)
+    ]
+    block = max(1, int(block_entries // max(c * (truncation + 1), 1)))
+    for lo in range(0, P, block):
+        hi = min(lo + block, P)
+        table = _reference_power_table(ens.paths(lo, hi), truncation)
+        v = vals[lo:hi]
+        for n in range(truncation + 1):
+            occ = occ_array(c, n)
+            for p in range(occ.shape[0]):
+                cols = np.nonzero(occ[p])[0]
+                acc = v.copy()
+                for cc in cols:
+                    acc *= table[:, cc, occ[p, cc]]
+                acc *= scale[n][p]
+                sums[n][p] += acc.sum()
+                sq_re[n][p] += np.sum(acc.real**2)
+                sq_im[n][p] += np.sum(acc.imag**2)
+    kernels = [s / P for s in sums]
+    se_max = {}
+    denom = max(P - 1, 1)
+    for n in range(truncation + 1):
+        mean = kernels[n]
+        var_re = np.maximum(sq_re[n] / P - mean.real**2, 0.0) * P / denom
+        var_im = np.maximum(sq_im[n] / P - mean.imag**2, 0.0) * P / denom
+        se_max[n] = float(np.sqrt((var_re + var_im) / P).max(initial=0.0))
+    return kernels, se_max
+
+
+# Poisson, Brownian, mixed and jump-dominated grids; two atoms in one bin with
+# drift and |x| < 1 atoms; one time cell; horizons 0.5 and 2
+BYTE_GRIDS = {
+    "poisson": CellGrid(poisson_preset(1.0, 1.0), 4),
+    "brownian": CellGrid(brownian_preset(), 4),
+    "mixed": CellGrid(MIXED, 3),
+    "jumpy": CellGrid(LevyModel(sigma=0.3, atoms=((1.0, 8.0), (-0.5, 6.0))), 3),
+    "grouped": CellGrid(
+        LevyModel(b=0.4, sigma=0.5, atoms=((0.5, 2.0), (-0.3, 3.0), (1.5, 1.0))),
+        2,
+        atom_groups=((0, 1), (2,)),
+    ),
+    "one_cell": CellGrid(MIXED, 1),
+    "short": CellGrid(LevyModel(sigma=0.7, atoms=((1.0, 2.0),), horizon=0.5), 4),
+    "long": CellGrid(LevyModel(atoms=((0.8, 1.5),), horizon=2.0), 5),
+}
+
+
+def _byte_kernels(rng, grid, M, share=0.3):
+    """Random kernels with a share of zero rows, and a zero level when M >= 3."""
+    F = rand_chaos(rng, grid, M)
+    for n, kern in enumerate(F.kernels):
+        kern[rng.random(kern.shape[0]) < share] = 0.0
+        if n == 2 and M >= 3:
+            kern[:] = 0.0
+    return F
+
+
+def _same_bytes(got, want, label):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape, label
+    assert got.tobytes() == want.tobytes(), label
+
+
+@pytest.mark.parametrize("name", sorted(BYTE_GRIDS))
+def test_power_table_is_the_reference_table_cell_major(name):
+    grid = BYTE_GRIDS[name]
+    ens = sample_ensemble(grid.model, grid, seed=57, n_paths=30)
+    for M in range(5):
+        want = _reference_power_table(ens, M).transpose(1, 2, 0)
+        _same_bytes(_power_table(ens, M), np.ascontiguousarray(want), (name, M))
+
+
+@pytest.mark.parametrize("name", sorted(BYTE_GRIDS))
+def test_dense_route_has_the_reference_bytes(name):
+    grid = BYTE_GRIDS[name]
+    rng = np.random.default_rng(61)
+    ens = sample_ensemble(grid.model, grid, seed=59, n_paths=40)
+    field = StepField.from_columns(
+        grid,
+        diffusion=0.6 + 0.1 * np.arange(grid.n_time),
+        bins={b: np.linspace(-0.8, 0.9, grid.n_time) for b in range(1, grid.n_bins)},
+    )
+    for M in range(5):
+        forms = {
+            "random": _byte_kernels(rng, grid, M),
+            "sparse": _byte_kernels(rng, grid, M, share=0.9),
+            "doleans": ChaosCoefficients.doleans(field, M),
+        }
+        for kind, F in forms.items():
+            F.source = None
+            for sub in (ens, ens.paths(17, 18)):
+                label = (name, M, kind, sub.n_paths)
+                values = _dense_values(F, sub)
+                _same_bytes(values, _reference_dense_values(F, sub), label)
+                kernels, se_max = project_mc(values, sub, M)
+                want_kernels, want_se = _reference_project_mc(values, sub, M)
+                for n in range(M + 1):
+                    _same_bytes(kernels.kernels[n], want_kernels[n], label + (n,))
+                _same_bytes(list(se_max.values()), list(want_se.values()), label)
+                assert list(se_max) == list(want_se)
+
+
+def test_dense_route_has_the_reference_bytes_over_several_blocks(monkeypatch):
+    # 7 paths per block: the dense values do not depend on the block size,
+    # and the projection's pairwise sums follow the reference's blocks
+    grid = BYTE_GRIDS["grouped"]
+    rng = np.random.default_rng(67)
+    ens = sample_ensemble(grid.model, grid, seed=71, n_paths=40)
+    M = 3
+    F = _byte_kernels(rng, grid, M)
+    whole = _dense_values(F, ens)
+    entries = 7 * grid.n_cells * (M + 1)
+    monkeypatch.setattr(chaos, "_BLOCK_ENTRIES", entries)
+    values = _dense_values(F, ens)
+    _same_bytes(values, whole, "dense block")
+    _same_bytes(values, _reference_dense_values(F, ens, entries), "dense reference")
+    kernels, se_max = project_mc(values, ens, M)
+    want_kernels, want_se = _reference_project_mc(values, ens, M, entries)
+    for n in range(M + 1):
+        _same_bytes(kernels.kernels[n], want_kernels[n], n)
+    assert se_max == want_se
+
+
+@pytest.mark.parametrize("c, M", [(1, 6), (2, 5), (5, 4), (7, 3), (16, 3)])
+def test_occupation_plan_rebuilds_every_factor_list(c, M):
+    plan = _occupation_plan(c, M)
+    for arr in plan[1:]:
+        assert not arr.flags.writeable
+    for n in range(M + 1):
+        occ = occ_array(c, n)
+        lo, hi = plan.bounds[n], plan.bounds[n + 1]
+        assert hi - lo == occ.shape[0]
+        prev = []
+        for q in range(lo, hi):
+            rows = prev[: plan.shared[q]] + plan.rest[plan.starts[q] : plan.starts[q + 1]].tolist()
+            cols = np.nonzero(occ[q - lo])[0]
+            assert rows == (cols * (M + 1) + occ[q - lo, cols]).tolist(), (n, q)
+            # the shared prefix is the longest one
+            if q > lo and plan.shared[q] < min(len(prev), len(rows)):
+                assert prev[plan.shared[q]] != rows[plan.shared[q]]
+            prev = rows
+        assert plan.shared[lo] == 0
+
+
+def test_occupation_plan_stays_small():
+    # 16 cells (the mixed K=8 grid) to order 6: 74 613 occupations; the plan
+    # holds two int64 per occupation plus the factors it does not share,
+    # about 1.3 of them per occupation here (26 bytes per occupation)
+    c, M = 16, 6
+    plan = _occupation_plan(c, M)
+    n_occ = plan.bounds[-1]
+    assert n_occ == sum(level_dim(c, n) for n in range(M + 1)) == 74_613
+    size = sum(arr.nbytes for arr in plan[1:])
+    assert size <= 4 * 8 * n_occ
+    assert plan.rest.size <= 1.5 * n_occ
+
+
+def test_a_level_above_the_guard_is_refused_before_any_allocation():
+    grid = CellGrid(MIXED, 8)
+    ens = sample_ensemble(grid.model, grid, seed=3, n_paths=5)
+    values = np.ones(5, dtype=np.complex128)
+    # level 10 over 16 cells holds C(25, 10) = 3 268 760 coefficients
+    tracemalloc.start()
+    try:
+        with pytest.raises(GuardLimitError, match="n=10"):
+            project_mc(values, ens, 10)
+        with pytest.raises(GuardLimitError, match="n=10"):
+            _occupation_plan(16, 12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

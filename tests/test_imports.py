@@ -9,7 +9,8 @@ chaoskit, then draws an ensemble, runs a chain integral and one suite; none of
 the heavy modules may be loaded at import, and none of them, nor any
 numpy.random submodule, may first be loaded by the work after it (numpy
 imports some modules lazily, at first use). Import builds none of the Fock
-kernels' cached tables either. No wall-clock time is asserted.
+kernels' cached tables, nor any occupation plan of the dense chaos route. No
+wall-clock time is asserted.
 
 The package's modules import each other without a cycle, function-local
 imports included.
@@ -43,8 +44,12 @@ PROBE = """
 import json, sys
 import chaoskit
 loaded = set(sys.modules)
-from chaoskit import fock
-tables = [fock._fold_plan.cache_info().currsize, fock._raise_stack.cache_info().currsize]
+from chaoskit import chaos, fock
+tables = [
+    fock._fold_plan.cache_info().currsize,
+    fock._raise_stack.cache_info().currsize,
+    chaos._occupation_plan.cache_info().currsize,
+]
 import numpy as np
 from chaoskit.config import RunConfig
 from chaoskit.integrals import iterated_chain
@@ -97,9 +102,10 @@ def test_import_and_work_load_no_heavy_module(probe):
 
 
 def test_import_builds_no_fold_plan_or_raising_table(probe):
-    # the Fock kernels' tables are built on first use, in the process that
-    # uses them (each pool worker builds its own)
-    assert probe["tables"] == [0, 0]
+    # the Fock kernels' tables and the dense chaos route's occupation plans
+    # are built on first use, in the process that uses them (each pool
+    # worker builds its own)
+    assert probe["tables"] == [0, 0, 0]
 
 
 def test_every_exported_name_resolves():

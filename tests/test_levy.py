@@ -124,19 +124,21 @@ def test_cell_counts_match_a_hand_count(name):
     grid = LAYOUT_GRIDS[name]
     ens = sample_ensemble(grid.model, grid, seed=BIG_SEED, n_paths=20)
     counts = ens.cell_counts()
-    assert counts.shape == (20, grid.n_cells) and counts.dtype == np.float64
+    # cell-major: one contiguous row of every path's count per cell
+    assert counts.shape == (grid.n_cells, 20) and counts.dtype == np.float64
+    assert counts.flags.c_contiguous
     index = {cell: ci for ci, cell in enumerate(grid.cells)}
-    want = np.zeros((20, grid.n_cells))
+    want = np.zeros((grid.n_cells, 20))
     for i in range(20):
         lo, hi = ens.offsets[i], ens.offsets[i + 1]
         for t, a in zip(ens.jump_times[lo:hi], ens.jump_atoms[lo:hi]):
-            want[i, index[(grid.cell_of_time(float(t)), int(grid.atom_bin[a]))]] += 1.0
+            want[index[(grid.cell_of_time(float(t)), int(grid.atom_bin[a]))], i] += 1.0
     assert np.array_equal(counts, want)
     assert counts.sum() == ens.jump_times.size
     if name in ("mixed", "grouped"):
         assert counts.max() >= 2  # some cell holds two jumps
     for lo, hi in ((0, 20), (0, 1), (19, 20), (4, 13)):
-        assert np.array_equal(ens.paths(lo, hi).cell_counts(), counts[lo:hi])
+        assert np.array_equal(ens.paths(lo, hi).cell_counts(), counts[:, lo:hi])
 
 
 def _reference_path(model, grid, seed, index):
