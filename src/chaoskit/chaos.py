@@ -551,7 +551,7 @@ def _walk(
     base = starts[0]
     depth = [start] + [np.empty_like(start) for _ in range(n)]
     factors: list[int] = []
-    ready = 0  # depths whose products the current factors still share
+    ready = 0  # depths of the stack that still hold prefixes of the factors
     for p in range(hi - lo):
         del factors[shared[p] :]
         factors += rest[starts[p] - base : starts[p + 1] - base]
