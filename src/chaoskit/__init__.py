@@ -26,7 +26,6 @@ from .fock import (
     create,
     exp_vector,
     ito_skorohod,
-    tensor_power,
 )
 from .exponential import ExpCombo, exp_gram, exp_shift
 from .indices import GuardLimitError, level_dim, occupations
@@ -96,6 +95,5 @@ __all__ = [
     "save_chaos",
     "stochastic_integral",
     "summarize",
-    "tensor_power",
     "terminal_value",
 ]

@@ -13,9 +13,12 @@ stochastic exponential's kernels to an exponential vector, and intertwines
 gradient with the universal lowering map and divergence with the raising map
 coefficient for coefficient. That gives every identity here two independent
 routes: a kernel-level sum in this module and a ladder-operator computation
-in `fock`. Pathwise, the same expansions are evaluated by the engines in
-`integrals`, either through recorded power-term structure or through the
-per-cell product decomposition of multiple integrals.
+in `fock` on the embedded values. The routes are separate calls; for the
+Skorohod isometry they are `ito_skorohod_chaos` here and `fock.ito_skorohod`
+on `embed_marked` of processes with a zero top marked order. Pathwise, the
+same expansions are evaluated by the engines in `integrals`, either through
+recorded power-term structure or through the per-cell product decomposition
+of multiple integrals.
 """
 from __future__ import annotations
 
@@ -31,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fock import FockVector, Graded, MarkedFock, SkorohodIdentity, ito_skorohod
+from .fock import FockVector, Graded, MarkedFock
 # on chaos expansions the number semigroup is the Ornstein-Uhlenbeck semigroup
 from .fock import number_apply, sobolev_scale
 from .fock import number_semigroup as ou_semigroup
@@ -108,7 +111,7 @@ class _OnGrid(Graded):
 
     @staticmethod
     def _same_space(a: CellGrid, b: CellGrid) -> bool:
-        return a is b or a.spec() == b.spec()
+        return a.same_as(b)
 
 
 @dataclass(eq=False)
@@ -234,6 +237,27 @@ def _symmetrize(grid: CellGrid, g: np.ndarray, m: int) -> np.ndarray:
     return out / (m + 1)
 
 
+def _lifted(u: MarkedChaos, v: MarkedChaos):
+    """Yield (m, tu, tv) for each marked order m = 0..M, in order.
+
+    tu and tv are the order-m kernels of u and v symmetrized into order
+    m + 1; when v is u, tv is tu, so each order is symmetrized once.
+    """
+    grid = u.grid
+    for m in range(u.truncation + 1):
+        tu = _symmetrize(grid, u.kernels[m], m)
+        yield m, tu, tu if v is u else _symmetrize(grid, v.kernels[m], m)
+
+
+def _lifted_pairing(grid: CellGrid, m: int, tu: np.ndarray, tv: np.ndarray):
+    """(m + 1)! <tu, tv>: marked order m's share of E[conj(delta u) delta v].
+
+    A self pairing (tv is tu) is a mass, returned as its real part.
+    """
+    inner = kernel_inner(grid, m + 1, tu, tv)
+    return factorial(m + 1) * (inner.real if tv is tu else inner)
+
+
 def divergence(u: MarkedChaos) -> tuple[ChaosCoefficients, float]:
     """Skorohod integral: symmetrized kernels one order up.
 
@@ -242,15 +266,11 @@ def divergence(u: MarkedChaos) -> tuple[ChaosCoefficients, float]:
     """
     grid, M = u.grid, u.truncation
     out = ChaosCoefficients.zero(grid, M)
-    dropped = 0.0
-    for m in range(M + 1):
-        tilde = _symmetrize(grid, u.kernels[m], m)
-        if m + 1 <= M:
+    for m, tilde, _ in _lifted(u, u):
+        if m < M:
             out.kernels[m + 1][:] = tilde
-        else:
-            mass = factorial(m + 1) * kernel_inner(grid, m + 1, tilde, tilde).real
-            dropped = float(np.sqrt(max(mass, 0.0)))
-    return out, dropped
+    mass = _lifted_pairing(grid, M, tilde, tilde)
+    return out, float(np.sqrt(max(mass, 0.0)))
 
 
 def number_factorization_residual(F: ChaosCoefficients) -> float:
@@ -276,11 +296,9 @@ def dom_divergence_functional(u: MarkedChaos) -> float:
 
     Monotone under raising the truncation with the lower kernels fixed.
     """
-    grid = u.grid
     total = 0.0
-    for m in range(u.truncation + 1):
-        tilde = _symmetrize(grid, u.kernels[m], m)
-        total += factorial(m + 1) * kernel_inner(grid, m + 1, tilde, tilde).real
+    for m, tilde, _ in _lifted(u, u):
+        total += _lifted_pairing(u.grid, m, tilde, tilde)
     return float(total)
 
 
@@ -310,27 +328,19 @@ def embed_chaos(F: ChaosCoefficients) -> FockVector:
     return FockVector(grid.n_cells, M, levels)
 
 
-def embed_marked(u: MarkedChaos, truncation: int | None = None) -> MarkedFock:
-    """Marked-vector embedding; extra truncation headroom adds zero levels."""
-    grid, M = u.grid, u.truncation
-    Mt = M if truncation is None else truncation
-    if Mt < M:
-        raise ValueError("embedding cannot shrink the truncation")
-    c = grid.n_cells
+def embed_marked(u: MarkedChaos) -> MarkedFock:
+    """Marked-vector embedding, at the process's own truncation."""
+    grid = u.grid
     root_mass = np.sqrt(grid.cell_masses)
-    levels = []
-    for n in range(Mt + 1):
-        if n <= M:
-            levels.append(
-                _embed_scale(grid, n)[:, None] * u.kernels[n] * root_mass[None, :]
-            )
-        else:
-            levels.append(np.zeros((check_level(c, n), c), dtype=np.complex128))
-    return MarkedFock(c, Mt, levels)
+    levels = [
+        _embed_scale(grid, n)[:, None] * k * root_mass[None, :]
+        for n, k in enumerate(u.kernels)
+    ]
+    return MarkedFock(grid.n_cells, u.truncation, levels)
 
 
 # ---------------------------------------------------------------------------
-# Skorohod isometry, kernel route against Fock route
+# Skorohod isometry, kernel route
 
 
 @dataclass(frozen=True)
@@ -340,13 +350,11 @@ class ChaosSkorohod:
     lhs: E[conj(delta u) delta v] from the symmetrized kernels, untruncated.
     base: the L2(mu; chaos) pairing of the processes.
     exchange: the mark-exchanged derivative correction.
-    fock: the same identity run through the abstract ladder machinery.
     """
 
     lhs: complex
     base: complex
     exchange: complex
-    fock: SkorohodIdentity | None
 
     @property
     def rhs(self) -> complex:
@@ -357,20 +365,22 @@ class ChaosSkorohod:
         return abs(self.lhs - self.rhs)
 
 
-def ito_skorohod_chaos(
-    u: MarkedChaos, v: MarkedChaos, fock_route: bool = True
-) -> ChaosSkorohod:
+def ito_skorohod_chaos(u: MarkedChaos, v: MarkedChaos) -> ChaosSkorohod:
+    """Both sides of the Skorohod isometry by the kernel route only.
+
+    E[conj(delta u) delta v] is summed over the symmetrized kernels of every
+    marked order, the top one included, so nothing is truncated. The ladder
+    route is the separate call `fock.ito_skorohod` on the embedded processes,
+    each lifted by one zero marked order first.
+    """
     u._check_compatible(v)
     grid, M = u.grid, u.truncation
     c = grid.n_cells
     masses = grid.cell_masses
 
     lhs = 0.0 + 0.0j
-    for m in range(M + 1):
-        tu = _symmetrize(grid, u.kernels[m], m)
-        tv = _symmetrize(grid, v.kernels[m], m)
-        lhs += factorial(m + 1) * kernel_inner(grid, m + 1, tu, tv)
-
+    for m, tu, tv in _lifted(u, v):
+        lhs += _lifted_pairing(grid, m, tu, tv)
     base = u.inner(v)
 
     exchange = 0.0 + 0.0j
@@ -384,13 +394,7 @@ def ito_skorohod_chaos(
             * factorial(m)
             * np.einsum("b,s,t,bts,bst->", w, masses, masses, np.conj(A), B)
         )
-
-    fock = None
-    if fock_route:
-        fu = embed_marked(u, M + 1)
-        fv = embed_marked(v, M + 1)
-        fock = ito_skorohod(fu, fv)
-    return ChaosSkorohod(complex(lhs), complex(base), complex(exchange), fock)
+    return ChaosSkorohod(complex(lhs), complex(base), complex(exchange))
 
 
 # ---------------------------------------------------------------------------
@@ -608,7 +612,7 @@ def chaos_evaluate(F: ChaosCoefficients, ens: PathEnsemble) -> np.ndarray:
     occupations after it. This route is exact too, but scales with the
     stored coefficient count.
     """
-    if ens.grid.spec() != F.grid.spec():
+    if not ens.grid.same_as(F.grid):
         raise ValueError("expansion and paths live on different grids")
     if F.source is None:
         return _dense_values(F, ens)

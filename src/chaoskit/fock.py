@@ -1,13 +1,14 @@
 """Truncated symmetric Fock space over a d-mode one-particle space.
 
 Levels 0..M are stored in occupation coordinates (see `indices`). The
-coordinate convention is the tensor normalization: `tensor_power(f, n)` has
-squared norm ||f||^(2n) and <tensor_power(f, n), tensor_power(g, n)> equals
-<f, g>^n. Factorial-normalized symmetric powers, common in combinatorial
-treatments, relate by sym_power(f, n) = sqrt(n!) * tensor_power(f, n); with
-that dictionary the lowering map sends sym_power(f, n) to
-n * sym_power(f, n-1) (x) f while in the coordinates used here it sends
-tensor_power(f, n) to sqrt(n) * tensor_power(f, n-1) (x) f.
+coordinate convention is the tensor normalization, stated through the
+exponential vector: level n of `exp_vector(f, M)` is the n-fold tensor power
+of f, which has squared norm ||f||^(2n), divided by sqrt(n!). So level n of
+exp_vector(f) paired with level n of exp_vector(g) is <f, g>^n / n!, and the
+lowering map sends level n of exp_vector(f) to level n-1 (x) f.
+Factorial-normalized symmetric powers, common in combinatorial treatments,
+are sym_power(f, n) = n! times level n of exp_vector(f); in that dictionary
+the lowering map sends sym_power(f, n) to n * sym_power(f, n-1) (x) f.
 
 One-particle inner products are conjugate linear in the left argument, as is
 every inner product in this package.
@@ -52,13 +53,11 @@ from .indices import (
 )
 
 __all__ = [
-    "SymTensor",
     "FockVector",
     "MarkedFock",
     "SplitFock",
     "SkorohodIdentity",
     "as_mode_vector",
-    "tensor_power",
     "exp_vector",
     "exp_tail_bound",
     "gram_tail_bound",
@@ -75,7 +74,6 @@ __all__ = [
     "split_divergence",
     "marked_lower",
     "marked_exchange",
-    "marked_graph_norm_sq",
     "ito_skorohod",
 ]
 
@@ -90,32 +88,6 @@ def as_mode_vector(f, d: int | None = None) -> np.ndarray:
     if d is not None and arr.shape[0] != d:
         raise ValueError(f"mode dimension mismatch: expected {d}, got {arr.shape[0]}")
     return arr
-
-
-@dataclass(eq=False)
-class SymTensor:
-    """One symmetric level: degree-n coefficients in occupation order."""
-
-    d: int
-    degree: int
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        dim = check_level(self.d, self.degree)
-        self.coeffs = np.asarray(self.coeffs, dtype=np.complex128)
-        if self.coeffs.shape != (dim,):
-            raise ValueError(
-                f"level (d={self.d}, n={self.degree}) expects {dim} coefficients, "
-                f"got shape {self.coeffs.shape}"
-            )
-
-    def inner(self, other: "SymTensor") -> complex:
-        if (self.d, self.degree) != (other.d, other.degree):
-            raise ValueError("level mismatch in SymTensor.inner")
-        return complex(np.vdot(self.coeffs, other.coeffs))
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
 
 
 class Graded:
@@ -240,12 +212,6 @@ class FockVector(Graded):
     def _shape(d: int, n: int) -> tuple[int, ...]:
         return (check_level(d, n),)
 
-    @classmethod
-    def vacuum(cls, d: int, truncation: int) -> "FockVector":
-        out = cls.zero(d, truncation)
-        out.levels[0][0] = 1.0
-        return out
-
 
 @dataclass(eq=False)
 class MarkedFock(Graded):
@@ -355,22 +321,8 @@ def _fold(fa: np.ndarray, truncation: int) -> np.ndarray:
     return out
 
 
-def tensor_power(f, n: int) -> SymTensor:
-    """n-fold tensor power of f, so <tensor_power(f,n), tensor_power(g,n)> = <f,g>^n.
-
-    The coefficients are sqrt(n!/alpha!) prod_i f_i ** alpha_i: level n of
-    the fold that `exp_vector(f, n)` runs, before its division by sqrt(n!).
-    """
-    fa = as_mode_vector(f)
-    if n < 0:
-        raise ValueError("tensor power degree must be >= 0")
-    plan = _fold_plan(fa.shape[0], n)
-    top = slice(plan.bounds[n], None)
-    return SymTensor(fa.shape[0], n, plan.weights[top] * _fold(fa, n)[top])
-
-
 def exp_vector(f, truncation: int) -> FockVector:
-    """Truncated exponential vector: level n is tensor_power(f, n)/sqrt(n!).
+    """Truncated exponential vector: level n is the n-fold tensor power of f over sqrt(n!).
 
     One fold builds every level, and the levels are views of one buffer.
     Level n does not depend on the truncation, bit for bit. The discarded
@@ -498,7 +450,7 @@ def create(f, psi: FockVector) -> tuple[FockVector, float]:
 def gradient(psi: FockVector) -> MarkedFock:
     """Universal lowering map: |alpha> -> sum_i sqrt(alpha_i) |alpha - e_i> (x) slot_i.
 
-    Sends tensor_power(f, n) to sqrt(n) tensor_power(f, n-1) (x) f. The output
+    Sends level n of exp_vector(f) to level n - 1 (x) f. The output
     keeps the input truncation; its top marked level is zero. Levels 1..M are
     gathered at once through the raising table of levels 0..M-1; the output
     levels are views of one buffer.
@@ -718,12 +670,6 @@ def marked_exchange(doubled: list[np.ndarray]) -> list[np.ndarray]:
     return [np.swapaxes(a, 1, 2) for a in doubled]
 
 
-def marked_graph_norm_sq(phi: MarkedFock) -> float:
-    """||phi||^2 + ||(lowering (x) id) phi||^2."""
-    doubled = marked_lower(phi)
-    return phi.norm_sq() + float(sum(np.vdot(a, a).real for a in doubled))
-
-
 @dataclass
 class SkorohodIdentity:
     lhs: complex
@@ -752,11 +698,14 @@ def ito_skorohod(phi1: MarkedFock, phi2: MarkedFock) -> SkorohodIdentity:
     assert drop1 == 0.0 and drop2 == 0.0
     lhs = d1.inner(d2)
     base = phi1.inner(phi2)
-    low1 = marked_exchange(marked_lower(phi1))
+    low1 = marked_lower(phi1)
     low2 = marked_lower(phi2)
-    exchange = complex(sum(np.vdot(a, b) for a, b in zip(low1, low2)))
-    g1 = np.sqrt(marked_graph_norm_sq(phi1))
-    g2 = np.sqrt(marked_graph_norm_sq(phi2))
+    exchange = complex(sum(np.vdot(a, b) for a, b in zip(marked_exchange(low1), low2)))
+    # graph norms ||phi||^2 + ||(lowering (x) id) phi||^2, read before the exchange
+    g1, g2 = (
+        np.sqrt(phi.norm_sq() + float(sum(np.vdot(a, a).real for a in low)))
+        for phi, low in ((phi1, low1), (phi2, low2))
+    )
     return SkorohodIdentity(
         lhs=lhs,
         rhs=base + exchange,

@@ -52,7 +52,7 @@ __all__ = [
 
 def stochastic_integral(field: StepField, ens: PathEnsemble) -> np.ndarray:
     """First-order integral: sum of field values times cell increments."""
-    if field.grid.spec() != ens.grid.spec():
+    if not field.grid.same_as(ens.grid):
         raise ValueError("field and paths live on different grids")
     vals = field.cell_values()
     inc = cell_increments(ens)
@@ -180,8 +180,7 @@ def iterated_chain(fields: list[StepField], ens: PathEnsemble) -> np.ndarray:
     if not fields:
         raise ValueError("need at least one field")
     grid = ens.grid
-    spec = grid.spec()
-    if any(f.grid.spec() != spec for f in fields):
+    if not all(f.grid.same_as(grid) for f in fields):
         raise ValueError("field and paths live on different grids")
 
     n = len(fields)
@@ -277,7 +276,7 @@ def power_integrals(field: StepField, n_max: int, ens: PathEnsemble) -> np.ndarr
     series are held order-major, one contiguous row of P paths per order.
     """
     grid = ens.grid
-    if field.grid.spec() != grid.spec():
+    if not field.grid.same_as(grid):
         raise ValueError("field and paths live on different grids")
     model = grid.model
     P = ens.n_paths
@@ -328,7 +327,7 @@ def doleans_exp(field: StepField, ens: PathEnsemble) -> np.ndarray:
     fine) and dY the field value at each jump's cell.
     """
     grid = ens.grid
-    if field.grid.spec() != grid.spec():
+    if not field.grid.same_as(grid):
         raise ValueError("field and paths live on different grids")
     model = grid.model
     y = stochastic_integral(field, ens)
@@ -350,14 +349,9 @@ def doleans_exp(field: StepField, ens: PathEnsemble) -> np.ndarray:
 
 
 def _real_profile(f, grid: CellGrid) -> np.ndarray:
-    if isinstance(f, StepField):
-        if f.grid.spec() != grid.spec():
-            raise ValueError("field and paths live on different grids")
-        prof = f.values[:, 0]
-    else:
-        prof = np.asarray(f, dtype=np.complex128)
-        if prof.shape != (grid.n_time,):
-            raise ValueError(f"profile expects shape ({grid.n_time},)")
+    prof = np.asarray(f, dtype=np.complex128)
+    if prof.shape != (grid.n_time,):
+        raise ValueError(f"profile expects shape ({grid.n_time},)")
     if np.max(np.abs(prof.imag), initial=0.0) > 1e-14:
         raise ValueError("the characteristic-function martingale needs a real profile")
     return prof.real.copy()

@@ -179,6 +179,10 @@ class CellGrid:
             "atom_groups": [list(g) for g in self.atom_groups],
         }
 
+    def same_as(self, other: "CellGrid") -> bool:
+        """Whether values on the two grids may meet: the same grid, or equal specs."""
+        return other is self or other.spec() == self.spec()
+
 
 @dataclass(eq=False)
 class StepField:
@@ -226,7 +230,7 @@ class StepField:
 
     def inner(self, other: "StepField") -> complex:
         """L2(mu) pairing, conjugate linear on the left."""
-        if other.grid is not self.grid and other.grid.spec() != self.grid.spec():
+        if not other.grid.same_as(self.grid):
             raise ValueError("step fields live on different grids")
         a = self.cell_values()
         b = other.cell_values()
@@ -365,7 +369,9 @@ def cell_increments(ens: PathEnsemble) -> np.ndarray:
     # compensators everywhere; a retained diffusion bin is overwritten below
     out = np.tile(-grid.cell_masses, (ens.n_paths, 1))
     if grid.column[0, 0] >= 0:
-        out[:, grid.column[:, 0]] = grid.model.sigma * ens.brownian
+        # retained cells run time-major with bin 0 first, so the diffusion
+        # cells are every (cells per time)-th column
+        out[:, :: grid.n_cells // grid.n_time] = grid.model.sigma * ens.brownian
     if ens.jump_times.size:
         np.add.at(out, (ens.jump_paths, ens._jump_columns()), 1.0)
     return out

@@ -31,6 +31,7 @@ from chaoskit.chaos import (
     project_mc,
     save_chaos,
 )
+from chaoskit.fock import ito_skorohod
 from chaoskit.indices import GuardLimitError, level_dim, multiplicities, occ_array
 from chaoskit.integrals import power_integrals, stochastic_integral
 from chaoskit.levy import (
@@ -41,6 +42,7 @@ from chaoskit.levy import (
     poisson_preset,
     sample_ensemble,
 )
+from chaoskit.suites import _lift_marked
 
 MIXED = LevyModel(b=0.0, sigma=1.0, atoms=((1.0, 1.0),), horizon=1.0)
 
@@ -183,10 +185,11 @@ def test_skorohod_identity_kernel_and_ladder_routes():
         u = rand_marked(rng, grid, 2, zero_top=True)
         v = rand_marked(rng, grid, 2, zero_top=True)
         res = ito_skorohod_chaos(u, v)
+        ladder = ito_skorohod(embed_marked(u), embed_marked(v))
         scale = abs(res.lhs) + abs(res.rhs) + 1.0
         assert res.defect <= 1e-10 * scale
-        assert abs(res.fock.lhs - res.lhs) <= 1e-10 * scale
-        assert abs(res.fock.rhs - res.rhs) <= 1e-10 * scale
+        assert abs(ladder.lhs - res.lhs) <= 1e-10 * scale
+        assert abs(ladder.rhs - res.rhs) <= 1e-10 * scale
 
 
 def test_embed_marked_respects_process_inner():
@@ -195,8 +198,9 @@ def test_embed_marked_respects_process_inner():
     u = rand_marked(rng, grid, 2, zero_top=True)
     v = rand_marked(rng, grid, 2, zero_top=True)
     want = u.inner(v)
-    got = embed_marked(u, 3).inner(embed_marked(v, 3))
+    got = embed_marked(_lift_marked(u)).inner(embed_marked(_lift_marked(v)))
     assert got == pytest.approx(want, rel=1e-11)
+    assert embed_marked(u).inner(embed_marked(v)) == pytest.approx(want, rel=1e-11)
 
 
 def test_evaluation_routes_agree():

@@ -3,9 +3,12 @@
 Reference numbers in this file were computed to 40 digits with an
 independent high-precision script and pasted in as literals.
 """
+from math import factorial
+
 import numpy as np
 import pytest
 
+from chaoskit import fock
 from chaoskit.fock import (
     FockVector,
     _fold_plan,
@@ -29,7 +32,6 @@ from chaoskit.fock import (
     split,
     split_divergence,
     split_gradient,
-    tensor_power,
 )
 from chaoskit.indices import GuardLimitError, level_dim, occupations
 
@@ -64,8 +66,8 @@ def rand_marked(rng, d, truncation, zero_top=1):
 
 
 def test_mode_inner_conjugates_the_left_argument():
-    # the one-particle pairing is the degree-1 tensor pairing
-    got = tensor_power(F_PAIR, 1).inner(tensor_power(G_PAIR, 1))
+    # the one-particle pairing is the pairing of the exponential vectors' level 1
+    got = np.vdot(exp_vector(F_PAIR, 1).levels[1], exp_vector(G_PAIR, 1).levels[1])
     assert got == pytest.approx(IP_PAIR, abs=1e-15)
 
 
@@ -75,31 +77,31 @@ def test_as_mode_vector_checks_length():
 
 
 def test_tensor_power_inner_is_inner_power():
+    # level n of an exponential vector is the tensor power over sqrt(n!)
     rng = np.random.default_rng(11)
     f = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     g = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     ip = complex(np.vdot(f, g))
+    ef, eg = exp_vector(f, 4), exp_vector(g, 4)
     for n in range(5):
-        got = tensor_power(f, n).inner(tensor_power(g, n))
+        got = np.vdot(ef.levels[n], eg.levels[n]) * factorial(n)
         assert got == pytest.approx(ip**n, rel=1e-12, abs=1e-12)
 
 
 def test_tensor_power_coefficients_follow_occupations():
-    from math import factorial
-
     f = np.array([0.8 - 0.1j, 0.5 + 0.6j])
-    t = tensor_power(f, 3)
+    level = exp_vector(f, 3).levels[3]
     for p, occ in enumerate(occupations(2, 3)):
         denom = 1
         for a in occ:
             denom *= factorial(a)
-        expect = np.sqrt(factorial(3) / denom) * f[0] ** occ[0] * f[1] ** occ[1]
-        assert t.coeffs[p] == pytest.approx(expect, rel=1e-14)
+        expect = f[0] ** occ[0] * f[1] ** occ[1] / np.sqrt(denom)
+        assert level[p] == pytest.approx(expect, rel=1e-14)
 
 
 def test_tensor_power_rejects_negative_degree():
     with pytest.raises(ValueError):
-        tensor_power(F_PAIR, -1)
+        exp_vector(F_PAIR, -1)
 
 
 def test_exp_vector_gram_matches_reference_kernel():
@@ -134,11 +136,6 @@ def test_vector_arithmetic_and_norms():
     assert combo.inner(psi) == pytest.approx(want.conjugate(), abs=1e-12)
     assert psi.norm_sq() == pytest.approx(psi.inner(psi).real, abs=1e-12)
     assert psi.norm() == pytest.approx(np.sqrt(psi.norm_sq()))
-
-
-def test_vacuum_is_unit():
-    vac = FockVector.vacuum(3, 4)
-    assert vac.norm() == pytest.approx(1.0)
 
 
 def test_create_is_adjoint_of_annihilate():
@@ -250,7 +247,7 @@ def test_split_merge_round_trip_preserves_everything():
 
 
 def test_split_rejects_trivial_partitions():
-    psi = FockVector.vacuum(3, 2)
+    psi = exp_vector(np.zeros(3), 2)
     with pytest.raises(ValueError):
         split(psi, ())
     with pytest.raises(ValueError):
@@ -324,6 +321,22 @@ def test_skorohod_identity_on_random_marked_pairs():
             assert dn * dn <= gn * gn * (1.0 + 1e-12) + 1e-14
 
 
+def test_ito_skorohod_lowers_each_input_once(monkeypatch):
+    calls = []
+
+    def counting(phi):
+        calls.append(phi)
+        return marked_lower(phi)
+
+    monkeypatch.setattr(fock, "marked_lower", counting)
+    rng = np.random.default_rng(91)
+    phi1 = rand_marked(rng, 3, 3)
+    phi2 = rand_marked(rng, 3, 3)
+    ito_skorohod(phi1, phi2)
+    assert len(calls) == 2
+    assert calls[0] is phi1 and calls[1] is phi2
+
+
 def test_skorohod_rejects_occupied_top_mark():
     rng = np.random.default_rng(97)
     full = rand_marked(rng, 2, 3, zero_top=0)
@@ -356,4 +369,4 @@ def test_a_roof_above_the_guard_is_refused_before_any_fold():
     with pytest.raises(GuardLimitError, match="n=1999"):
         exp_vector(np.ones(3), 2000)
     with pytest.raises(GuardLimitError, match="n=1999"):
-        tensor_power(np.ones(3), 2000)
+        exp_vector(np.ones(3), 1999)

@@ -4,7 +4,10 @@ The vector kernels read lowering through the raise tables, raise every level
 of a vector at once, and build tensor powers from a per-mode power table.
 The references below are per-level loop forms over `lower_maps`, and the
 kernels must reproduce them bit for bit: each output element gets the same
-products, added in the same order.
+products, added in the same order. The two routes to the Ito-Skorohod
+isometry are held to earlier forms of themselves the same way: the ladder
+route that lowered each input twice, the embedding that took a truncation,
+and the kernel route's per-order loops.
 """
 from math import factorial, sqrt
 
@@ -21,17 +24,20 @@ from chaoskit.fock import (
     divergence,
     exp_vector,
     gradient,
+    ito_skorohod,
+    marked_exchange,
     marked_lower,
-    tensor_power,
 )
 from chaoskit.indices import (
     factorial_ratio_sqrt,
     level_dim,
     lower_maps,
+    multiplicities,
     occ_array,
     raise_maps,
 )
-from chaoskit.levy import CellGrid, LevyModel
+from chaoskit.levy import CellGrid, LevyModel, brownian_preset, poisson_preset
+from chaoskit.suites import _lift_marked
 
 DIMS = [1, 2, 3, 4, 5]
 TRUNCATION = 5
@@ -337,8 +343,10 @@ def assert_same_bytes(got, want):
 @pytest.mark.parametrize("n", DEGREES)
 @pytest.mark.parametrize("kind", sorted(MODE_VECTORS))
 def test_tensor_power_matches_the_occupation_product(d, n, kind):
+    # level n of the exponential vector is the tensor power over sqrt(n!)
     fa = _mode_vector(kind, d)
-    assert_same_bytes(tensor_power(fa, n).coeffs, reference_tensor_coeffs(fa, n))
+    want = reference_tensor_coeffs(fa, n) / sqrt(factorial(n))
+    assert_same_bytes(exp_vector(fa, n).levels[n], want)
 
 
 @pytest.mark.parametrize("d", TENSOR_DIMS)
@@ -360,3 +368,171 @@ def test_exp_vector_levels_do_not_depend_on_the_roof(d, kind):
     top = exp_vector(fa, roof).levels
     for n in range(roof + 1):
         assert_same_bytes(top[n], exp_vector(fa, n).levels[n])
+
+
+# ---------------------------------------------------------------------------
+# the two routes to the Ito-Skorohod isometry, against their earlier forms
+
+
+def reference_ito_skorohod(phi1, phi2):
+    """fock.ito_skorohod's fields as it computed them, lowering each input
+    twice: once for the exchange term and once more for its graph norm."""
+    d1, _ = divergence(phi1)
+    d2, _ = divergence(phi2)
+    lhs = d1.inner(d2)
+    base = phi1.inner(phi2)
+    low1 = marked_exchange(marked_lower(phi1))
+    low2 = marked_lower(phi2)
+    exchange = complex(sum(np.vdot(a, b) for a, b in zip(low1, low2)))
+    graph = [
+        np.sqrt(phi.norm_sq() + float(sum(np.vdot(a, a).real for a in marked_lower(phi))))
+        for phi in (phi1, phi2)
+    ]
+    return lhs, base + exchange, base, exchange, (d1.norm(), d2.norm()), tuple(map(float, graph))
+
+
+def identity_bytes(lhs, rhs, base, exchange, div_norms, graph_norms):
+    return np.array([lhs, rhs, base, exchange]).tobytes(), np.array(div_norms + graph_norms).tobytes()
+
+
+def reference_embed_marked(u, truncation):
+    """chaos.embed_marked as it took a truncation, zero levels above u's own."""
+    grid, M = u.grid, u.truncation
+    c = grid.n_cells
+    root_mass = np.sqrt(grid.cell_masses)
+    levels = []
+    for n in range(truncation + 1):
+        if n <= M:
+            levels.append(chaos._embed_scale(grid, n)[:, None] * u.kernels[n] * root_mass[None, :])
+        else:
+            levels.append(np.zeros((level_dim(c, n), c), dtype=np.complex128))
+    return MarkedFock(c, truncation, levels)
+
+
+def reference_ito_skorohod_chaos(u, v):
+    """(lhs, base, exchange) of the kernel route, one symmetrization loop per order."""
+    grid, M = u.grid, u.truncation
+    c = grid.n_cells
+    masses = grid.cell_masses
+    lhs = 0.0 + 0.0j
+    for m in range(M + 1):
+        tu = chaos._symmetrize(grid, u.kernels[m], m)
+        tv = chaos._symmetrize(grid, v.kernels[m], m)
+        lhs += factorial(m + 1) * chaos.kernel_inner(grid, m + 1, tu, tv)
+    base = u.inner(v)
+    exchange = 0.0 + 0.0j
+    for m in range(1, M + 1):
+        up_t = raise_maps(c, m - 1)[0]
+        A = u.kernels[m][up_t]
+        B = v.kernels[m][up_t]
+        w = multiplicities(c, m - 1) * chaos._mass_weights(grid, m - 1)
+        exchange += (
+            m * factorial(m) * np.einsum("b,s,t,bts,bst->", w, masses, masses, np.conj(A), B)
+        )
+    return complex(lhs), complex(base), complex(exchange)
+
+
+def reference_chaos_divergence(u):
+    """chaos.divergence's kernels and dropped mass, one loop over the orders."""
+    grid, M = u.grid, u.truncation
+    out = chaos.ChaosCoefficients.zero(grid, M)
+    dropped = 0.0
+    for m in range(M + 1):
+        tilde = chaos._symmetrize(grid, u.kernels[m], m)
+        if m + 1 <= M:
+            out.kernels[m + 1][:] = tilde
+        else:
+            mass = factorial(m + 1) * chaos.kernel_inner(grid, m + 1, tilde, tilde).real
+            dropped = float(np.sqrt(max(mass, 0.0)))
+    return out.kernels, dropped
+
+
+def reference_dom_divergence(u):
+    grid = u.grid
+    total = 0.0
+    for m in range(u.truncation + 1):
+        tilde = chaos._symmetrize(grid, u.kernels[m], m)
+        total += factorial(m + 1) * chaos.kernel_inner(grid, m + 1, tilde, tilde).real
+    return float(total)
+
+
+SKOROHOD_GRIDS = {
+    "poisson": CellGrid(poisson_preset(1.0, 1.0), 3),
+    "brownian": CellGrid(brownian_preset(), 3),
+    "mixed": CellGrid(
+        LevyModel(b=0.0, sigma=1.0, atoms=((1.0, 1.0), (-0.5, 2.0)), horizon=1.0), 2
+    ),
+}
+SKOROHOD_TRUNCATIONS = range(5)
+SKOROHOD_KINDS = ["random", "sparse"]
+
+
+def _sparse(rng, arr):
+    """Zero most entries of arr, half of them as -0.0, and keep the rest."""
+    hit = rng.random(arr.shape) < 0.7
+    sign = np.where(rng.random(arr.shape) < 0.5, -0.0, 0.0)
+    zero = sign + 1j * np.where(rng.random(arr.shape) < 0.5, -0.0, 0.0)
+    return np.where(hit, zero, arr)
+
+
+def _marked_pair(kind, name, truncation):
+    """Two marked processes with every order occupied, or sparse with signed zeros."""
+    grid = SKOROHOD_GRIDS[name]
+    rng = np.random.default_rng([800, sorted(SKOROHOD_GRIDS).index(name), truncation, len(kind)])
+    pair = []
+    for _ in range(2):
+        u = _marked_chaos(rng, grid, truncation)
+        if kind == "sparse":
+            u = chaos.MarkedChaos(grid, truncation, [_sparse(rng, k) for k in u.kernels])
+        pair.append(u)
+    return pair
+
+
+@pytest.mark.parametrize("d", DIMS)
+@pytest.mark.parametrize("truncation", SKOROHOD_TRUNCATIONS)
+@pytest.mark.parametrize("kind", SKOROHOD_KINDS)
+def test_ladder_route_matches_the_twice_lowered_form(d, truncation, kind):
+    rng = np.random.default_rng([900, d, truncation, len(kind)])
+    phis = []
+    for _ in range(2):
+        levels = _levels(rng, d, truncation, (d,))
+        if kind == "sparse":
+            levels = [_sparse(rng, lev) for lev in levels]
+        levels[truncation] = np.zeros_like(levels[truncation])
+        phis.append(MarkedFock(d, truncation, levels))
+    got = ito_skorohod(*phis)
+    fields = (got.lhs, got.rhs, got.base_term, got.exchange_term, got.div_norms, got.graph_norms)
+    assert identity_bytes(*fields) == identity_bytes(*reference_ito_skorohod(*phis))
+
+
+@pytest.mark.parametrize("name", sorted(SKOROHOD_GRIDS))
+@pytest.mark.parametrize("truncation", SKOROHOD_TRUNCATIONS)
+@pytest.mark.parametrize("kind", SKOROHOD_KINDS)
+def test_kernel_route_matches_the_order_loops(name, truncation, kind):
+    u, v = _marked_pair(kind, name, truncation)
+    sk = chaos.ito_skorohod_chaos(u, v)
+    assert np.array([sk.lhs, sk.base, sk.exchange]).tobytes() == np.array(
+        reference_ito_skorohod_chaos(u, v)
+    ).tobytes()
+    for w in (u, v):
+        got = chaos.dom_divergence_functional(w)
+        assert np.float64(got).tobytes() == np.float64(reference_dom_divergence(w)).tobytes()
+        div, dropped = chaos.divergence(w)
+        want, want_dropped = reference_chaos_divergence(w)
+        assert_levels_bytes_equal(div.kernels, want)
+        assert np.float64(dropped).tobytes() == np.float64(want_dropped).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(SKOROHOD_GRIDS))
+@pytest.mark.parametrize("truncation", SKOROHOD_TRUNCATIONS)
+@pytest.mark.parametrize("kind", SKOROHOD_KINDS)
+def test_lifted_embedding_matches_the_embedding_with_headroom(name, truncation, kind):
+    u, v = _marked_pair(kind, name, truncation)
+    lifted = [chaos.embed_marked(_lift_marked(w)) for w in (u, v)]
+    headroom = [reference_embed_marked(w, truncation + 1) for w in (u, v)]
+    for a, b in zip(lifted, headroom):
+        assert a.truncation == b.truncation == truncation + 1
+        assert_levels_bytes_equal(a.levels, b.levels)
+    got, want = ito_skorohod(*lifted), ito_skorohod(*headroom)
+    for field in ("lhs", "rhs", "base_term", "exchange_term", "div_norms", "graph_norms"):
+        assert np.array(getattr(got, field)).tobytes() == np.array(getattr(want, field)).tobytes()

@@ -119,6 +119,29 @@ def test_layout_arrays_agree_with_the_cells(name):
         assert not table.flags.writeable
 
 
+@pytest.mark.parametrize("name", ["diffusion", "mixed"])
+def test_diffusion_columns_are_a_stride(name):
+    # cell_increments writes the diffusion cells through this basic slice
+    grid = LAYOUT_GRIDS[name]
+    per_time = grid.n_cells // grid.n_time
+    assert per_time * grid.n_time == grid.n_cells
+    assert np.array_equal(grid.column[:, 0], np.arange(grid.n_cells)[::per_time])
+    ens = sample_ensemble(grid.model, grid, seed=BIG_SEED, n_paths=20)
+    want = np.tile(-grid.cell_masses, (ens.n_paths, 1))
+    want[:, grid.column[:, 0]] = grid.model.sigma * ens.brownian
+    if ens.jump_times.size:
+        np.add.at(want, (ens.jump_paths, ens._jump_columns()), 1.0)
+    assert cell_increments(ens).tobytes() == want.tobytes()
+
+
+def test_same_as_is_identity_or_equal_spec():
+    grid = CellGrid(JUMPY, 5)
+    assert grid.same_as(grid)
+    assert grid.same_as(CellGrid(JUMPY, 5)) and CellGrid(JUMPY, 5).same_as(grid)
+    assert not grid.same_as(CellGrid(JUMPY, 4))
+    assert not grid.same_as(CellGrid(JUMPY, 5, atom_groups=((0, 1),)))
+
+
 @pytest.mark.parametrize("name", sorted(LAYOUT_GRIDS))
 def test_cell_counts_match_a_hand_count(name):
     grid = LAYOUT_GRIDS[name]

@@ -381,14 +381,6 @@ def _nan_ladder(real):
     )
 
 
-def _nan_fock_route(real):
-    def fake(u, v, fock_route):
-        sk = real(u, v, fock_route=fock_route)
-        return replace(sk, fock=replace(sk.fock, rhs=math.nan))
-
-    return fake
-
-
 def _nan_kernels(real):
     return lambda F: SimpleNamespace(kernels=[math.nan * k for k in real(F).kernels])
 
@@ -451,7 +443,7 @@ NAN_PROBES = [
     ("_check_embed", [("chaos_divergence", _nan_second)], ["malliavin.embed"]),
     (
         "_check_skorohod_kernel",
-        [("ito_skorohod_chaos", _nan_fock_route)],
+        [("ito_skorohod", _nan_ladder)],
         ["malliavin.skorohod_kernel"],
     ),
     ("_check_skorohod_mc", [("chaos_divergence", _nan_second)], ["malliavin.skorohod_mc"]),
