@@ -237,7 +237,7 @@ def _symmetrize(grid: CellGrid, g: np.ndarray, m: int) -> np.ndarray:
     return out / (m + 1)
 
 
-def _lifted(u: MarkedChaos, v: MarkedChaos):
+def _symmetrized(u: MarkedChaos, v: MarkedChaos):
     """Yield (m, tu, tv) for each marked order m = 0..M, in order.
 
     tu and tv are the order-m kernels of u and v symmetrized into order
@@ -249,7 +249,7 @@ def _lifted(u: MarkedChaos, v: MarkedChaos):
         yield m, tu, tu if v is u else _symmetrize(grid, v.kernels[m], m)
 
 
-def _lifted_pairing(grid: CellGrid, m: int, tu: np.ndarray, tv: np.ndarray):
+def _symmetrized_pairing(grid: CellGrid, m: int, tu: np.ndarray, tv: np.ndarray):
     """(m + 1)! <tu, tv>: marked order m's share of E[conj(delta u) delta v].
 
     A self pairing (tv is tu) is a mass, returned as its real part.
@@ -266,10 +266,11 @@ def divergence(u: MarkedChaos) -> tuple[ChaosCoefficients, float]:
     """
     grid, M = u.grid, u.truncation
     out = ChaosCoefficients.zero(grid, M)
-    for m, tilde, _ in _lifted(u, u):
+    for m, tilde, _ in _symmetrized(u, u):
         if m < M:
             out.kernels[m + 1][:] = tilde
-    mass = _lifted_pairing(grid, M, tilde, tilde)
+    # after the loop, tilde is the top order's, which lands above the roof
+    mass = _symmetrized_pairing(grid, M, tilde, tilde)
     return out, float(np.sqrt(max(mass, 0.0)))
 
 
@@ -297,8 +298,8 @@ def dom_divergence_functional(u: MarkedChaos) -> float:
     Monotone under raising the truncation with the lower kernels fixed.
     """
     total = 0.0
-    for m, tilde, _ in _lifted(u, u):
-        total += _lifted_pairing(u.grid, m, tilde, tilde)
+    for m, tilde, _ in _symmetrized(u, u):
+        total += _symmetrized_pairing(u.grid, m, tilde, tilde)
     return float(total)
 
 
@@ -379,8 +380,8 @@ def ito_skorohod_chaos(u: MarkedChaos, v: MarkedChaos) -> ChaosSkorohod:
     masses = grid.cell_masses
 
     lhs = 0.0 + 0.0j
-    for m, tu, tv in _lifted(u, v):
-        lhs += _lifted_pairing(grid, m, tu, tv)
+    for m, tu, tv in _symmetrized(u, v):
+        lhs += _symmetrized_pairing(grid, m, tu, tv)
     base = u.inner(v)
 
     exchange = 0.0 + 0.0j

@@ -392,7 +392,8 @@ def reference_ito_skorohod(phi1, phi2):
 
 
 def identity_bytes(lhs, rhs, base, exchange, div_norms, graph_norms):
-    return np.array([lhs, rhs, base, exchange]).tobytes(), np.array(div_norms + graph_norms).tobytes()
+    scalars = np.array([lhs, rhs, base, exchange])
+    return scalars.tobytes(), np.array(div_norms + graph_norms).tobytes()
 
 
 def reference_embed_marked(u, truncation):
