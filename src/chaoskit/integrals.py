@@ -14,10 +14,14 @@ Two engines, cross-validated in the tests:
   left-point update for the diffusion part at each cell start, biased O(dt).
 
 * power engine (`power_integrals`): the n-fold integrals of tensor powers
-  I_n(f^(x)n) for any finite-activity model, through the per-cell
-  factorization of the stochastic exponential generating function. Exact
-  pathwise (heat-Hermite coefficients on the diffusion bin, shifted binomial
-  coefficients on jump bins, truncated series product across cells).
+  I_n(f^(x)n) for any finite-activity model, as n! times the coefficients of
+  the stochastic exponential's generating function. Its log is linear in the
+  path's Brownian increments and jump records (x z - s z^2 / 2 per diffusion
+  cell, log(1 + v z) per jump, the compensator in order 1), so the engine
+  sums one log series per path and takes one truncated series exp; the work
+  is one pass over the jumps and the time cells per order. Exact pathwise on
+  pure-jump models. With a diffusion part, orders >= 3 carry a known defect
+  of the heat factor, kept in the one term `_heat_defect`.
 
 First-order integrals, the stochastic (Doleans) exponential, and the
 characteristic-function martingale with its integrand reconstruction
@@ -41,6 +45,7 @@ from .levy import (
 )
 
 __all__ = [
+    "ENGINE_VERSION",
     "stochastic_integral",
     "iterated_chain",
     "power_integrals",
@@ -48,6 +53,12 @@ __all__ = [
     "exp_martingale_grid",
     "representation_residual",
 ]
+
+# 1: power_integrals multiplies per-cell heat-Hermite and shifted-binomial
+# series; 2: one log sum per path and one truncated series exp, the same
+# values up to rounding. A change that moves record values bumps it, and every
+# report bundle records it in env.json.
+ENGINE_VERSION = 2
 
 
 def stochastic_integral(field: StepField, ens: PathEnsemble) -> np.ndarray:
@@ -247,76 +258,120 @@ def iterated_chain(fields: list[StepField], ens: PathEnsemble) -> np.ndarray:
     return state[:, n].copy()
 
 
-def _binomial_series(counts: np.ndarray, v: complex, n_max: int) -> np.ndarray:
-    """Coefficients of (1 + v z)^N per path, truncated: (n_max + 1, P) rows."""
-    out = np.zeros((n_max + 1, counts.shape[0]), dtype=np.complex128)
+def _series_exp(log: np.ndarray) -> np.ndarray:
+    """Coefficients of exp(sum_{r >= 1} log[r] z^r), truncated at log's length.
+
+    log holds one row per order, (n_max + 1, P), and row 0 is not read. The
+    rows follow e_0 = 1 and m e_m = sum_{r=1..m} r log[r] e_{m-r} (Brent &
+    Kung 1978), with complex products in real arithmetic (`_cmul`).
+    """
+    out = np.empty_like(log)
     out[0] = 1.0
-    binom = np.ones(counts.shape[0])
+    for m in range(1, log.shape[0]):
+        acc = _cmul(log[1], out[m - 1])
+        for r in range(2, m + 1):
+            acc += _cmul(float(r), _cmul(log[r], out[m - r]))
+        out[m].real = acc.real / m
+        out[m].imag = acc.imag / m
+    return out
+
+
+def _heat_defect(g: list, s: list, lin: np.ndarray, const: np.ndarray) -> None:
+    """Add the heat factor's known defect to a diffusion log, in place.
+
+    g[k] = sigma field(k, 0) and s[k] = g[k]^2 dt per time cell; lin[r, k]
+    is the coefficient of dW_k in order r and const[r] the constant. The heat
+    factor of a diffusion cell is exp(x z - s z^2 / 2) with x = g dW, whose
+    coefficients follow m h_m = x h_{m-1} - s h_{m-2}. The engine's heat
+    factor follows m h_m = x h_{m-1} - (m - 1) s h_{m-2} instead, whose log is
+    x sum_{j>=0} (-s)^j z^(2j+1) / (2j+1) + sum_{j>=1} (-s)^j z^(2j) / (2j):
+    the heat log plus the terms added here, from order 3 up. So orders >= 3
+    are off by O(dt) on any model with a diffusion part. The term is kept so
+    that the records reading those orders keep their values; the fix deletes
+    this function and its call (see ROADMAP).
+    """
+    n_max = const.size - 1
+    for k, (gk, sk) in enumerate(zip(g, s)):
+        p = 1.0 + 0.0j
+        for j in range(1, n_max // 2 + 1):
+            p = p * -sk
+            if 2 * j + 1 <= n_max:
+                lin[2 * j + 1, k] += gk * p / (2 * j + 1)
+            if j >= 2:
+                const[2 * j] += p / (2 * j)
+
+
+def _power_log(field: StepField, n_max: int, ens: PathEnsemble) -> np.ndarray:
+    """Log of sum_n I_n(field^(x)n) z^n / n! per path, order-major (n_max + 1, P).
+
+    A jump of the path in cell (k, b) with field value v adds log(1 + v z),
+    whose order r is (-1)^(r+1) v^r / r, and every jump cell adds its
+    compensator -v nu_b dt to order 1; a diffusion cell adds g dW_k z -
+    g^2 dt z^2 / 2 with g = sigma field(k, 0), plus the known defect of
+    `_heat_defect`. The work is one pass over the jumps and over the time
+    cells per order; row 0 stays zero.
+    """
+    grid = ens.grid
+    K, n_bins, dt = grid.n_time, grid.n_bins, grid.dt
+    P = ens.n_paths
+    log = np.zeros((n_max + 1, P), dtype=np.complex128)
+    if n_max == 0:
+        return log
+    vals = field.values
+    const = np.zeros(n_max + 1, dtype=np.complex128)
+    # per (time, bin) cell, flattened, order r of log(1 + v z)
+    jump_coef = np.zeros((n_max + 1, K * n_bins), dtype=np.complex128)
+    for k in range(K):
+        for b in range(1, n_bins):
+            v = complex(vals[k, b])
+            if v == 0:
+                continue
+            const[1] -= v * (grid.bin_rates[b - 1] * dt)
+            p = 1.0 + 0.0j
+            for r in range(1, n_max + 1):
+                p = p * v
+                jump_coef[r, k * n_bins + b] = (p if r % 2 else -p) / r
+    sigma = grid.model.sigma
+    lin = np.zeros((n_max + 1, K), dtype=np.complex128)
+    if sigma > 0:
+        g = [complex(v) * sigma for v in vals[:, 0]]
+        s = [gk * gk * dt for gk in g]
+        lin[1] = g
+        if n_max >= 2:
+            const[2] = sum(-sk / 2 for sk in s)
+        _heat_defect(g, s, lin, const)
+
+    log[1:] = const[1:, None]
+    if ens.jump_times.size:
+        cell = ens.jump_cells * n_bins + ens.jump_bins
+        for r in range(1, n_max + 1):
+            w = jump_coef[r, cell]
+            log[r].real += np.bincount(ens.jump_paths, weights=w.real, minlength=P)
+            log[r].imag += np.bincount(ens.jump_paths, weights=w.imag, minlength=P)
     for r in range(1, n_max + 1):
-        binom = binom * (counts - (r - 1)) / r
-        out[r] = binom * v**r
-    return out
-
-
-def _convolve_into(acc: np.ndarray, fac: np.ndarray) -> np.ndarray:
-    """Series product of (n_max + 1, P) rows with per-path rows or constants."""
-    out = np.zeros_like(acc)
-    for m in range(acc.shape[0]):
-        for r in range(m + 1):
-            out[m] += acc[r] * fac[m - r]
-    return out
+        for part, c in ((log[r].real, lin[r].real), (log[r].imag, lin[r].imag)):
+            if c.any():
+                part += np.sum(ens.brownian * c, axis=1)
+    return log
 
 
 def power_integrals(field: StepField, n_max: int, ens: PathEnsemble) -> np.ndarray:
-    """Exact I_n(field^(x)n) for n = 0..n_max, shape (P, n_max + 1).
+    """I_n(field^(x)n) for n = 0..n_max, shape (P, n_max + 1).
 
-    Coefficients of the stochastic exponential of z * field, multiplied by n!.
-    Valid for any finite-activity model; per-cell factors only need the cell
-    increments and jump counts, which the exact simulation provides. The
-    series are held order-major, one contiguous row of P paths per order.
+    Coefficients of the stochastic exponential of z * field, multiplied by n!,
+    for any finite-activity model; exact pathwise when sigma = 0. The log of that generating function
+    is linear in the path's Brownian increments and jump records
+    (`_power_log`), so every order comes from one sum per path and one
+    truncated series exp (`_series_exp`). The series are held order-major,
+    one contiguous row of P paths per order, and transposed once on return.
+    Orders >= 3 carry the known defect of `_heat_defect` when sigma > 0.
     """
-    grid = ens.grid
-    if not field.grid.same_as(grid):
+    if not field.grid.same_as(ens.grid):
         raise ValueError("field and paths live on different grids")
-    model = grid.model
-    P = ens.n_paths
-    K = grid.n_time
-    dt = grid.dt
-    acc = np.zeros((n_max + 1, P), dtype=np.complex128)
-    acc[0] = 1.0
-    if n_max == 0:
-        return acc.T.copy()
-    counts = ens.cell_counts() if ens.jump_times.size else None
-    expo = np.empty(n_max + 1, dtype=np.complex128)
-    herm = np.zeros((n_max + 1, P), dtype=np.complex128)
-    for k in range(K):
-        if model.sigma > 0:
-            v0 = field.values[k, 0]
-            x = v0 * model.sigma * ens.brownian[:, k]
-            s = v0 * v0 * model.sigma**2 * dt
-            herm[0] = 1.0
-            herm[1] = x
-            for m in range(2, n_max + 1):
-                herm[m] = (x * herm[m - 1] - (m - 1) * s * herm[m - 2]) / m
-            acc = _convolve_into(acc, herm)
-        for b in range(1, grid.n_bins):
-            v = complex(field.values[k, b])
-            a = grid.bin_rates[b - 1] * dt
-            if v == 0:
-                continue
-            t = 1.0 + 0.0j
-            for m in range(n_max + 1):
-                expo[m] = t
-                t = t * (-v * a) / (m + 1)
-            if counts is None:
-                acc = _convolve_into(acc, expo)
-            else:
-                binom = _binomial_series(counts[grid.column[k, b]], v, n_max)
-                both = _convolve_into(binom, expo)
-                acc = _convolve_into(acc, both)
-    for m in range(n_max + 1):
-        acc[m] *= factorial(m)
-    return acc.T.copy()
+    out = _series_exp(_power_log(field, n_max, ens))
+    for m in range(2, n_max + 1):
+        out[m] *= factorial(m)
+    return out.T.copy()
 
 
 def doleans_exp(field: StepField, ens: PathEnsemble) -> np.ndarray:

@@ -292,7 +292,8 @@ class PathEnsemble:
         """Jump counts over the retained cells, float (n_cells, n_paths).
 
         Cell-major: row w holds every path's count in cell w, contiguous, as
-        the engines read it (one cell at a time over all paths).
+        the dense chaos route reads it (one cell at a time over all paths).
+        The power engine reads the jump records directly instead.
         """
         out = np.zeros((self.grid.n_cells, self.n_paths))
         np.add.at(out, (self._jump_columns(), self.jump_paths), 1.0)

@@ -6,8 +6,9 @@ files themselves (report.jsonl, report.csv, manifest.json) are byte-stable
 for a fixed config and seed; wall-clock data lives in timing.jsonl only, so
 identical runs can be diffed file by file. env.json names what produced the
 bundle: the Python, numpy, scipy and chaoskit versions, a sha256 of the
-package source, the random stream version (`levy.STREAM_VERSION`) and the
-number of CPUs the process may run on; it is byte-stable in one environment.
+package source, the random stream version (`levy.STREAM_VERSION`), the power
+engine version (`integrals.ENGINE_VERSION`) and the number of CPUs the
+process may run on; it is byte-stable in one environment.
 One registered check can emit several records; each timing line names that
 check in its `check` field and carries the check's batch total, so time sums
 per check, not per record.
@@ -32,6 +33,7 @@ import numpy as np
 import scipy
 
 from ._version import __version__
+from .integrals import ENGINE_VERSION
 from .levy import STREAM_VERSION
 
 __all__ = [
@@ -153,12 +155,13 @@ def usable_cpus() -> int:
 
 
 def _environment() -> dict:
-    """The env.json payload: versions, source digest, stream version and the
-    CPUs this process may run on (the suite runner's pool size derives from
-    them)."""
+    """The env.json payload: versions, source digest, stream and engine
+    versions and the CPUs this process may run on (the suite runner's pool
+    size derives from them)."""
     return {
         "chaoskit": __version__,
         "cpus": usable_cpus(),
+        "engine": ENGINE_VERSION,
         "numpy": np.__version__,
         "python": ".".join(str(part) for part in sys.version_info[:3]),
         "scipy": scipy.__version__,

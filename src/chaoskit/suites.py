@@ -234,6 +234,15 @@ def _registered(check_id: str):
     return deco
 
 
+def _models(cfg: RunConfig) -> dict:
+    """The three noise types the per-model records run on, by name."""
+    return {
+        "poisson": poisson_preset(1.0, cfg.horizon),
+        "brownian": brownian_preset(cfg.horizon),
+        "mixed": cfg.mixed_model(),
+    }
+
+
 # values per Monte Carlo block (paths x grid cells): 10 000 paths on a 64-cell grid
 _BLOCK_VALUES = 640_000
 
@@ -249,11 +258,7 @@ def _mc_per_model(
     The paths are drawn, evaluated and kept in blocks of consecutive paths;
     each statistic's values are joined in path order and summarized once, so
     the record does not depend on the block size."""
-    by_name = {
-        "poisson": poisson_preset(1.0, cfg.horizon),
-        "brownian": brownian_preset(cfg.horizon),
-        "mixed": cfg.mixed_model(),
-    }
+    by_name = _models(cfg)
     records = []
     for name in models:
         model = by_name[name]
@@ -714,6 +719,29 @@ def _check_exp_martingale(cfg: RunConfig):
         stats,
         "unit mean of the symbol-compensated exponential at the horizon and midway",
     )
+
+
+@_registered("sim.martingale_closed")
+def _check_martingale_closed(cfg: RunConfig):
+    u = 0.7
+    n_paths = min(cfg.n_paths, 2000)
+    records = []
+    for name, model in _models(cfg).items():
+        check_id = f"sim.martingale_closed.{name}"
+        _, ens = _ensemble(cfg, check_id, model, cfg.n_time, n_paths)
+        mart = exp_martingale_grid(np.full(cfg.n_time, u), ens)
+        closed = np.exp(1j * u * terminal_value(ens) + model.horizon * model.symbol(u))
+        records.append(
+            _make_record(
+                check_id,
+                _rel_gap(mart[:, -1], closed),
+                0.0,
+                cfg.tolerances["pathwise"],
+                note=f"martingale at the horizon vs exp(i u X(T) + T eta(u)), "
+                f"constant u = {u}, {n_paths} paths",
+            )
+        )
+    return records
 
 
 @_registered("sim.representation")

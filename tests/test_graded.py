@@ -92,8 +92,9 @@ def test_difference_is_the_sum_with_the_negated_operand():
 
 
 def test_chaos_sources_follow_the_linear_arithmetic():
-    # pure jump: the heat recursion of `power_integrals` is still wrong for
-    # diffusion orders >= 3 (see ROADMAP), and this test is about the sources
+    # pure jump: `power_integrals` still carries the heat factor's defect
+    # (`integrals._heat_defect`) in diffusion orders >= 3 (see ROADMAP), and
+    # this test is about the sources
     grid = OTHER_GRID
     rng = np.random.default_rng(11)
     f = StepField.from_columns(grid, bins={1: rng.standard_normal(4)})

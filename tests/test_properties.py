@@ -12,6 +12,11 @@ an expansion records no power terms, and that route multiplies per-cell
 compensated powers over the occupations; neither it nor this closed form
 calls `integrals.power_integrals`, so the two are independent routes. The
 closed form reads only B_T and the N_j of each path.
+
+On the same random models: on pure-jump models (sigma = 0) the chain engine
+times n! equals the power engine, n <= 3, and on every model the
+characteristic-function martingale at the horizon equals its closed form
+exp(i u X(T) + T eta(u)) for a constant profile u.
 """
 from math import factorial
 
@@ -22,6 +27,7 @@ from hypothesis import strategies as st
 
 from chaoskit.chaos import ChaosCoefficients, chaos_evaluate
 from chaoskit.indices import level_dim
+from chaoskit.integrals import exp_martingale_grid, iterated_chain, power_integrals
 from chaoskit.levy import (
     CellGrid,
     LevyModel,
@@ -29,6 +35,7 @@ from chaoskit.levy import (
     brownian_preset,
     poisson_preset,
     sample_ensemble,
+    terminal_value,
 )
 
 REL_TOL = 1e-9
@@ -137,7 +144,9 @@ MAX_TOP_LEVEL = 3000
 
 
 @st.composite
-def models_and_grids(draw):
+def random_grids(draw, sigmas=(0.0, 0.4, 1.0, 1.7)):
+    """A model with 1-3 atoms, drift, a horizon and a diffusion coefficient
+    from sigmas, on a grid of 1-8 time cells whose bins may group atoms."""
     n_atoms = draw(st.integers(1, 3))
     sizes = draw(
         st.lists(
@@ -148,7 +157,7 @@ def models_and_grids(draw):
         )
     )
     rates = draw(st.lists(st.floats(0.2, 4.0), min_size=n_atoms, max_size=n_atoms))
-    sigma = draw(st.sampled_from([0.0, 0.4, 1.0, 1.7]))
+    sigma = draw(st.sampled_from(sigmas))
     model = LevyModel(
         b=draw(st.sampled_from([0.0, 0.5])),
         sigma=sigma,
@@ -161,7 +170,12 @@ def models_and_grids(draw):
     groups = tuple(
         tuple(j for j in range(n_atoms) if labels[j] == g) for g in order
     )
-    grid = CellGrid(model, draw(st.integers(1, 8)), atom_groups=groups)
+    return CellGrid(model, draw(st.integers(1, 8)), atom_groups=groups)
+
+
+@st.composite
+def models_and_grids(draw):
+    grid = draw(random_grids())
     M = draw(st.integers(1, 4))
     while M > 1 and level_dim(grid.n_cells, M) > MAX_TOP_LEVEL:
         M -= 1
@@ -175,3 +189,28 @@ def test_dense_route_matches_the_closed_form_on_random_models(case):
     grid, M, c, seed = case
     ens = sample_ensemble(grid.model, grid, seed=seed, n_paths=40)
     assert_dense_route_matches(grid, ens, c, M)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_grids(sigmas=(0.0,)), st.integers(0, 2**16))
+def test_chain_times_factorial_is_the_power_engine_on_pure_jump_models(grid, seed):
+    ens = sample_ensemble(grid.model, grid, seed=seed, n_paths=60)
+    rng = np.random.default_rng(seed)
+    shape = (grid.n_time, grid.n_bins)
+    field = StepField(grid, 0.4 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)))
+    powers = power_integrals(field, 3, ens)
+    for n in (1, 2, 3):
+        chain = factorial(n) * iterated_chain([field] * n, ens)
+        gap = np.abs(chain - powers[:, n]) / np.maximum(1.0, np.abs(powers[:, n]))
+        assert gap.max() <= REL_TOL, (n, gap.max())
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_grids(), st.sampled_from([-1.3, -0.4, 0.25, 0.7, 2.0]), st.integers(0, 2**16))
+def test_martingale_at_the_horizon_is_the_closed_form(grid, u, seed):
+    model = grid.model
+    ens = sample_ensemble(model, grid, seed=seed, n_paths=60)
+    got = exp_martingale_grid(np.full(grid.n_time, u), ens)[:, -1]
+    want = np.exp(1j * u * terminal_value(ens) + model.horizon * model.symbol(u))
+    gap = np.abs(got - want) / np.maximum(1.0, np.abs(want))
+    assert gap.max() <= REL_TOL, gap.max()

@@ -9,6 +9,7 @@ import pytest
 import scipy
 
 import chaoskit
+from chaoskit.integrals import ENGINE_VERSION
 from chaoskit.levy import STREAM_VERSION
 from chaoskit.reporting import (
     CheckRecord,
@@ -168,6 +169,7 @@ def test_env_json_names_versions_source_and_stream(tmp_path):
     assert env == {
         "chaoskit": chaoskit.__version__,
         "cpus": len(os.sched_getaffinity(0)),
+        "engine": ENGINE_VERSION,
         "numpy": np.__version__,
         "python": platform.python_version(),
         "scipy": scipy.__version__,
@@ -175,6 +177,7 @@ def test_env_json_names_versions_source_and_stream(tmp_path):
         "stream": STREAM_VERSION,
     }
     assert STREAM_VERSION == 1
+    assert ENGINE_VERSION == 2
 
 
 def test_csv_round_trips_through_the_reference_parser(tmp_path):
