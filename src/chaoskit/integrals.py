@@ -5,11 +5,16 @@ Two engines, cross-validated in the tests:
 * chain engine (`iterated_chain`): time-ordered integrals of a field chain,
   J(g_1, ..., g_n) = Int_{t_1 < ... < t_n} g_1(w_1) ... g_n(w_n) dM ... dM.
   Between events the state vector obeys a nilpotent triangular ODE driven by
-  the compensator, solved in closed form per cell; jumps apply exact updates
-  at their event times. Inside a cell all jumpy paths advance together, one
-  event rank at a time, through stacks of transfer matrices, so the Python
-  work grows with the most jumps one path has in a cell, not with the number
-  of jumps or paths. Exact for pure-jump models; with a diffusion part
+  the compensator, solved in closed form; jumps apply exact updates at their
+  event times. One sort of the jumps by (cell, path, time) gives runs, one
+  path's jumps in one cell, and each run's whole-cell transfer (flows and
+  jump updates in time order) is composed for all runs at once, one jump
+  rank at a time. A walk over the cells then carries every path by the
+  cell's flow, or by its run's transfer. The Python work grows with the most
+  jumps of one path in one cell plus K, not with the number of jumps or
+  paths; complex products are written in real arithmetic, with no BLAS, so a
+  path's bits depend only on its own draws, not on its batch or the host's
+  vector kernels. Exact for pure-jump models; with a diffusion part
   (sigma > 0) it keeps the jump/compensator handling exact and adds an Euler
   left-point update for the diffusion part at each cell start, biased O(dt).
 
@@ -26,7 +31,7 @@ Two engines, cross-validated in the tests:
 First-order integrals, the stochastic (Doleans) exponential, and the
 characteristic-function martingale with its integrand reconstruction
 (`representation_residual`, which walks all paths at once, event rank by
-event rank, through the chain engine's grouping) live here too. Every
+event rank, through the chain engine's runs) live here too. Every
 engine takes a PathEnsemble and returns one value per path; a single path
 is a one-path ensemble.
 """
@@ -56,9 +61,11 @@ __all__ = [
 
 # 1: power_integrals multiplies per-cell heat-Hermite and shifted-binomial
 # series; 2: one log sum per path and one truncated series exp, the same
-# values up to rounding. A change that moves record values bumps it, and every
-# report bundle records it in env.json.
-ENGINE_VERSION = 2
+# values up to rounding; 3: iterated_chain composes one transfer per run in
+# real arithmetic, so the chain's values moved in their last digits. A change
+# that moves record values bumps it, and every report bundle records it in
+# env.json.
+ENGINE_VERSION = 3
 
 
 def stochastic_integral(field: StepField, ens: PathEnsemble) -> np.ndarray:
@@ -88,105 +95,179 @@ def _cmul(a, b) -> np.ndarray:
     return out
 
 
-class _CellEvents(NamedTuple):
-    """One cell's jumps, grouped for a walk that moves all paths at once.
+class _Runs(NamedTuple):
+    """The ensemble's jumps in runs, from one sort by (cell, path, time).
 
-    Row r is path paths[r], the r-th path with a jump in the cell. events
-    indexes the ensemble's jump arrays, grouped by (rank, path): an event's
-    rank is its place among its path's jumps in the cell, in time order, and
-    the events of rank j are events[bounds[j]:bounds[j + 1]], with rows[i]
-    the row of events[i].
+    A run is one path's jumps in one cell. Run u belongs to path paths[u] and
+    cell cells[u] and has lengths[u] jumps; its r-th jump in time order is
+    jumps[first[u] + r], an index into the ensemble's jump arrays, and jumps
+    lists every jump in (cell, path, time) order. Runs are grouped by cell,
+    cell k holding runs bounds[k]:bounds[k + 1], and the longest come first
+    inside a cell, so a cell's runs with more than r jumps lead its group.
     """
 
+    jumps: np.ndarray
+    first: np.ndarray
+    lengths: np.ndarray
     paths: np.ndarray
-    rows: np.ndarray
-    events: np.ndarray
+    cells: np.ndarray
     bounds: list[int]
 
 
-def _cell_events(ens: PathEnsemble) -> list[_CellEvents | None]:
-    """Per cell of the paths' grid, its jumps by rank, or None if it has none."""
-    K = ens.grid.n_time
-    # jumps sorted by (cell, path, time); a run is one path's jumps in one cell
+def _runs(ens: PathEnsemble) -> _Runs:
+    """Group the ensemble's jumps into runs (see `_Runs`)."""
     cells = ens.jump_cells
-    order = np.lexsort((ens.jump_times, ens.jump_paths, cells))
-    s_cells = cells[order]
-    s_paths = ens.jump_paths[order]
-    cell_start = np.searchsorted(s_cells, np.arange(K + 1)).tolist()
+    jumps = np.lexsort((ens.jump_times, ens.jump_paths, cells))
+    s_cells = cells[jumps]
+    s_paths = ens.jump_paths[jumps]
     new_run = np.ones(s_cells.size, dtype=bool)
     new_run[1:] = (s_cells[1:] != s_cells[:-1]) | (s_paths[1:] != s_paths[:-1])
-    run_start = np.flatnonzero(new_run)
-    run_of = np.cumsum(new_run) - 1
-    rank = np.arange(s_cells.size) - run_start[run_of]
-    # the same events grouped by (cell, rank, path)
-    by_rank = np.lexsort((s_paths, rank, s_cells))
-    out = []
-    for lo, hi in zip(cell_start[:-1], cell_start[1:]):
-        if lo == hi:
-            out.append(None)
-            continue
-        seg = by_rank[lo:hi]
-        ranks = rank[seg]
-        out.append(
-            _CellEvents(
-                s_paths[run_start[run_of[lo] : run_of[hi - 1] + 1]],
-                run_of[seg] - run_of[lo],
-                order[seg],
-                np.searchsorted(ranks, np.arange(ranks[-1] + 2)).tolist(),
-            )
-        )
-    return out
+    first = np.flatnonzero(new_run)
+    lengths = np.diff(first, append=s_cells.size)
+    # by cell, and longest first inside a cell; ties keep path order
+    by = np.lexsort((-lengths, s_cells[first]))
+    first, lengths = first[by], lengths[by]
+    run_cells = s_cells[first]
+    bounds = np.searchsorted(run_cells, np.arange(ens.grid.n_time + 1)).tolist()
+    return _Runs(jumps, first, lengths, s_paths[first], run_cells, bounds)
 
 
-def _compensator_weights(comp: np.ndarray) -> np.ndarray:
-    """Transfer weights of compensator rows comp (C, n), shape (C, n+1, n+1).
+# The chain engine's state per path is the vector of orders 0..n of the running
+# chain, held as real and imaginary rows (one row per order). Order 0 is the
+# constant 1, so it is not stored: the transfers below add its terms instead
+# of multiplying by it. Every complex product is spelled out in real arithmetic
+# (a * b = (ar br - ai bi) + (ar bi + ai br) i, then added), and a complex value
+# times a real one scales both parts, so each value has the bits of the same
+# steps taken in Python scalars, whatever the batch and the host's vector units.
 
-    Entry (j, i) below the diagonal is prod_{i < l <= j} (-comp[c, l-1]),
-    multiplied up in l as complex scalars; the diagonal is 1, the rest 0.
+
+def _transfer(M: dict, vr, vi, lo: int) -> None:
+    """v <- M v in place for a unit lower-triangular M, v_lo being 1.
+
+    M maps (j, l), j > l >= lo, to the entry's (real, imaginary) parts,
+    scalars or arrays; an absent entry is zero. Row j, from n down to lo + 1,
+    becomes v_j + M[j, lo] + sum_{lo < l < j} M[j, l] v_l, summed in that
+    order; vr[j] and vi[j] are rows, and rows lo and below are not read. A
+    jump update v_j += g_j v_{j-1} is the M with only the entries (j, j-1).
     """
-    C, n = comp.shape
-    out = np.zeros((C, n + 1, n + 1), dtype=np.complex128)
-    for c in range(C):
-        for i in range(n + 1):
-            out[c, i, i] = 1.0
+    for j in range(len(vr) - 1, lo, -1):
+        rj, ij = vr[j], vi[j]
+        for l in range(lo, j):
+            e = M.get((j, l))
+            if e is None:
+                continue
+            mr, mi = e
+            if l == lo:
+                rj += mr
+                ij += mi
+            else:
+                rj += mr * vr[l] - mi * vi[l]
+                ij += mr * vi[l] + mi * vr[l]
+
+
+def _compensator_weights(fields: list[StepField], grid: CellGrid):
+    """Weights of the compensator flow per cell, real and imaginary parts (n+1, n+1, K).
+
+    The flow of z_j' = -c_j z_{j-1} over a gap delta has entry (j, l) equal
+    to W[j, l] delta^(j-l) / (j-l)! below the diagonal, with
+    W[j, l] = prod_{l < i <= j} (-c_i) multiplied up as Python complex
+    scalars. The rates c_j = sum_b g_j(cell, b) nu_b are summed over the jump
+    bins in order, in real arithmetic.
+    """
+    n = len(fields)
+    rates = grid.bin_rates.tolist()  # nu per jump bin
+    vals = np.stack([f.values for f in fields])  # (n, K, n_bins)
+    c_re = np.zeros(vals.shape[:2])
+    c_im = np.zeros(vals.shape[:2])
+    for b, nu in enumerate(rates, start=1):
+        c_re += vals[:, :, b].real * nu
+        c_im += vals[:, :, b].imag * nu
+    W = np.zeros((n + 1, n + 1, grid.n_time), dtype=np.complex128)
+    for k, (neg_re, neg_im) in enumerate(zip((-c_re).T.tolist(), (-c_im).T.tolist())):
+        for lo in range(n + 1):
             prod = 1.0 + 0.0j
-            for j in range(i + 1, n + 1):
-                prod = prod * (-comp[c, j - 1])
-                out[c, j, i] = prod
-    return out
+            for j in range(lo + 1, n + 1):
+                prod = prod * complex(neg_re[j - 1], neg_im[j - 1])
+                W[j, lo, k] = prod
+    return W.real.copy(), W.imag.copy()
 
 
-def _transfer_matrices(weights: np.ndarray, deltas: np.ndarray) -> np.ndarray:
-    """Closed-form flows of the compensator ODE z_j' = -comp[j-1] z_{j-1}.
+def _flow_entries(wr, wi, delta) -> dict:
+    """The compensator flow's entries over gaps delta, {(j, l): (real, imaginary)}.
 
-    One (n+1, n+1) matrix per gap, stacked as (m, n+1, n+1): entry (j, i) is
-    weights[j, i] * delta^(j-i) / (j-i)!, for weights of shape (m, n+1, n+1),
-    one per gap, or (1, n+1, n+1), shared. The powers come from Python's
-    float pow and the complex-by-real products are spelled out in real
-    arithmetic, because numpy's array power and complex multiply are not
-    bit-equal to the scalar operations; so every matrix has the bits of one
-    built from scalars, whatever the stack.
+    Entry (j, l) is W[j, l] delta^(j-l) / (j-l)!, for the weights W of
+    `_compensator_weights` and one gap per weight column; the powers come
+    from products delta * delta, not from an array power.
     """
-    size = weights.shape[-1]
-    order = np.maximum(np.subtract.outer(np.arange(size), np.arange(size)), 0)
-    gaps = deltas.tolist()
-    pw = np.array([[d**k for d in gaps] for k in range(size)])[order].transpose(2, 0, 1)
-    L = _cmul(weights, pw)
-    L /= np.array([float(factorial(k)) for k in range(size)])[order]
-    return L
+    n = wr.shape[0] - 1
+    pw, q = delta, [None]
+    for p in range(1, n + 1):
+        q.append(pw / factorial(p))
+        pw = pw * delta
+    return {
+        (j, l): (wr[j, l] * q[j - l], wi[j, l] * q[j - l])
+        for j in range(1, n + 1)
+        for l in range(j)
+    }
 
 
-def _flow(weights: np.ndarray, deltas: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """Z[r] carried over the gap deltas[r] by its transfer matrix, per row."""
-    return np.matmul(_transfer_matrices(weights, deltas), Z[:, :, None])[:, :, 0]
+def _run_transfers(runs: _Runs, wr, wi, fields, ens: PathEnsemble) -> dict:
+    """The whole-cell transfer of every run, {(j, l): (real, imaginary)} over runs.
+
+    Run u's transfer is T = F(right - t_m) J_m ... F(t_2 - t_1) J_1 F(t_1 -
+    left) over its cell [left, right], with F the compensator flow and J_r the
+    update of its r-th jump; a gap is measured from the later of the cell's
+    left edge and the previous jump, and is never negative. All runs are
+    composed at once, rank by rank, so the Python steps number the most jumps
+    of one run plus one. Each entry (j > l) is an array in run order.
+    """
+    n = wr.shape[0] - 1
+    dt = ens.grid.dt
+    # every jump in (cell, path, time) order, and the gap that follows it
+    cells = ens.jump_cells[runs.jumps]
+    times = ens.jump_times[runs.jumps]
+    nxt = (cells + 1) * dt
+    same = np.ones(cells.size, dtype=bool)
+    same[runs.first] = False
+    nxt[:-1][same[1:]] = times[1:][same[1:]]
+    gap_after = np.maximum(nxt - np.maximum(cells * dt, times), 0.0)
+    g = [f.values[cells, ens.jump_bins[runs.jumps]] for f in fields]
+    g = [(v.real.copy(), v.imag.copy()) for v in g]
+
+    # composed longest run first, so the runs of rank r are a prefix
+    by_len = np.argsort(-runs.lengths, kind="stable")
+    first = runs.first[by_len]
+    alive = by_len.size - np.cumsum(np.bincount(runs.lengths))
+    run_cells = runs.cells[by_len]
+    wr, wi = wr[:, :, run_cells], wi[:, :, run_cells]
+    T = _flow_entries(wr, wi, np.maximum(times[first] - cells[first] * dt, 0.0))
+    for r in range(int(runs.lengths.max())):
+        m = int(alive[r])  # runs with more than r jumps
+        ev = first[:m] + r
+        jump = {(j, j - 1): (gr[ev], gi[ev]) for j, (gr, gi) in enumerate(g, start=1)}
+        F = _flow_entries(wr[:, :, :m], wi[:, :, :m], gap_after[ev])
+        for l in range(n):
+            col_r = [None] * (l + 1) + [T[j, l][0][:m] for j in range(l + 1, n + 1)]
+            col_i = [None] * (l + 1) + [T[j, l][1][:m] for j in range(l + 1, n + 1)]
+            _transfer(jump, col_r, col_i, l)
+            _transfer(F, col_r, col_i, l)
+    # back to the runs' own order
+    back = np.empty_like(by_len)
+    back[by_len] = np.arange(by_len.size)
+    return {key: (re[back], im[back]) for key, (re, im) in T.items()}
 
 
 def iterated_chain(fields: list[StepField], ens: PathEnsemble) -> np.ndarray:
     """Time-ordered chain integral J(fields[0], ..., fields[-1]).
 
     fields[0] is innermost (integrated first). Every field lives on the
-    paths' grid. The walk is exact when sigma = 0 and Euler in the diffusion
-    part otherwise.
+    paths' grid. Cell by cell, every path takes the Euler step of the
+    diffusion part (when sigma > 0) and then the compensator flow over the
+    cell; a path with jumps in the cell takes its run's whole-cell transfer
+    (`_run_transfers`) in place of the flow. The Python work grows with the
+    most jumps of one path in one cell plus K, and a path's bits depend only
+    on its own draws. Exact when sigma = 0, Euler in the diffusion part
+    otherwise.
     """
     if not fields:
         raise ValueError("need at least one field")
@@ -195,67 +276,42 @@ def iterated_chain(fields: list[StepField], ens: PathEnsemble) -> np.ndarray:
         raise ValueError("field and paths live on different grids")
 
     n = len(fields)
-    P = ens.n_paths
-    K = grid.n_time
-    dt = grid.dt
-    rates = grid.bin_rates  # nu per jump bin
-    n_bins = grid.n_bins
+    wr, wi = _compensator_weights(fields, grid)
+    # the flow over each whole cell, its zero entries left out
+    cell_flow = [{} for _ in range(grid.n_time)]
+    for key, (fr, fi) in _flow_entries(wr, wi, grid.dt).items():
+        for k, e in enumerate(zip(fr.tolist(), fi.tolist())):
+            if e != (0.0, 0.0):
+                cell_flow[k][key] = e
+    runs = _runs(ens)
+    T = _run_transfers(runs, wr, wi, fields, ens) if runs.first.size else {}
 
-    # per-cell compensator rates c_j = sum_b g_j(cell, b) nu_b
-    field_vals = [f.values for f in fields]
-    comp = np.empty((K, n), dtype=np.complex128)
-    for k in range(K):
-        for j in range(n):
-            comp[k, j] = np.sum(field_vals[j][k, 1:n_bins] * rates)
-    weights = _compensator_weights(comp)
-    # the flow over each whole cell
-    cell_flow = _transfer_matrices(weights, np.full(K, dt))
-
-    jump_times = ens.jump_times
-    jump_bins = ens.jump_bins
-    state = np.zeros((P, n + 1), dtype=np.complex128)
-    state[:, 0] = 1.0
     sigma = grid.model.sigma
-    for k, cell in enumerate(_cell_events(ens)):
+    diffusion = np.stack([f.values[:, 0] for f in fields], axis=1).tolist()  # (K, n)
+    sr = np.zeros((n + 1, ens.n_paths))
+    si = np.zeros((n + 1, ens.n_paths))
+    for k in range(grid.n_time):
         if ens.brownian is not None:
             db = sigma * ens.brownian[:, k]
-            for j in range(n, 0, -1):
-                g = field_vals[j - 1][k, 0]
-                if g != 0:
-                    state[:, j] += g * db * state[:, j - 1]
-        L = cell_flow[k]
-        w = weights[k : k + 1]
-        if cell is None:
-            state = state @ L.T
-            continue
-        # row r of Z is path cell.paths[r]
-        Z = state[cell.paths]
-        state = state @ L.T
-        rows = cell.rows
-        times = jump_times[cell.events]
-        bins = jump_bins[cell.events]
-        t_cur = np.full(cell.paths.size, k * dt)
-        # rank by rank: every path with more than r jumps here takes its r-th
-        for a, b in zip(cell.bounds[:-1], cell.bounds[1:]):
-            r_rows, t_e = rows[a:b], times[a:b]
-            move = t_e > t_cur[r_rows]
-            if move.any():
-                sub = r_rows[move]
-                Z[sub] = _flow(w, t_e[move] - t_cur[sub], Z[sub])
-                t_cur[sub] = t_e[move]
-            for j in range(n, 0, -1):
-                g = field_vals[j - 1][k, bins[a:b]]
-                hit = g != 0
-                if not hit.any():
-                    continue
-                hit_rows = r_rows[hit]
-                Z[hit_rows, j] += _cmul(g[hit], Z[hit_rows, j - 1])
-        t_right = (k + 1) * dt
-        move = t_right > t_cur
-        if move.any():
-            Z[move] = _flow(w, t_right - t_cur[move], Z[move])
-        state[cell.paths] = Z
-    return state[:, n].copy()
+            euler = {
+                (j, j - 1): (g.real * db, g.imag * db)
+                for j, g in enumerate(diffusion[k], start=1)
+                if g
+            }
+            _transfer(euler, sr, si, 0)
+        lo, hi = runs.bounds[k], runs.bounds[k + 1]
+        if lo < hi:
+            rows = runs.paths[lo:hi]
+            vr, vi = sr[:, rows], si[:, rows]
+        _transfer(cell_flow[k], sr, si, 0)
+        if lo < hi:
+            _transfer({key: (re[lo:hi], im[lo:hi]) for key, (re, im) in T.items()}, vr, vi, 0)
+            sr[:, rows] = vr
+            si[:, rows] = vi
+    out = np.empty(ens.n_paths, dtype=np.complex128)
+    out.real = sr[n]
+    out.imag = si[n]
+    return out
 
 
 def _series_exp(log: np.ndarray) -> np.ndarray:
@@ -490,16 +546,21 @@ def representation_residual(f, ens: PathEnsemble) -> np.ndarray:
     m = np.ones(P, dtype=np.complex128)
     jump_sum = np.zeros(P, dtype=np.complex128)
     comp_sum = np.zeros(P, dtype=np.complex128)
-    for k, cell in enumerate(_cell_events(ens)):
+    runs = _runs(ens)
+    for k in range(grid.n_time):
         z = 1j * prof[k] * drift + eta[k]
         phases = [np.exp(1j * prof[k] * x) for x, _ in model.atoms]
         lam_fac = sum(lam * (ph - 1.0) for ph, (_, lam) in zip(phases, model.atoms))
         t_cur = np.full(P, k * dt)
-        if cell is not None:
+        lo, hi = runs.bounds[k], runs.bounds[k + 1]
+        if lo < hi:
             atom_phase = np.array(phases)
-            for a, b in zip(cell.bounds[:-1], cell.bounds[1:]):
-                rows = cell.paths[cell.rows[a:b]]
-                events = cell.events[a:b]
+            lengths = runs.lengths[lo:hi]
+            # rank by rank: every path with more than r jumps here takes its r-th
+            for r in range(int(lengths[0])):
+                end = lo + int(np.count_nonzero(lengths > r))
+                rows = runs.paths[lo:end]
+                events = runs.jumps[runs.first[lo:end] + r]
                 t_e = jump_times[events]
                 grow, integral = _exp_and_integral(z, t_e - t_cur[rows])
                 m_r = m[rows]

@@ -6,9 +6,9 @@ files themselves (report.jsonl, report.csv, manifest.json) are byte-stable
 for a fixed config and seed; wall-clock data lives in timing.jsonl only, so
 identical runs can be diffed file by file. env.json names what produced the
 bundle: the Python, numpy, scipy and chaoskit versions, a sha256 of the
-package source, the random stream version (`levy.STREAM_VERSION`), the power
-engine version (`integrals.ENGINE_VERSION`) and the number of CPUs the
-process may run on; it is byte-stable in one environment.
+package source, the random stream version (`levy.STREAM_VERSION`), the
+version of the power and chain engines (`integrals.ENGINE_VERSION`) and the
+number of CPUs the process may run on; it is byte-stable in one environment.
 One registered check can emit several records; each timing line names that
 check in its `check` field and carries the check's batch total, so time sums
 per check, not per record.

@@ -1,8 +1,13 @@
 """Path-level integral engines checked against hand-computed formulas."""
+import os
+import subprocess
+import sys
 from math import factorial
 
 import numpy as np
 import pytest
+
+import chaoskit
 
 from chaoskit import integrals
 from chaoskit.integrals import (
@@ -208,95 +213,102 @@ JUMPY = LevyModel(sigma=0.3, atoms=((1.0, 8.0), (-0.5, 6.0)))
 MIXED = LevyModel(sigma=1.0, atoms=((1.0, 1.0),))
 
 
-def _reference_transfer_matrix(comp, delta):
-    """Closed-form flow of the compensator ODE z_j' = -comp[j-1] z_{j-1}."""
-    n = comp.shape[0]
-    L = np.eye(n + 1, dtype=np.complex128)
-    for i in range(n + 1):
-        prod = 1.0 + 0.0j
-        for j in range(i + 1, n + 1):
-            prod = prod * (-comp[j - 1])
-            L[j, i] = prod * delta ** (j - i) / factorial(j - i)
-    return L
+def _gap_powers(d, n):
+    """[None, d, d^2 / 2!, ..., d^n / n!], the powers from products d * d."""
+    out, pw = [None], d
+    for p in range(1, n + 1):
+        if p > 1:
+            pw = pw * d
+        out.append(pw / factorial(p))
+    return out
+
+
+def _scale(z, x):
+    """A complex value times a real one, both parts scaled."""
+    return complex(z.real * x, z.imag * x)
+
+
+def _reference_transfer(M, v, lo):
+    """v <- M v for a unit lower-triangular M; v_lo is 1, an absent entry zero.
+    A jump update v_j += g_j v_{j-1} is the M with only the entries (j, j-1)."""
+    for j in range(len(v) - 1, lo, -1):
+        for l in range(lo, j):
+            if (j, l) in M:
+                v[j] += M[j, l] if l == lo else M[j, l] * v[l]
 
 
 def _reference_chain(fields, ens):
-    """The chain engine walking every jump of every path on its own.
+    """The chain engine walked path by path and jump by jump in Python scalars.
 
-    Cell by cell: the Euler diffusion update, the cell-wide transfer for all
-    paths, then each jumpy path's events in time order from its saved state.
+    Per cell: the Euler step of the diffusion part, then the compensator flow
+    over the cell, or, for a path with jumps in the cell, the flows and jump
+    updates of those jumps composed into one transfer, column by column. The
+    arithmetic is the engine's: order 0 is the constant 1 and its terms are
+    added, complex products are Python complex products, a complex value
+    times a real one scales both parts, and a cell flow's zero entries are
+    left out.
     """
     grid = ens.grid
     n = len(fields)
-    P = ens.n_paths
-    K = grid.n_time
-    dt = grid.dt
-    rates = grid.bin_rates  # nu per jump bin
-    n_bins = grid.n_bins
-
-    # per-cell compensator rates c_j = sum_b g_j(cell, b) nu_b
-    field_vals = [f.values for f in fields]
-    comp = np.empty((K, n), dtype=np.complex128)
+    K, dt = grid.n_time, grid.dt
+    rates = grid.bin_rates.tolist()  # nu per jump bin
+    vals = [f.values.tolist() for f in fields]
+    # per cell: flow weights prod_{l < i <= j} (-c_i), with c_j summed over bins
+    weights = []
     for k in range(K):
-        for j in range(n):
-            comp[k, j] = np.sum(field_vals[j][k, 1:n_bins] * rates)
+        c = [sum((_scale(v[k][b], nu) for b, nu in enumerate(rates, 1)), 0j) for v in vals]
+        w = {}
+        for l in range(n + 1):
+            prod = 1.0 + 0.0j
+            for j in range(l + 1, n + 1):
+                prod = prod * complex(-c[j - 1].real, -c[j - 1].imag)
+                w[j, l] = prod
+        weights.append(w)
 
-    # jumps sorted by (cell, path, time)
-    cells = ens.jump_cells
-    bins = ens.jump_bins
-    order = np.lexsort((ens.jump_times, ens.jump_paths, cells))
-    s_cells = cells[order]
-    s_paths = ens.jump_paths[order]
-    s_times = ens.jump_times[order]
-    s_bins = bins[order]
-    cell_start = np.searchsorted(s_cells, np.arange(K + 1))
+    def flow(k, d):
+        q = _gap_powers(d, n)
+        return {(j, l): _scale(w, q[j - l]) for (j, l), w in weights[k].items()}
 
-    state = np.zeros((P, n + 1), dtype=np.complex128)
-    state[:, 0] = 1.0
+    cell_flows = [{key: f for key, f in flow(k, dt).items() if f != 0} for k in range(K)]
+    cells = ens.jump_cells.tolist()
+    bins = ens.jump_bins.tolist()
+    times = ens.jump_times.tolist()
     sigma = grid.model.sigma
-    for k in range(K):
-        if ens.brownian is not None:
-            db = sigma * ens.brownian[:, k]
-            for j in range(n, 0, -1):
-                g = field_vals[j - 1][k, 0]
-                if g != 0:
-                    state[:, j] += g * db * state[:, j - 1]
-        L = _reference_transfer_matrix(comp[k], dt)
-        lo, hi = cell_start[k], cell_start[k + 1]
-        if lo == hi:
-            state = state @ L.T
-            continue
-        seg = s_paths[lo:hi]
-        jumpy = seg[np.concatenate(([True], seg[1:] != seg[:-1]))]
-        saved = state[jumpy].copy()
-        state = state @ L.T
-        row_of = {int(p): r for r, p in enumerate(jumpy)}
-        t_left = k * dt
-        t_right = (k + 1) * dt
-        # walk each jumpy path's events inside this cell
-        idx = lo
-        while idx < hi:
-            p = int(s_paths[idx])
-            stop = idx
-            while stop < hi and s_paths[stop] == p:
-                stop += 1
-            z = saved[row_of[p]]
-            t_cur = t_left
-            for e in range(idx, stop):
-                t_e = float(s_times[e])
-                if t_e > t_cur:
-                    z = _reference_transfer_matrix(comp[k], t_e - t_cur) @ z
-                    t_cur = t_e
-                b = int(s_bins[e])
-                for j in range(n, 0, -1):
-                    g = field_vals[j - 1][k, b]
-                    if g != 0:
-                        z[j] += g * z[j - 1]
-            if t_right > t_cur:
-                z = _reference_transfer_matrix(comp[k], t_right - t_cur) @ z
-            state[p] = z
-            idx = stop
-    return state[:, n].copy()
+    out = np.empty(ens.n_paths, dtype=np.complex128)
+    for p in range(ens.n_paths):
+        mine = range(int(ens.offsets[p]), int(ens.offsets[p + 1]))
+        by_cell = {}
+        for e in sorted(mine, key=lambda e: (cells[e], times[e])):
+            by_cell.setdefault(cells[e], []).append(e)
+        z = [1.0 + 0.0j] + [0j] * n
+        for k in range(K):
+            if ens.brownian is not None:
+                db = sigma * float(ens.brownian[p, k])
+                euler = {(j, j - 1): _scale(v[k][0], db) for j, v in enumerate(vals, 1) if v[k][0]}
+                _reference_transfer(euler, z, 0)
+            if k not in by_cell:
+                _reference_transfer(cell_flows[k], z, 0)
+                continue
+            # the run's transfer, one column at a time
+            left = k * dt
+            T = {}
+            for l in range(n):
+                col = [None] * l + [1.0 + 0.0j] + [0j] * (n - l)
+                t_cur = left
+                for i, e in enumerate(by_cell[k]):
+                    gap = max(times[e] - t_cur, 0.0)
+                    if i == 0:
+                        col[l + 1 :] = [flow(k, gap)[j, l] for j in range(l + 1, n + 1)]
+                    else:
+                        _reference_transfer(flow(k, gap), col, l)
+                    t_cur = max(t_cur, times[e])
+                    g = {(j, j - 1): v[k][bins[e]] for j, v in enumerate(vals, 1)}
+                    _reference_transfer(g, col, l)
+                _reference_transfer(flow(k, max((k + 1) * dt - t_cur, 0.0)), col, l)
+                T.update({(j, l): col[j] for j in range(l + 1, n + 1)})
+            _reference_transfer(T, z, 0)
+        out[p] = z[n]
+    return out
 
 
 def _random_fields(grid, count, rng, zero_share=0.3):
@@ -314,34 +326,6 @@ def _random_fields(grid, count, rng, zero_share=0.3):
 def _assert_same_bytes(got, want, label):
     assert got.shape == want.shape and got.dtype == want.dtype, label
     assert got.tobytes() == want.tobytes(), label
-
-
-def test_stacked_transfer_matrices_have_the_scalar_bits():
-    rng = np.random.default_rng(15)
-    dt = 0.125
-    gaps = dt * (1.0 - rng.random(10_000))  # in (0, dt]
-    gaps[:2] = (dt, np.nextafter(0.0, 1.0))
-    # add gaps whose powers numpy's array power rounds differently from
-    # Python's float pow, where this build of numpy has such gaps
-    pool = dt * (1.0 - rng.random(200_000))
-    for k in (2, 3, 4):
-        python_pow = np.array([d**k for d in pool.tolist()])
-        differ = pool[np.power(pool, k) != python_pow]
-        gaps = np.concatenate((gaps, differ[:200]))
-    for n in range(1, 5):
-        # one compensator row per gap, and one row shared by all gaps
-        comp = rng.standard_normal((gaps.size, n)) + 1j * rng.standard_normal((gaps.size, n))
-        comp[rng.random(comp.shape) < 0.25] = 0.0
-        weights = integrals._compensator_weights(comp)
-        got = integrals._transfer_matrices(weights, gaps)
-        shared = integrals._transfer_matrices(weights[:1], gaps)
-        for out in (got, shared):
-            assert out.shape == (gaps.size, n + 1, n + 1) and out.dtype == np.complex128
-        for i, d in enumerate(gaps.tolist()):
-            want = _reference_transfer_matrix(comp[i], d)
-            assert got[i].tobytes() == want.tobytes(), (n, i, d)
-            want = _reference_transfer_matrix(comp[0], d)
-            assert shared[i].tobytes() == want.tobytes(), (n, i, d, "shared")
 
 
 def test_chain_matches_the_reference_walk_on_drawn_paths():
@@ -408,27 +392,127 @@ def test_chain_matches_the_reference_walk_on_edge_times():
             )
 
 
-def test_chain_python_work_grows_with_event_ranks(monkeypatch):
-    model = JUMPY
-    K = 4
-    grid = CellGrid(model, K)
-    ens = sample_ensemble(model, grid, seed=9, n_paths=400)
-    calls = []
-    builder = integrals._transfer_matrices
+def test_chain_rank_steps_do_not_grow_with_the_grid(monkeypatch):
+    rng = np.random.default_rng(18)
+    steps = []
+    entries = integrals._flow_entries
 
-    def counting(weights, deltas):
-        calls.append(deltas.size)
-        return builder(weights, deltas)
+    def counting(wr, wi, delta):
+        if isinstance(delta, np.ndarray):  # a gap per run; the cell flow has one dt
+            steps.append(delta.size)
+        return entries(wr, wi, delta)
 
-    monkeypatch.setattr(integrals, "_transfer_matrices", counting)
-    field = _random_fields(grid, 1, np.random.default_rng(18), zero_share=0.0)[0]
-    iterated_chain([field] * 3, ens)
-    per_cell = np.zeros((ens.n_paths, K), dtype=np.int64)
-    np.add.at(per_cell, (ens.jump_paths, ens.jump_cells), 1)
-    bound = K + int(np.sum(per_cell.max(axis=0) + 1))
-    assert len(calls) <= bound
-    # the bound is far below one call per jump, so this is a real limit
-    assert bound < ens.jump_times.size // 10
+    monkeypatch.setattr(integrals, "_flow_entries", counting)
+    for K in (4, 64):
+        grid = CellGrid(JUMPY, K)
+        ens = sample_ensemble(JUMPY, grid, seed=9, n_paths=400)
+        steps.clear()
+        field = _random_fields(grid, 1, rng, zero_share=0.0)[0]
+        iterated_chain([field] * 3, ens)
+        per_cell = np.zeros((ens.n_paths, K), dtype=np.int64)
+        np.add.at(per_cell, (ens.jump_paths, ens.jump_cells), 1)
+        # one step for the first gaps of all runs, then one per jump rank
+        assert len(steps) <= per_cell.max() + 1
+        assert steps[0] == np.count_nonzero(per_cell)
+
+
+def test_chain_bits_do_not_depend_on_the_batch():
+    rng = np.random.default_rng(21)
+    models = {
+        "poisson": poisson_preset(1.0, 1.0),
+        "mixed": MIXED,
+        "jumpy": JUMPY,
+        "brownian": brownian_preset(1.0),
+    }
+    for name, model in models.items():
+        for K in (4, 8, 64):
+            grid = CellGrid(model, K)
+            ens = sample_ensemble(model, grid, seed=5, n_paths=301)
+            fields = _random_fields(grid, 3, rng)
+            batch = iterated_chain(fields, ens)
+            for lo, hi in ((0, 37), (37, 300), (300, 301)):
+                _assert_same_bytes(
+                    iterated_chain(fields, ens.paths(lo, hi)), batch[lo:hi], (name, K, lo)
+                )
+            for i in range(0, 301, 50):
+                _assert_same_bytes(
+                    iterated_chain(fields, ens.paths(i, i + 1)), batch[i : i + 1], (name, K, i)
+                )
+
+
+# Runs the chain on the ensembles and fields saved in argv[1] and writes the
+# values to argv[2]; it draws nothing, since the sampler's bits may depend on
+# the host's kernels.
+CHAIN_CHILD = """
+import sys
+import numpy as np
+from chaoskit.integrals import iterated_chain
+from chaoskit.levy import CellGrid, LevyModel, PathEnsemble, StepField
+
+data = np.load(sys.argv[1])
+out = {}
+for c in range(int(data["cases"])):
+    get = lambda key: data[f"{c}.{key}"]
+    atoms = tuple(map(tuple, get("atoms").tolist()))
+    model = LevyModel(sigma=float(get("sigma")), atoms=atoms)
+    grid = CellGrid(model, int(get("K")))
+    brownian = get("brownian") if model.sigma > 0 else None
+    ens = PathEnsemble(
+        grid, int(get("P")), brownian, get("times"), get("atom"), get("paths"), get("offsets")
+    )
+    fields = [StepField(grid, v) for v in get("fields")]
+    out[str(c)] = iterated_chain(fields, ens)
+np.savez(sys.argv[2], **out)
+"""
+
+HOST_KERNELS = {
+    "native": {},
+    "numpy without AVX2 or AVX-512": {
+        "NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"
+    },
+    "OpenBLAS on AVX2 kernels": {"OPENBLAS_CORETYPE": "Haswell"},
+}
+
+
+def test_chain_bytes_do_not_depend_on_the_host_kernels(tmp_path):
+    rng = np.random.default_rng(22)
+    models = [poisson_preset(1.0, 1.0), MIXED, JUMPY, brownian_preset(1.0)]
+    saved = {"cases": len(models)}
+    for c, model in enumerate(models):
+        grid = CellGrid(model, 8)
+        ens = sample_ensemble(model, grid, seed=c, n_paths=200)
+        saved.update({
+            f"{c}.sigma": model.sigma,
+            f"{c}.atoms": np.array(model.atoms, dtype=np.float64).reshape(-1, 2),
+            f"{c}.K": grid.n_time,
+            f"{c}.P": ens.n_paths,
+            f"{c}.brownian": ens.brownian if ens.brownian is not None else np.zeros(0),
+            f"{c}.times": ens.jump_times,
+            f"{c}.atom": ens.jump_atoms,
+            f"{c}.paths": ens.jump_paths,
+            f"{c}.offsets": ens.offsets,
+            f"{c}.fields": np.stack([f.values for f in _random_fields(grid, 3, rng)]),
+        })
+    np.savez(tmp_path / "in.npz", **saved)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(chaoskit.__file__)))
+    got = {}
+    for name, extra in HOST_KERNELS.items():
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        env.update(extra)
+        out = tmp_path / f"{len(got)}.npz"
+        proc = subprocess.run(
+            [sys.executable, "-c", CHAIN_CHILD, str(tmp_path / "in.npz"), str(out)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=300,
+        )
+        assert proc.returncode == 0, (name, proc.stderr)
+        with np.load(out) as data:
+            got[name] = {key: data[key].tobytes() for key in data.files}
+    assert len(got["native"]) == len(models)
+    for name in HOST_KERNELS:
+        assert got[name] == got["native"], name
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ calls `integrals.power_integrals`, so the two are independent routes. The
 closed form reads only B_T and the N_j of each path.
 
 On the same random models: on pure-jump models (sigma = 0) the chain engine
-times n! equals the power engine, n <= 3, and on every model the
+times n! equals the power engine, n <= 3; on every model the chain gives a
+path the same bits in the batch, in a slice and on its own; and the
 characteristic-function martingale at the horizon equals its closed form
 exp(i u X(T) + T eta(u)) for a constant profile u.
 """
@@ -203,6 +204,23 @@ def test_chain_times_factorial_is_the_power_engine_on_pure_jump_models(grid, see
         chain = factorial(n) * iterated_chain([field] * n, ens)
         gap = np.abs(chain - powers[:, n]) / np.maximum(1.0, np.abs(powers[:, n]))
         assert gap.max() <= REL_TOL, (n, gap.max())
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_grids(), st.integers(1, 4), st.integers(0, 2**16))
+def test_chain_bits_of_a_path_do_not_depend_on_its_batch(grid, n, seed):
+    ens = sample_ensemble(grid.model, grid, seed=seed, n_paths=40)
+    rng = np.random.default_rng(seed)
+    shape = (grid.n_time, grid.n_bins)
+    fields = []
+    for _ in range(n):
+        vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        vals[rng.random(shape) < 0.3] = 0.0
+        fields.append(StepField(grid, vals))
+    batch = iterated_chain(fields, ens)
+    lo = int(rng.integers(0, 39))
+    for a, b in ((lo, 40), (lo, lo + 1)):
+        assert iterated_chain(fields, ens.paths(a, b)).tobytes() == batch[a:b].tobytes()
 
 
 @settings(max_examples=60, deadline=None)

@@ -177,7 +177,7 @@ def test_env_json_names_versions_source_and_stream(tmp_path):
         "stream": STREAM_VERSION,
     }
     assert STREAM_VERSION == 1
-    assert ENGINE_VERSION == 2
+    assert ENGINE_VERSION == 3
 
 
 def test_csv_round_trips_through_the_reference_parser(tmp_path):
