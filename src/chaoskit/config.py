@@ -16,7 +16,7 @@ from hashlib import sha256
 import numpy as np
 
 from .indices import MAX_LEVEL_COEFFS, check_level
-from .levy import CellGrid, LevyModel
+from .levy import CellGrid, LevyModel, brownian_preset, poisson_preset
 
 __all__ = ["DEFAULT_TOLERANCES", "SUITES", "RunConfig"]
 
@@ -123,16 +123,20 @@ class RunConfig:
         self.atoms = [[float(x), float(lam)] for x, lam in self.atoms]
         # LevyModel and CellGrid own the remaining model rules (distinct
         # nonzero sizes, positive intensities); meet them here, not mid-run
-        model = self.mixed_model()
         try:
-            finite = all(
-                np.all(np.isfinite(CellGrid(model, n_time).cell_masses))
+            grids = [
+                CellGrid(model, n_time)
+                for model in self.models().values()
                 for n_time in (self.n_time, self.chaos_n_time)
-            )
+            ]
+            finite = all(np.all(np.isfinite(g.cell_masses)) for g in grids)
         except OverflowError:
             finite = False
         if not finite:
             raise ValueError("the model's cell masses overflow the float range")
+        # a cell mass that underflows to zero drops its cell from the grid
+        if not all(g.n_cells for g in grids):
+            raise ValueError("a grid keeps no cell: every cell mass underflows to zero")
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
@@ -158,6 +162,14 @@ class RunConfig:
             horizon=self.horizon,
         )
 
+    def models(self) -> dict[str, LevyModel]:
+        """The three noise types the per-model records run on, by name."""
+        return {
+            "poisson": poisson_preset(1.0, self.horizon),
+            "brownian": brownian_preset(self.horizon),
+            "mixed": self.mixed_model(),
+        }
+
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -173,7 +185,7 @@ class RunConfig:
         """
         check_level(self.d, self.truncation + 2)
         chaos_grid = CellGrid(self.mixed_model(), self.chaos_n_time)
-        check_level(max(chaos_grid.n_cells, 1), self.chaos_truncation + 2)
+        check_level(chaos_grid.n_cells, self.chaos_truncation + 2)
 
     def resolve_out_dir(self) -> str:
         return os.path.abspath(self.out_dir)

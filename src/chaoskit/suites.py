@@ -8,14 +8,15 @@ bit-identical and records can be reproduced in isolation.
 
 A check is a function of the config that returns its records. Decorating it
 with @_registered("<suite>.<name>") appends it to that suite, so a suite runs
-its checks in definition order. A Monte Carlo check over the models returns
-_mc_per_model(...), which draws, evaluates and reduces in path blocks; its
-stats body only yields per-path values and their targets. A check over seeded
-random trials returns _trials(...). Every check turns many residuals into one
-value with _worst_of (z-scores with their standard errors: _worst), so a NaN
-residual is kept and fails its record; per-path relative errors go through
-_rel_gap, and every other ensemble is drawn by _ensemble from the record's
-own stream.
+its checks in definition order. A Monte Carlo family is declared once: its
+stats(model, grid, ens) generator yields per-path values and their targets,
+and decorating it with @_mc_family("<suite>.<name>", note) registers the check
+that draws, evaluates and reduces it in path blocks, one record per model. A
+check over seeded random trials returns _trials(...). Every check turns many
+residuals into one value with _worst_of (z-scores with their standard errors:
+_worst), so a NaN residual is kept and fails its record; per-path relative
+errors go through _rel_gap, and every other ensemble is drawn by _ensemble
+from the record's own stream.
 
 A guard-rail breach inside a check becomes a failing record, not a crash;
 anything else propagating out of a check is a bug and is allowed to surface.
@@ -234,66 +235,66 @@ def _registered(check_id: str):
     return deco
 
 
-def _models(cfg: RunConfig) -> dict:
-    """The three noise types the per-model records run on, by name."""
-    return {
-        "poisson": poisson_preset(1.0, cfg.horizon),
-        "brownian": brownian_preset(cfg.horizon),
-        "mixed": cfg.mixed_model(),
-    }
-
-
 # values per Monte Carlo block (paths x grid cells): 10 000 paths on a 64-cell grid
 _BLOCK_VALUES = 640_000
 
 
-def _mc_per_model(
-    cfg: RunConfig, family: str, stats, note, models=("poisson", "brownian", "mixed")
-) -> list[CheckRecord]:
-    """One mc_sigmas record per model, id f"{family}.{model}": the worst z over
-    the (per-path values, target) pairs that stats(model, grid, ens) yields,
-    the first one on a tie. note is a string or a function of the grid; a
+def _mc_family(family: str, note, models=("poisson", "brownian", "mixed")):
+    """Register the Monte Carlo check `family` built on the decorated
+    stats(model, grid, ens) generator, and return the check.
+
+    The check makes one mc_sigmas record per model, id f"{family}.{model}":
+    the worst z over the (per-path values, target) pairs that stats yields,
+    the first one on a tie. note is a string or a function of (cfg, grid); a
     failing record whose worst statistic has non-finite samples says how many.
 
     The paths are drawn, evaluated and kept in blocks of consecutive paths;
     each statistic's values are joined in path order and summarized once, so
     the record does not depend on the block size."""
-    by_name = _models(cfg)
-    records = []
-    for name in models:
-        model = by_name[name]
-        check_id = f"{family}.{name}"
-        grid = CellGrid(model, cfg.n_time)
-        seed = _check_seed(cfg.seed, check_id)
-        step = max(1, _BLOCK_VALUES // grid.n_cells)
-        blocks = []
-        for lo in range(0, cfg.n_paths, step):
-            n = min(step, cfg.n_paths - lo)
-            ens = sample_ensemble(model, grid, seed, n, first=lo)
-            # copies, so a column view does not keep the block's arrays alive
-            blocks.append([(np.array(v), t) for v, t in stats(model, grid, ens)])
-        pairs = []
-        for col in zip(*blocks):
-            stat = summarize(np.concatenate([v for v, _ in col]))
-            pairs.append((_zscore(stat, col[0][1]), stat.se))
-        worst = _worst(pairs)
-        record = _make_record(
-            check_id,
-            worst[0],
-            0.0,
-            cfg.tolerances["mc_sigmas"],
-            se=worst[1],
-            note=note(grid) if callable(note) else note,
-        )
-        if not record.passed:
-            # the worst pair is the first one equal to it, as _worst picks it
-            k = pairs.index(worst)
-            bad = sum(int(np.count_nonzero(~np.isfinite(blk[k][0]))) for blk in blocks)
-            if bad:
-                total = sum(blk[k][0].size for blk in blocks)
-                record.note += f"; {bad} of {total} samples non-finite"
-        records.append(record)
-    return records
+
+    def deco(stats):
+        @_registered(family)
+        def check(cfg: RunConfig) -> list[CheckRecord]:
+            by_name = cfg.models()
+            records = []
+            for name in models:
+                model = by_name[name]
+                check_id = f"{family}.{name}"
+                grid = CellGrid(model, cfg.n_time)
+                seed = _check_seed(cfg.seed, check_id)
+                step = max(1, _BLOCK_VALUES // grid.n_cells)
+                blocks = []
+                for lo in range(0, cfg.n_paths, step):
+                    n = min(step, cfg.n_paths - lo)
+                    ens = sample_ensemble(model, grid, seed, n, first=lo)
+                    # copies, so a column view does not keep the block's arrays alive
+                    blocks.append([(np.array(v), t) for v, t in stats(model, grid, ens)])
+                pairs = []
+                for col in zip(*blocks):
+                    stat = summarize(np.concatenate([v for v, _ in col]))
+                    pairs.append((_zscore(stat, col[0][1]), stat.se))
+                worst = _worst(pairs)
+                record = _make_record(
+                    check_id,
+                    worst[0],
+                    0.0,
+                    cfg.tolerances["mc_sigmas"],
+                    se=worst[1],
+                    note=note(cfg, grid) if callable(note) else note,
+                )
+                if not record.passed:
+                    # the worst pair is the first one equal to it, as _worst picks it
+                    k = pairs.index(worst)
+                    bad = sum(int(np.count_nonzero(~np.isfinite(b[k][0]))) for b in blocks)
+                    if bad:
+                        total = sum(b[k][0].size for b in blocks)
+                        record.note += f"; {bad} of {total} samples non-finite"
+                records.append(record)
+            return records
+
+        return check
+
+    return deco
 
 
 def _trials(
@@ -521,55 +522,38 @@ def _check_exp_adjunction(cfg: RunConfig):
 # sim suite
 
 
-@_registered("sim.cell_moments")
-def _check_cell_moments(cfg: RunConfig):
-    def probes(grid):
-        return sorted({0, grid.n_cells // 2, grid.n_cells - 1})
-
-    def stats(model, grid, ens):
-        inc = cell_increments(ens)
-        for ci in probes(grid):
-            yield inc[:, ci], 0.0
-            yield inc[:, ci] ** 2, grid.cell_masses[ci]
-
-    return _mc_per_model(
-        cfg,
-        "sim.cell_moments",
-        stats,
-        lambda grid: f"max |z| over mean and second moment at cells {probes(grid)}, "
-        f"{cfg.n_paths} paths",
-    )
+def _probe_cells(grid: CellGrid) -> list[int]:
+    return sorted({0, grid.n_cells // 2, grid.n_cells - 1})
 
 
-@_registered("sim.characteristic")
-def _check_characteristic(cfg: RunConfig):
-    def stats(model, grid, ens):
-        x = terminal_value(ens)
-        for u in (0.5, 1.0, 2.0):
-            target = complex(np.exp(-model.horizon * model.symbol(u)))
-            yield np.exp(1j * u * x), target
-
-    return _mc_per_model(
-        cfg,
-        "sim.characteristic",
-        stats,
-        "max |z| of the terminal characteristic function at u in {0.5, 1, 2}",
-    )
+@_mc_family(
+    "sim.cell_moments",
+    lambda cfg, grid: f"max |z| over mean and second moment at cells "
+    f"{_probe_cells(grid)}, {cfg.n_paths} paths",
+)
+def _cell_moments(model, grid, ens):
+    inc = cell_increments(ens)
+    for ci in _probe_cells(grid):
+        yield inc[:, ci], 0.0
+        yield inc[:, ci] ** 2, grid.cell_masses[ci]
 
 
-@_registered("sim.sample_moments")
-def _check_sample_moments(cfg: RunConfig):
-    def stats(model, grid, ens):
-        yield terminal_value(ens), model.mean_slope * model.horizon
-        rate = sum(lam for _, lam in model.atoms) * model.horizon
-        yield np.diff(ens.offsets).astype(float), rate
+@_mc_family(
+    "sim.characteristic",
+    "max |z| of the terminal characteristic function at u in {0.5, 1, 2}",
+)
+def _characteristic(model, grid, ens):
+    x = terminal_value(ens)
+    for u in (0.5, 1.0, 2.0):
+        target = complex(np.exp(-model.horizon * model.symbol(u)))
+        yield np.exp(1j * u * x), target
 
-    return _mc_per_model(
-        cfg,
-        "sim.sample_moments",
-        stats,
-        "max |z| over terminal mean and total jump count",
-    )
+
+@_mc_family("sim.sample_moments", "max |z| over terminal mean and total jump count")
+def _sample_moments(model, grid, ens):
+    yield terminal_value(ens), model.mean_slope * model.horizon
+    rate = sum(lam for _, lam in model.atoms) * model.horizon
+    yield np.diff(ens.offsets).astype(float), rate
 
 
 @_registered("sim.chain_power")
@@ -688,37 +672,27 @@ def _check_doleans_closed(cfg: RunConfig):
     return records
 
 
-@_registered("sim.doleans_martingale")
-def _check_doleans_martingale(cfg: RunConfig):
-    def stats(model, grid, ens):
-        K = grid.n_time
-        prof = 0.8 * _profile_a(K)
-        half_prof = prof.copy()
-        half_prof[K // 2 :] = 0.0
-        yield doleans_exp(_field_profiles(grid, prof), ens), 1.0
-        yield doleans_exp(_field_profiles(grid, half_prof), ens), 1.0
-
-    return _mc_per_model(
-        cfg,
-        "sim.doleans_martingale",
-        stats,
-        "unit mean of the stochastic exponential at the horizon and midway",
-    )
+@_mc_family(
+    "sim.doleans_martingale",
+    "unit mean of the stochastic exponential at the horizon and midway",
+)
+def _doleans_martingale(model, grid, ens):
+    K = grid.n_time
+    prof = 0.8 * _profile_a(K)
+    half_prof = prof.copy()
+    half_prof[K // 2 :] = 0.0
+    yield doleans_exp(_field_profiles(grid, prof), ens), 1.0
+    yield doleans_exp(_field_profiles(grid, half_prof), ens), 1.0
 
 
-@_registered("sim.exp_martingale")
-def _check_exp_martingale(cfg: RunConfig):
-    def stats(model, grid, ens):
-        mart = exp_martingale_grid(_profile_real(grid.n_time), ens)
-        yield mart[:, -1], 1.0
-        yield mart[:, grid.n_time // 2], 1.0
-
-    return _mc_per_model(
-        cfg,
-        "sim.exp_martingale",
-        stats,
-        "unit mean of the symbol-compensated exponential at the horizon and midway",
-    )
+@_mc_family(
+    "sim.exp_martingale",
+    "unit mean of the symbol-compensated exponential at the horizon and midway",
+)
+def _exp_martingale(model, grid, ens):
+    mart = exp_martingale_grid(_profile_real(grid.n_time), ens)
+    yield mart[:, -1], 1.0
+    yield mart[:, grid.n_time // 2], 1.0
 
 
 @_registered("sim.martingale_closed")
@@ -726,7 +700,7 @@ def _check_martingale_closed(cfg: RunConfig):
     u = 0.7
     n_paths = min(cfg.n_paths, 2000)
     records = []
-    for name, model in _models(cfg).items():
+    for name, model in cfg.models().items():
         check_id = f"sim.martingale_closed.{name}"
         _, ens = _ensemble(cfg, check_id, model, cfg.n_time, n_paths)
         mart = exp_martingale_grid(np.full(cfg.n_time, u), ens)
@@ -767,47 +741,37 @@ def _check_representation(cfg: RunConfig):
 # chaos suite
 
 
-@_registered("chaos.orthogonality")
-def _check_orthogonality(cfg: RunConfig):
-    def stats(model, grid, ens):
-        fa = _field_profiles(grid, _profile_a(grid.n_time))
-        fb = _field_profiles(grid, _profile_b(grid.n_time))
-        pa = power_integrals(fa, 3, ens)
-        pb = power_integrals(fb, 3, ens)
-        ip = complex(fa.inner(fb))
-        for m in range(4):
-            for n in range(4):
-                target = math.factorial(n) * ip**n if m == n else 0.0
-                yield np.conj(pa[:, m]) * pb[:, n], target
-
-    return _mc_per_model(
-        cfg,
-        "chaos.orthogonality",
-        stats,
-        f"max |z| over order pairs m,n <= 3, {cfg.n_paths} paths",
-        models=("poisson", "brownian"),
-    )
+@_mc_family(
+    "chaos.orthogonality",
+    lambda cfg, grid: f"max |z| over order pairs m,n <= 3, {cfg.n_paths} paths",
+    models=("poisson", "brownian"),
+)
+def _orthogonality(model, grid, ens):
+    fa = _field_profiles(grid, _profile_a(grid.n_time))
+    fb = _field_profiles(grid, _profile_b(grid.n_time))
+    pa = power_integrals(fa, 3, ens)
+    pb = power_integrals(fb, 3, ens)
+    ip = complex(fa.inner(fb))
+    for m in range(4):
+        for n in range(4):
+            target = math.factorial(n) * ip**n if m == n else 0.0
+            yield np.conj(pa[:, m]) * pb[:, n], target
 
 
-@_registered("chaos.duality_tail")
-def _check_duality_tail(cfg: RunConfig):
-    def stats(model, grid, ens):
-        field = _field_profiles(grid, 0.9 * _profile_winding(grid.n_time))
-        big = doleans_exp(field, ens)
-        powers = power_integrals(field, 4, ens)
-        energy = field.norm_sq()
-        for roof in (2, 3, 4):
-            partial = sum(powers[:, n] / math.factorial(n) for n in range(roof + 1))
-            dist = np.abs(big - partial) ** 2
-            yield dist, _series_tail(energy, roof)
-
-    return _mc_per_model(
-        cfg,
-        "chaos.duality_tail",
-        stats,
-        "L2 distance to the truncated chaos sum vs the exact series tail, roofs 2..4",
-        models=("poisson", "brownian"),
-    )
+@_mc_family(
+    "chaos.duality_tail",
+    "L2 distance to the truncated chaos sum vs the exact series tail, roofs 2..4",
+    models=("poisson", "brownian"),
+)
+def _duality_tail(model, grid, ens):
+    field = _field_profiles(grid, 0.9 * _profile_winding(grid.n_time))
+    big = doleans_exp(field, ens)
+    powers = power_integrals(field, 4, ens)
+    energy = field.norm_sq()
+    for roof in (2, 3, 4):
+        partial = sum(powers[:, n] / math.factorial(n) for n in range(roof + 1))
+        dist = np.abs(big - partial) ** 2
+        yield dist, _series_tail(energy, roof)
 
 
 @_registered("chaos.engines")

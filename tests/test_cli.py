@@ -111,6 +111,9 @@ def test_invalid_config_exits_two(tmp_path, capsys):
         {"chaos_truncation": 0},
         {"chaos_truncation": 1},
         {"tolerances": {"mc_sigmas": -1}},
+        # every cell mass underflows to zero, so a grid keeps no cell
+        {"horizon": 5e-324},
+        {"sigma": 1e-170, "atoms": []},
     ],
 )
 def test_bad_config_values_exit_two_without_a_traceback(tmp_path, capsys, probe):

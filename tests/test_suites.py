@@ -89,29 +89,54 @@ def test_record_streams_are_keyed_by_seed_and_id():
     assert _check_seed(42, "fock.ccr") != _check_seed(42, "fock.lower_norm")
 
 
-def test_fock_suite_passes_and_stamps_runtimes():
-    records = run_suite(RunConfig(suite="fock", **SMALL))
-    assert len(records) == 11
-    assert [r.check_id for r in records] == [
-        "fock.exp_gram",
-        "fock.ccr",
-        "fock.lower_norm",
-        "fock.raise_norm",
-        "fock.isometry",
-        "fock.number_factorization",
-        "fock.q_isometry",
-        "fock.q_quadrature",
-        "fock.ito_skorohod",
-        "fock.contraction",
-        "fock.exp_adjunction",
-    ]
+def _per_model(family, models=("poisson", "brownian", "mixed")):
+    return [(f"{family}.{name}", family) for name in models]
+
+
+# (record id, registered check that timed it), in report order; the chaos
+# suite is left out because its duality_tail records fail at SMALL
+TIMED_UNDER = {
+    "fock": [
+        ("fock.exp_gram", "fock.exp_gram"),
+        ("fock.ccr", "fock.ccr"),
+        ("fock.lower_norm", "fock.ladder_norms"),
+        ("fock.raise_norm", "fock.ladder_norms"),
+        ("fock.isometry", "fock.ladder_norms"),
+        ("fock.number_factorization", "fock.number_factorization"),
+        ("fock.q_isometry", "fock.q_isometry"),
+        ("fock.q_quadrature", "fock.q_isometry"),
+        ("fock.ito_skorohod", "fock.ito_skorohod"),
+        ("fock.contraction", "fock.ito_skorohod"),
+        ("fock.exp_adjunction", "fock.exp_adjunction"),
+    ],
+    "sim": [
+        *_per_model("sim.cell_moments"),
+        *_per_model("sim.characteristic"),
+        *_per_model("sim.sample_moments"),
+        ("sim.chain_power", "sim.chain_power"),
+        ("sim.euler_order", "sim.euler_order"),
+        ("sim.doleans_brownian", "sim.doleans_closed"),
+        ("sim.doleans_poisson", "sim.doleans_closed"),
+        ("sim.doleans_counting", "sim.doleans_closed"),
+        *_per_model("sim.doleans_martingale"),
+        *_per_model("sim.exp_martingale"),
+        *_per_model("sim.martingale_closed"),
+        ("sim.representation", "sim.representation"),
+    ],
+}
+
+
+@pytest.mark.parametrize("suite", sorted(TIMED_UNDER))
+def test_suite_passes_and_stamps_runtimes(suite):
+    records = run_suite(RunConfig(suite=suite, **SMALL))
+    assert [(r.check_id, r.check) for r in records] == TIMED_UNDER[suite]
+    runtime = {}
     for r in records:
         assert r.passed, f"{r.check_id}: {r.value} vs {r.expected}"
         assert r.runtime_ms > 0.0
-    # one registered check times both Skorohod records as a batch
-    assert records[8].check == records[9].check == "fock.ito_skorohod"
-    assert records[9].runtime_ms == records[8].runtime_ms
-    assert {r.check for r in records} == {fn.check_id for fn in suite_checks("fock")}
+        # one registered check times all of its records as a batch
+        assert runtime.setdefault(r.check, r.runtime_ms) == r.runtime_ms, r.check_id
+    assert list(runtime) == [fn.check_id for fn in suite_checks(suite)]
 
 
 def _usable_cpus(monkeypatch, n: int) -> None:
