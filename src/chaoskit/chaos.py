@@ -13,7 +13,10 @@ stochastic exponential's kernels to an exponential vector, and intertwines
 gradient with the universal lowering map and divergence with the raising map
 coefficient for coefficient. That gives every identity here two independent
 routes: a kernel-level sum in this module and a ladder-operator computation
-in `fock` on the embedded values. The routes are separate calls; for the
+in `fock` on the embedded values. The kernel route's divergence averages the
+mark into the closed arguments of every marked order of a process at once,
+in one `np.bincount` per real and imaginary part over a cached mark-major
+plan, with the bits of a per-cell loop. The routes are separate calls; for the
 Skorohod isometry they are `ito_skorohod_chaos` here and `fock.ito_skorohod`
 on `embed_marked` of processes with a zero top marked order. Pathwise, the
 same expansions are evaluated by the engines in `integrals`, either through
@@ -22,6 +25,7 @@ of multiple integrals.
 """
 from __future__ import annotations
 
+import functools
 import json
 import os
 import warnings
@@ -34,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fock import FockVector, Graded, MarkedFock
+from .fock import FockVector, Graded, MarkedFock, _weighted_scatter
 # on chaos expansions the number semigroup is the Ornstein-Uhlenbeck semigroup
 from .fock import number_apply, sobolev_scale
 from .fock import number_semigroup as ou_semigroup
@@ -76,31 +80,43 @@ __all__ = [
 ]
 
 
-# per grid instance, order -> mass weights; an entry goes with its grid
-_MASS_WEIGHTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+def _per_grid(build):
+    """Memoize the read-only table build(grid, n) per grid instance and order.
 
-
-def _mass_weights(grid: CellGrid, n: int) -> np.ndarray:
-    """Product of cell masses over each occupation, mu^alpha, read-only.
-
-    Memoized per grid instance and order; the grid's cell masses are
-    read-only, so an entry cannot go stale.
+    A grid's cell masses are read-only, so an entry cannot go stale; the
+    entries go with their grid.
     """
-    per_order = _MASS_WEIGHTS.setdefault(grid, {})
-    if n not in per_order:
-        if n == 0:
-            weights = np.ones(1)
-        else:
-            weights = np.exp(occ_array(grid.n_cells, n) @ np.log(grid.cell_masses))
-        weights.setflags(write=False)
-        per_order[n] = weights
-    return per_order[n]
+    tables: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+    @functools.wraps(build)
+    def cached(grid: CellGrid, n: int) -> np.ndarray:
+        per_order = tables.setdefault(grid, {})
+        if n not in per_order:
+            table = build(grid, n)
+            table.setflags(write=False)
+            per_order[n] = table
+        return per_order[n]
+
+    return cached
+
+
+@_per_grid
+def _mass_weights(grid: CellGrid, n: int) -> np.ndarray:
+    """Product of cell masses over each occupation, mu^alpha."""
+    if n == 0:
+        return np.ones(1)
+    return np.exp(occ_array(grid.n_cells, n) @ np.log(grid.cell_masses))
+
+
+@_per_grid
+def _pair_weights(grid: CellGrid, n: int) -> np.ndarray:
+    """Weights of the order-n L2(mu^n) pairing: multiplicity times mu^alpha."""
+    return multiplicities(grid.n_cells, n) * _mass_weights(grid, n)
 
 
 def kernel_inner(grid: CellGrid, n: int, f: np.ndarray, g: np.ndarray) -> complex:
     """L2(mu^n) pairing of symmetric order-n kernels, conjugate on the left."""
-    w = multiplicities(grid.n_cells, n) * _mass_weights(grid, n)
-    return complex(np.sum(np.conj(f) * g * w))
+    return complex(np.sum(np.conj(f) * g * _pair_weights(grid, n)))
 
 
 class _OnGrid(Graded):
@@ -108,6 +124,10 @@ class _OnGrid(Graded):
 
     _SPACE = "grid"
     _LEVELS = "kernels"
+
+    @staticmethod
+    def _size(grid: CellGrid) -> int:
+        return grid.n_cells
 
     @staticmethod
     def _same_space(a: CellGrid, b: CellGrid) -> bool:
@@ -130,8 +150,8 @@ class ChaosCoefficients(_OnGrid):
     source: list | None = None
 
     @staticmethod
-    def _shape(grid: CellGrid, n: int) -> tuple[int, ...]:
-        return (check_level(grid.n_cells, n),)
+    def _shape(c: int, n: int) -> tuple[int, ...]:
+        return (check_level(c, n),)
 
     def _scaled_source(self, z: complex) -> list:
         return [(z * c, f, n) for c, f, n in self.source]
@@ -195,8 +215,7 @@ class MarkedChaos(_OnGrid):
     kernels: list[np.ndarray]
 
     @staticmethod
-    def _shape(grid: CellGrid, n: int) -> tuple[int, ...]:
-        c = grid.n_cells
+    def _shape(c: int, n: int) -> tuple[int, ...]:
         return (check_level(c, n), c)
 
     def inner(self, other: "MarkedChaos") -> complex:
@@ -205,9 +224,8 @@ class MarkedChaos(_OnGrid):
         grid = self.grid
         total = 0.0 + 0.0j
         for n, (g, h) in enumerate(zip(self.kernels, other.kernels)):
-            w = multiplicities(grid.n_cells, n) * _mass_weights(grid, n)
             total += factorial(n) * np.einsum(
-                "a,s,as,as->", w, grid.cell_masses, np.conj(g), h
+                "a,s,as,as->", _pair_weights(grid, n), grid.cell_masses, np.conj(g), h
             )
         return complex(total)
 
@@ -226,27 +244,57 @@ def gradient(F: ChaosCoefficients) -> MarkedChaos:
     return out
 
 
-def _symmetrize(grid: CellGrid, g: np.ndarray, m: int) -> np.ndarray:
-    """Average the mark into the closed arguments: order m -> order m + 1."""
-    c = grid.n_cells
-    occ = occ_array(c, m)
-    up_t = raise_maps(c, m)[0]
-    out = np.zeros(level_dim(c, m + 1), dtype=np.complex128)
-    for s in range(c):
-        out[up_t[:, s]] += (occ[:, s] + 1) * g[:, s]
-    return out / (m + 1)
+class _SymmetrizePlan(NamedTuple):
+    """Every mark of marked orders 0..M averaged in at once, mark-major.
 
-
-def _symmetrized(u: MarkedChaos, v: MarkedChaos):
-    """Yield (m, tu, tv) for each marked order m = 0..M, in order.
-
-    tu and tv are the order-m kernels of u and v symmetrized into order
-    m + 1; when v is u, tv is tu, so each order is symmetrized once.
+    Term k takes entry source[k] = p * c + s of the flattened stack of
+    marked orders 0..M, times count[k] = alpha_s + 1 for the occupation alpha
+    at row p, to target[k] of the stack of orders 1..M+1, in which order
+    m + 1 is [cols[m], cols[m + 1]). Terms run mark by mark, so each target
+    adds its terms in ascending mark order, as a loop over the cells does.
+    scale is 1 / (m + 1) over order m + 1.
     """
-    grid = u.grid
-    for m in range(u.truncation + 1):
-        tu = _symmetrize(grid, u.kernels[m], m)
-        yield m, tu, tu if v is u else _symmetrize(grid, v.kernels[m], m)
+
+    source: np.ndarray
+    target: np.ndarray
+    count: np.ndarray
+    scale: np.ndarray
+    cols: tuple[int, ...]
+
+
+@lru_cache(maxsize=None)
+def _symmetrize_plan(c: int, truncation: int) -> _SymmetrizePlan:
+    """The read-only symmetrizing plan of marked orders 0..truncation over c cells."""
+    sizes = [check_level(c, m + 1) for m in range(truncation + 1)]
+    cols = tuple(np.cumsum([0] + sizes).tolist())
+    target = np.concatenate([raise_maps(c, m)[0] + cols[m] for m in range(truncation + 1)])
+    count = np.concatenate([occ_array(c, m) + 1.0 for m in range(truncation + 1)])
+    source = np.arange(target.size).reshape(target.shape)
+    scale = np.repeat([1.0 / (m + 1) for m in range(truncation + 1)], sizes)
+    plan = _SymmetrizePlan(
+        *(np.ascontiguousarray(a.T).ravel() for a in (source, target, count)), scale, cols
+    )
+    for arr in plan[:4]:
+        arr.setflags(write=False)
+    return plan
+
+
+def _symmetrize(grid: CellGrid, kernels: list[np.ndarray]) -> list[np.ndarray]:
+    """Average the mark into the closed arguments: order m -> order m + 1.
+
+    All marked orders go through one scatter, and the returned orders are
+    views of one buffer. The division by m + 1 keeps the bits of numpy's
+    complex division by a real: (zr + zi 0, zi - zr 0) times 1 / (m + 1).
+    """
+    plan = _symmetrize_plan(grid.n_cells, len(kernels) - 1)
+    terms = np.concatenate(kernels).ravel()[plan.source]
+    summed = _weighted_scatter(plan.target, plan.count, terms, plan.cols[-1])
+    re, im = summed.real, summed.imag
+    out = np.empty_like(summed)
+    out.real = (re + im * 0.0) * plan.scale
+    out.imag = (im - re * 0.0) * plan.scale
+    cols = plan.cols
+    return [out[cols[m] : cols[m + 1]] for m in range(len(kernels))]
 
 
 def _symmetrized_pairing(grid: CellGrid, m: int, tu: np.ndarray, tv: np.ndarray):
@@ -265,12 +313,10 @@ def divergence(u: MarkedChaos) -> tuple[ChaosCoefficients, float]:
     land above the truncation roof.
     """
     grid, M = u.grid, u.truncation
-    out = ChaosCoefficients.zero(grid, M)
-    for m, tilde, _ in _symmetrized(u, u):
-        if m < M:
-            out.kernels[m + 1][:] = tilde
-    # after the loop, tilde is the top order's, which lands above the roof
-    mass = _symmetrized_pairing(grid, M, tilde, tilde)
+    tilde = _symmetrize(grid, u.kernels)
+    out = ChaosCoefficients(grid, M, [None] + tilde[:M])
+    # the top order's symmetrized kernel lands above the roof
+    mass = _symmetrized_pairing(grid, M, tilde[M], tilde[M])
     return out, float(np.sqrt(max(mass, 0.0)))
 
 
@@ -298,7 +344,7 @@ def dom_divergence_functional(u: MarkedChaos) -> float:
     Monotone under raising the truncation with the lower kernels fixed.
     """
     total = 0.0
-    for m, tilde, _ in _symmetrized(u, u):
+    for m, tilde in enumerate(_symmetrize(u.grid, u.kernels)):
         total += _symmetrized_pairing(u.grid, m, tilde, tilde)
     return float(total)
 
@@ -307,6 +353,7 @@ def dom_divergence_functional(u: MarkedChaos) -> float:
 # Fock dictionary
 
 
+@_per_grid
 def _embed_scale(grid: CellGrid, n: int) -> np.ndarray:
     c = grid.n_cells
     return (
@@ -379,8 +426,10 @@ def ito_skorohod_chaos(u: MarkedChaos, v: MarkedChaos) -> ChaosSkorohod:
     c = grid.n_cells
     masses = grid.cell_masses
 
+    tus = _symmetrize(grid, u.kernels)
+    tvs = tus if v is u else _symmetrize(grid, v.kernels)
     lhs = 0.0 + 0.0j
-    for m, tu, tv in _symmetrized(u, v):
+    for m, (tu, tv) in enumerate(zip(tus, tvs)):
         lhs += _symmetrized_pairing(grid, m, tu, tv)
     base = u.inner(v)
 
@@ -389,7 +438,7 @@ def ito_skorohod_chaos(u: MarkedChaos, v: MarkedChaos) -> ChaosSkorohod:
         up_t = raise_maps(c, m - 1)[0]
         A = u.kernels[m][up_t]  # [beta, t, s] = g_m(beta + e_t; s)
         B = v.kernels[m][up_t]  # [beta, s, t] = h_m(beta + e_s; t)
-        w = multiplicities(c, m - 1) * _mass_weights(grid, m - 1)
+        w = _pair_weights(grid, m - 1)
         exchange += (
             m
             * factorial(m)

@@ -18,9 +18,16 @@ import numpy as np
 from .indices import MAX_LEVEL_COEFFS, check_level
 from .levy import CellGrid, LevyModel, brownian_preset, poisson_preset
 
-__all__ = ["DEFAULT_TOLERANCES", "SUITES", "RunConfig"]
+__all__ = ["DEFAULT_TOLERANCES", "MIN_CELL_MASS", "SUITES", "RunConfig"]
 
 SUITES = ("fock", "sim", "chaos", "malliavin", "all")
+
+# The smallest cell mass a config may keep on its grids. The Monte Carlo
+# records reduce statistics up to the cube of a cell mass or of the horizon
+# (chaos.orthogonality pairs third-order integrals) and square them for
+# their standard errors, so sixth powers of the floor must stay normal
+# floats: 1e-300, clear of 2.2e-308.
+MIN_CELL_MASS = 1e-50
 
 DEFAULT_TOLERANCES = {
     "algebraic": 1e-12,
@@ -137,6 +144,12 @@ class RunConfig:
         # a cell mass that underflows to zero drops its cell from the grid
         if not all(g.n_cells for g in grids):
             raise ValueError("a grid keeps no cell: every cell mass underflows to zero")
+        smallest = min(float(g.cell_masses.min()) for g in grids)
+        if smallest < MIN_CELL_MASS:
+            raise ValueError(
+                f"the smallest cell mass {smallest:.3g} is below {MIN_CELL_MASS:g}, "
+                "so Monte Carlo statistics on it underflow"
+            )
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":

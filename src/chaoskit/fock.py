@@ -27,9 +27,11 @@ never silently discarded.
 The kernels work on the whole level stack at once. `exp_vector` folds the
 modes left to right over every prefix of every occupation up to the roof, so
 each prefix product is computed once, and the ladder maps raise or lower all
-levels through one stacked raise table, one numpy pass per mode. Every
-coefficient gets the same products, added in the same order, as in a
-per-level loop, so the bits do not depend on the roof.
+levels through one stacked raise table, one numpy pass per mode. `divergence`
+adds every mark's terms in one `np.bincount` per real and imaginary part over
+a mark-major plan, so each target still adds its terms in ascending mark
+order. Every coefficient gets the same products, added in the same order, as
+in a per-level loop, so the bits do not depend on the roof.
 """
 from __future__ import annotations
 
@@ -43,12 +45,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .indices import (
+    _pos_table,
     check_level,
     factorial_ratio_sqrt,
     level_dim,
     lower_maps,
     occ_array,
-    position,
     raise_maps,
 )
 
@@ -95,9 +97,10 @@ class Graded:
 
     Subclasses are dataclasses whose fields start with the space (named by
     `_SPACE`), `truncation` and the level list (named by `_LEVELS`); level n
-    is a complex array of shape `_shape(space, n)`. This base validates and
-    casts the levels and supplies `zero`, `copy`, the linear arithmetic and
-    the plain coefficient pairing. A level given as None starts at zero.
+    is a complex array of shape `_shape(_size(space), n)`, read from a cache
+    per (class, size, truncation) through `_shapes`. This base validates
+    and casts the levels and supplies `zero`, `copy`, the linear arithmetic
+    and the plain coefficient pairing. A level given as None starts at zero.
 
     Source rule, used by `chaos.ChaosCoefficients`: a value may record how it
     was generated in `source`, and a subclass that does defines
@@ -111,12 +114,22 @@ class Graded:
     source = None
 
     @staticmethod
-    def _shape(space, n: int) -> tuple[int, ...]:
+    def _size(space) -> int:
+        """The mode count of the space, which alone fixes the level shapes."""
+        return space
+
+    @staticmethod
+    def _shape(size: int, n: int) -> tuple[int, ...]:
         raise NotImplementedError
 
     @staticmethod
     def _same_space(a, b) -> bool:
         return a == b
+
+    @classmethod
+    def _shapes(cls, space, truncation: int) -> tuple[tuple[int, ...], ...]:
+        """The shapes of levels 0..truncation over space."""
+        return _level_shapes(cls, cls._size(space), truncation)
 
     def __post_init__(self):
         space, M = getattr(self, self._SPACE), self.truncation
@@ -125,10 +138,8 @@ class Graded:
             raise ValueError("truncation must be >= 0")
         if len(levels) != M + 1:
             raise ValueError(f"expected {M + 1} levels, got {len(levels)}")
-        shape_of = self._shape
         casted = []
-        for n, lev in enumerate(levels):
-            shape = shape_of(space, n)
+        for n, (lev, shape) in enumerate(zip(levels, self._shapes(space, M))):
             if lev is None:
                 casted.append(np.zeros(shape, dtype=np.complex128))
                 continue
@@ -198,6 +209,11 @@ class Graded:
 
     def norm(self) -> float:
         return float(np.sqrt(self.norm_sq()))
+
+
+@lru_cache(maxsize=None)
+def _level_shapes(cls, size: int, truncation: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(cls._shape(size, n) for n in range(truncation + 1))
 
 
 @dataclass(eq=False)
@@ -464,21 +480,51 @@ def gradient(psi: FockVector) -> MarkedFock:
     return MarkedFock(d, M, [out[rows[n] : rows[n + 1]] for n in range(M)] + [None])
 
 
+def _weighted_scatter(target: np.ndarray, weight: np.ndarray, z: np.ndarray, size: int):
+    """sum of weight[k] * z[k] over the terms k with target[k] == t, for t < size.
+
+    Real weights times complex terms, in real arithmetic with the bits of
+    numpy's complex multiply, zero products included: (w zr - 0 zi,
+    w zi + 0 zr). `np.bincount` adds each target's terms in input order,
+    starting from +0.0, as a loop of scatter-adds into zeros does.
+    """
+    re, im = z.real, z.imag
+    out = np.empty(size, dtype=np.complex128)
+    out.real = np.bincount(target, weight * re - 0.0 * im, minlength=size)
+    out.imag = np.bincount(target, weight * im + 0.0 * re, minlength=size)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _divergence_plan(d: int, truncation: int) -> tuple[np.ndarray, ...]:
+    """`_raise_stack` of levels 0..truncation read mark by mark, as one scatter.
+
+    Read-only (source, target, weight): term k takes entry source[k] =
+    p * d + j of the flattened marked stack, times weight[p, j], to
+    target[p, j] of the raised stack. Marks run in ascending order, so each
+    target adds its terms in ascending mark order.
+    """
+    target, weight, rows, _ = _raise_stack(d, truncation)
+    source = np.arange(rows[-1] * d).reshape(rows[-1], d)
+    plan = tuple(np.ascontiguousarray(a.T).ravel() for a in (source, target, weight))
+    for arr in plan:
+        arr.setflags(write=False)
+    return plan
+
+
 def divergence(phi: MarkedFock) -> tuple[FockVector, float]:
     """Adjoint of `gradient`: (|beta> (x) slot_j) -> sqrt(beta_j + 1) |beta + e_j>.
 
     Returns (vector, dropped_mass); dropped_mass is the norm of the content the
-    top marked level would have produced above the truncation roof. Each mark
-    scatters all levels at once through the raising table of levels 0..M, in
-    ascending order; the output levels are views of one buffer.
+    top marked level would have produced above the truncation roof. Every
+    mark's terms of every level go through one mark-major scatter, so marks
+    are added in ascending order; the output levels are views of one buffer.
     """
     d, M = phi.d, phi.truncation
-    target, weight, _, cols = _raise_stack(d, M)
-    src = np.concatenate(phi.levels)
-    stack = np.zeros(cols[-1], dtype=np.complex128)
-    for j in range(d):
-        stack[target[:, j]] += weight[:, j] * src[:, j]
-    return _raised(d, M, stack, cols)
+    cols = _raise_stack(d, M).cols
+    source, target, weight = _divergence_plan(d, M)
+    terms = np.concatenate(phi.levels).ravel()[source]
+    return _raised(d, M, _weighted_scatter(target, weight, terms, cols[-1]), cols)
 
 
 def number_apply(psi: Graded) -> Graded:
@@ -543,6 +589,19 @@ def _validate_partition(d: int, first) -> tuple[tuple[int, ...], tuple[int, ...]
     return first, second
 
 
+def _table_positions(sub: np.ndarray, degree: np.ndarray) -> np.ndarray:
+    """Level positions of the rows of sub, whose entry sums are degree.
+
+    Each degree's rows are looked up in the tuple and dict table of `position`.
+    """
+    out = np.empty(sub.shape[0], dtype=np.int64)
+    for k in set(degree.tolist()):
+        rows = np.flatnonzero(degree == k)
+        table = _pos_table(sub.shape[1], k)
+        out[rows] = [table[a] for a in map(tuple, sub[rows].tolist())]
+    return out
+
+
 @lru_cache(maxsize=None)
 def _split_positions(d: int, n: int, first: tuple[int, ...]):
     """For each level-n position: (n1, pos1, pos2) under the partition.
@@ -553,10 +612,8 @@ def _split_positions(d: int, n: int, first: tuple[int, ...]):
     occ = occ_array(d, n)
     second = [i for i in range(d) if i not in first]
     n1 = occ[:, list(first)].sum(axis=1)
-    pos1, pos2 = (
-        np.array([position(a) for a in map(tuple, occ[:, modes].tolist())], dtype=np.int64)
-        for modes in (list(first), second)
-    )
+    pos1 = _table_positions(occ[:, list(first)], n1)
+    pos2 = _table_positions(occ[:, second], n - n1)
     for arr in (n1, pos1, pos2):
         arr.setflags(write=False)
     return n1, pos1, pos2

@@ -28,6 +28,7 @@ import multiprocessing
 import os
 import time
 import warnings
+from functools import lru_cache
 from hashlib import sha256
 from io import StringIO
 
@@ -165,21 +166,41 @@ def _unit_modes(rng, d: int, lo: float = 0.2, hi: float = 1.5) -> np.ndarray:
     return v * (rng.uniform(lo, hi) / nrm)
 
 
-def _random_levels(rng, cls, space, truncation: int, zero_top: int = 0, scale=None):
-    """A cls value with standard complex normal levels, times scale if given.
+@lru_cache(maxsize=None)
+def _draw_plan(shapes: tuple[tuple[int, ...], ...]) -> tuple[np.ndarray, tuple[int, ...]]:
+    """(order, bounds): one draw of levels of these shapes, interleaved as complex.
 
-    Per level the real part is drawn before the imaginary part; the top
-    zero_top levels stay zero and draw nothing.
+    The draw holds each level's real part, then its imaginary part, level by
+    level. Gathered through the read-only order, it reads as complex values,
+    and level n is [bounds[n], bounds[n + 1]) of them.
     """
-    levels = []
-    for n in range(truncation + 1):
-        if n > truncation - zero_top:
-            levels.append(None)
-            continue
-        shape = cls._shape(space, n)
-        z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        levels.append(z if scale is None else scale * z)
-    return cls(space, truncation, levels)
+    sizes = [math.prod(shape) for shape in shapes]
+    bounds = tuple(np.cumsum([0] + sizes).tolist())
+    order = np.concatenate(
+        [np.zeros(0, dtype=np.int64)]
+        + [np.arange(2 * lo, 2 * hi).reshape(2, -1).T.ravel() for lo, hi in zip(bounds, bounds[1:])]
+    )
+    order.setflags(write=False)
+    return order, bounds
+
+
+def _random_levels(rng, cls, space, truncation: int, zero_top: int = 0, scale=None):
+    """A cls value with standard complex normal levels, times a real scale if given.
+
+    One draw serves every level: per level the real part comes before the
+    imaginary part. The top zero_top levels stay zero and draw nothing, and
+    the drawn levels are views of one buffer. Each part is scaled on its own,
+    which gives the bits of scale * (re + 1j * im): the zero products of
+    those complex operations vanish on nonzero draws.
+    """
+    shapes = cls._shapes(space, truncation)[: max(0, truncation + 1 - zero_top)]
+    order, bounds = _draw_plan(shapes)
+    values = rng.standard_normal(order.size)[order]
+    if scale is not None:
+        values *= scale
+    z = values.view(np.complex128)
+    levels = [z[bounds[n] : bounds[n + 1]].reshape(shape) for n, shape in enumerate(shapes)]
+    return cls(space, truncation, levels + [None] * (truncation + 1 - len(shapes)))
 
 
 def _profile_a(K: int) -> np.ndarray:

@@ -114,6 +114,10 @@ def test_invalid_config_exits_two(tmp_path, capsys):
         # every cell mass underflows to zero, so a grid keeps no cell
         {"horizon": 5e-324},
         {"sigma": 1e-170, "atoms": []},
+        # cell masses below the floor: Euler's mean-square gaps and the
+        # variance of squared increments underflow
+        {"horizon": 1e-300},
+        {"sigma": 1e-160, "atoms": []},
     ],
 )
 def test_bad_config_values_exit_two_without_a_traceback(tmp_path, capsys, probe):

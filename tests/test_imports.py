@@ -9,8 +9,9 @@ chaoskit, then draws an ensemble, runs a chain integral and one suite; none of
 the heavy modules may be loaded at import, and none of them, nor any
 numpy.random submodule, may first be loaded by the work after it (numpy
 imports some modules lazily, at first use). Import builds none of the Fock
-kernels' cached tables, nor any occupation plan of the dense chaos route. No
-wall-clock time is asserted.
+kernels' cached tables (the divergence plan and the level shapes included),
+nor any occupation or symmetrizing plan of the chaos routes. No wall-clock
+time is asserted.
 
 The package's modules import each other without a cycle, function-local
 imports included.
@@ -48,7 +49,10 @@ from chaoskit import chaos, fock
 tables = [
     fock._fold_plan.cache_info().currsize,
     fock._raise_stack.cache_info().currsize,
+    fock._divergence_plan.cache_info().currsize,
+    fock._level_shapes.cache_info().currsize,
     chaos._occupation_plan.cache_info().currsize,
+    chaos._symmetrize_plan.cache_info().currsize,
 ]
 import numpy as np
 from chaoskit.config import RunConfig
@@ -102,10 +106,9 @@ def test_import_and_work_load_no_heavy_module(probe):
 
 
 def test_import_builds_no_fold_plan_or_raising_table(probe):
-    # the Fock kernels' tables and the dense chaos route's occupation plans
-    # are built on first use, in the process that uses them (each pool
-    # worker builds its own)
-    assert probe["tables"] == [0, 0, 0]
+    # the Fock kernels' tables and the chaos routes' plans are built on first
+    # use, in the process that uses them (each pool worker builds its own)
+    assert probe["tables"] == [0] * 6
 
 
 def test_every_exported_name_resolves():

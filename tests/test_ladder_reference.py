@@ -286,28 +286,94 @@ def _marked_chaos(rng, grid, truncation):
     return chaos.MarkedChaos(grid, truncation, _levels(rng, c, truncation, (c,)))
 
 
+def _chaos_inputs(kind, grid, truncation, seed):
+    """A marked process with random kernels, or psi_n (x) f for the exponential
+    vector psi of a special mode vector f over the grid's cells."""
+    if kind == "random":
+        return _marked_chaos(np.random.default_rng(seed), grid, truncation)
+    fa = _mode_vector(kind, grid.n_cells)
+    psi = exp_vector(fa, truncation)
+    return chaos.MarkedChaos(grid, truncation, [np.outer(lev, fa) for lev in psi.levels])
+
+
+def level_loop_symmetrize(grid, kernels):
+    return [reference_symmetrize(grid, g, m) for m, g in enumerate(kernels)]
+
+
 @pytest.mark.parametrize("k", range(3))
 def test_symmetrize_matches_the_masked_loop(k):
+    # signed zeros and large entries reach every product and sum of the scatter
     grid = _grids()[k]
-    rng = np.random.default_rng(500 + k)
-    u = _marked_chaos(rng, grid, 4)
-    for m in range(5):
-        got = chaos._symmetrize(grid, u.kernels[m], m)
-        assert np.array_equal(got, reference_symmetrize(grid, u.kernels[m], m))
+    for kind in LADDER_KINDS:
+        u = _chaos_inputs(kind, grid, 4, 500 + k)
+        assert_levels_bytes_equal(
+            chaos._symmetrize(grid, u.kernels), level_loop_symmetrize(grid, u.kernels)
+        )
 
 
 @pytest.mark.parametrize("k", range(3))
 def test_chaos_divergence_matches_the_masked_loop(k, monkeypatch):
     grid = _grids()[k]
-    rng = np.random.default_rng(600 + k)
-    u = _marked_chaos(rng, grid, 3)
-    got, got_dropped = chaos.divergence(u)
-    got_dom = chaos.dom_divergence_functional(u)
-    monkeypatch.setattr(chaos, "_symmetrize", reference_symmetrize)
-    want, want_dropped = chaos.divergence(u)
-    assert_levels_equal(got.kernels, want.kernels)
-    assert got_dropped == want_dropped
-    assert got_dom == chaos.dom_divergence_functional(u)
+    for kind in LADDER_KINDS:
+        u = _chaos_inputs(kind, grid, 3, 600 + k)
+        got, got_dropped = chaos.divergence(u)
+        got_dom = chaos.dom_divergence_functional(u)
+        with monkeypatch.context() as patch:
+            patch.setattr(chaos, "_symmetrize", level_loop_symmetrize)
+            want, want_dropped = chaos.divergence(u)
+            want_dom = chaos.dom_divergence_functional(u)
+        assert_levels_bytes_equal(got.kernels, want.kernels)
+        assert np.float64(got_dropped).tobytes() == np.float64(want_dropped).tobytes()
+        assert np.float64(got_dom).tobytes() == np.float64(want_dom).tobytes()
+
+
+def test_scatters_keep_the_complex_multiply_on_infinite_entries():
+    # in a sum from +0.0 a zero product's sign is lost, but 0 * inf is NaN:
+    # the scatters must form w * z as (w zr - 0 zi, w zi + 0 zr)
+    grid = _grids()[1]
+    u = _marked_chaos(np.random.default_rng(660), grid, 3)
+    for k in u.kernels:
+        k[::2, 0] = complex(np.inf, 0.0)
+        k[1::2, -1] = complex(-0.0, -np.inf)
+    with np.errstate(invalid="ignore"):
+        assert_levels_bytes_equal(
+            chaos._symmetrize(grid, u.kernels), level_loop_symmetrize(grid, u.kernels)
+        )
+        phi = MarkedFock(grid.n_cells, 3, u.kernels)
+        assert_levels_bytes_equal(divergence(phi)[0].levels, reference_divergence(phi)[0])
+
+
+def test_symmetrize_and_divergence_scatter_in_two_bincounts_at_any_size(monkeypatch):
+    # one bincount per real and imaginary part, whatever the cell, mode or
+    # level count
+    bincount = np.bincount
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(len(args[0]))
+        return bincount(*args, **kwargs)
+
+    mixed = LevyModel(b=0.0, sigma=1.0, atoms=((1.0, 1.0), (-0.5, 2.0)), horizon=1.0)
+    rng = np.random.default_rng(650)
+    for grid, truncation in ((CellGrid(mixed, 1), 4), (CellGrid(mixed, 8), 2)):
+        u = _marked_chaos(rng, grid, truncation)
+        chaos.divergence(u)  # builds the plan
+        calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "bincount", counting)
+            chaos.divergence(u)
+            chaos.dom_divergence_functional(u)
+        # one scatter takes every mark of every marked order
+        terms = grid.n_cells * sum(level_dim(grid.n_cells, m) for m in range(truncation + 1))
+        assert calls == [terms] * 4
+    for d, truncation in ((1, 5), (5, 5)):
+        phi = MarkedFock(d, truncation, _levels(rng, d, truncation, (d,)))
+        divergence(phi)
+        calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "bincount", counting)
+            divergence(phi)
+        assert len(calls) == 2
 
 
 MODE_VECTORS = {
@@ -417,8 +483,8 @@ def reference_ito_skorohod_chaos(u, v):
     masses = grid.cell_masses
     lhs = 0.0 + 0.0j
     for m in range(M + 1):
-        tu = chaos._symmetrize(grid, u.kernels[m], m)
-        tv = chaos._symmetrize(grid, v.kernels[m], m)
+        tu = reference_symmetrize(grid, u.kernels[m], m)
+        tv = reference_symmetrize(grid, v.kernels[m], m)
         lhs += factorial(m + 1) * chaos.kernel_inner(grid, m + 1, tu, tv)
     base = u.inner(v)
     exchange = 0.0 + 0.0j
@@ -439,7 +505,7 @@ def reference_chaos_divergence(u):
     out = chaos.ChaosCoefficients.zero(grid, M)
     dropped = 0.0
     for m in range(M + 1):
-        tilde = chaos._symmetrize(grid, u.kernels[m], m)
+        tilde = reference_symmetrize(grid, u.kernels[m], m)
         if m + 1 <= M:
             out.kernels[m + 1][:] = tilde
         else:
@@ -452,7 +518,7 @@ def reference_dom_divergence(u):
     grid = u.grid
     total = 0.0
     for m in range(u.truncation + 1):
-        tilde = chaos._symmetrize(grid, u.kernels[m], m)
+        tilde = reference_symmetrize(grid, u.kernels[m], m)
         total += factorial(m + 1) * chaos.kernel_inner(grid, m + 1, tilde, tilde).real
     return float(total)
 

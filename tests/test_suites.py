@@ -8,11 +8,15 @@ from dataclasses import replace
 from hashlib import sha256
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from chaoskit import reporting, suites
-from chaoskit.config import SUITES, RunConfig
+from chaoskit.chaos import ChaosCoefficients, MarkedChaos
+from chaoskit.config import MIN_CELL_MASS, SUITES, RunConfig
+from chaoskit.fock import FockVector, MarkedFock
 from chaoskit.indices import GuardLimitError
+from chaoskit.levy import CellGrid
 from chaoskit.suites import (
     _check_seed,
     _make_record,
@@ -137,6 +141,59 @@ def test_suite_passes_and_stamps_runtimes(suite):
         # one registered check times all of its records as a batch
         assert runtime.setdefault(r.check, r.runtime_ms) == r.runtime_ms, r.check_id
     assert list(runtime) == [fn.check_id for fn in suite_checks(suite)]
+
+
+def _levels_drawn_per_level(rng, cls, space, truncation, zero_top, scale):
+    """One standard_normal call per part per level: real, then imaginary."""
+    levels = []
+    for n, shape in enumerate(cls._shapes(space, truncation)):
+        if n > truncation - zero_top:
+            levels.append(None)
+            continue
+        z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        levels.append(z if scale is None else scale * z)
+    return cls(space, truncation, levels)
+
+
+@pytest.mark.parametrize("zero_top, scale", [(0, None), (1, 0.5), (2, 0.4), (9, None)])
+def test_random_levels_match_a_draw_per_level_and_part(zero_top, scale):
+    # one draw cut into levels gives the bits and the stream of a draw per
+    # level and part
+    grid = CellGrid(RunConfig(suite="malliavin", **SMALL).mixed_model(), 4)
+    spaces = [(FockVector, 3), (MarkedFock, 3), (ChaosCoefficients, grid), (MarkedChaos, grid)]
+    for cls, space in spaces:
+        got_rng, want_rng = (np.random.default_rng(70) for _ in range(2))
+        got = suites._random_levels(got_rng, cls, space, 4, zero_top, scale)
+        want = _levels_drawn_per_level(want_rng, cls, space, 4, zero_top, scale)
+        for a, b in zip(getattr(got, cls._LEVELS), getattr(want, cls._LEVELS)):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert got_rng.random() == want_rng.random()
+
+
+@pytest.mark.parametrize("knob", ["sigma", "horizon"])
+def test_configs_at_the_cell_mass_floor_are_refused_below_and_run_above(knob):
+    # SMALL's finest grid has 8 steps over horizon 1, so the mixed model's
+    # diffusion cells have mass sigma**2 / 8 and the presets' cells horizon / 8
+    def config(factor):
+        mass = MIN_CELL_MASS * factor
+        if knob == "sigma":
+            return RunConfig(suite="sim", **dict(SMALL, sigma=math.sqrt(8 * mass), atoms=[]))
+        return RunConfig(suite="sim", **dict(SMALL, horizon=8 * mass))
+
+    with pytest.raises(ValueError, match="smallest cell mass"):
+        config(0.99)
+    cfg = config(1.01)
+    if knob == "sigma":
+        records = run_suite(cfg)
+    else:
+        # the presets' jumps are too rare to count at this horizon, but
+        # Euler's mean-square gap (the horizon squared) and the Brownian
+        # chaos orthogonality (up to its cube, squared) must not underflow
+        records = suites._check_euler_order(cfg) + [
+            r for r in suites._orthogonality(cfg) if r.check_id.endswith("brownian")
+        ]
+    for r in records:
+        assert r.passed and math.isfinite(r.value), (r.check_id, r.value, r.se)
 
 
 def _usable_cpus(monkeypatch, n: int) -> None:
