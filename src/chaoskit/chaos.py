@@ -15,13 +15,14 @@ coefficient for coefficient. That gives every identity here two independent
 routes: a kernel-level sum in this module and a ladder-operator computation
 in `fock` on the embedded values. The kernel route's divergence averages the
 mark into the closed arguments of every marked order of a process at once,
-in one `np.bincount` per real and imaginary part over a cached mark-major
-plan, with the bits of a per-cell loop. The routes are separate calls; for the
-Skorohod isometry they are `ito_skorohod_chaos` here and `fock.ito_skorohod`
-on `embed_marked` of processes with a zero top marked order. Pathwise, the
-same expansions are evaluated by the engines in `integrals`, either through
-recorded power-term structure or through the per-cell product decomposition
-of multiple integrals.
+in one `np.bincount` per real and imaginary part over the mark-major plan of
+`fock.divergence`, with its own weights and the bits of a per-cell loop. The
+routes are separate calls; for the Skorohod isometry they are
+`ito_skorohod_chaos` here and `fock.ito_skorohod` on `embed_marked` of
+processes with a zero top marked order. Pathwise, the same expansions are
+evaluated by the engines in `integrals`, either through recorded power-term
+structure or through the per-cell product decomposition of multiple
+integrals.
 """
 from __future__ import annotations
 
@@ -31,19 +32,21 @@ import os
 import warnings
 import weakref
 from dataclasses import dataclass
-from functools import lru_cache
 from hashlib import sha256
 from math import factorial
 from typing import NamedTuple
 
 import numpy as np
 
-from .fock import FockVector, Graded, MarkedFock, _weighted_scatter
+from .fock import FockVector, Graded, MarkedFock
+from .fock import _divergence_plan, _raise_stack, _weighted_scatter
 # on chaos expansions the number semigroup is the Ornstein-Uhlenbeck semigroup
 from .fock import number_apply, sobolev_scale
 from .fock import number_semigroup as ou_semigroup
 from .fock import split as fock_split
 from .indices import (
+    _freeze,
+    _table_cache,
     check_level,
     level_dim,
     multiplicities,
@@ -92,9 +95,7 @@ def _per_grid(build):
     def cached(grid: CellGrid, n: int) -> np.ndarray:
         per_order = tables.setdefault(grid, {})
         if n not in per_order:
-            table = build(grid, n)
-            table.setflags(write=False)
-            per_order[n] = table
+            per_order[n] = _freeze(build(grid, n))
         return per_order[n]
 
     return cached
@@ -244,57 +245,32 @@ def gradient(F: ChaosCoefficients) -> MarkedChaos:
     return out
 
 
-class _SymmetrizePlan(NamedTuple):
-    """Every mark of marked orders 0..M averaged in at once, mark-major.
-
-    Term k takes entry source[k] = p * c + s of the flattened stack of
-    marked orders 0..M, times count[k] = alpha_s + 1 for the occupation alpha
-    at row p, to target[k] of the stack of orders 1..M+1, in which order
-    m + 1 is [cols[m], cols[m + 1]). Terms run mark by mark, so each target
-    adds its terms in ascending mark order, as a loop over the cells does.
-    scale is 1 / (m + 1) over order m + 1.
-    """
-
-    source: np.ndarray
-    target: np.ndarray
-    count: np.ndarray
-    scale: np.ndarray
-    cols: tuple[int, ...]
-
-
-@lru_cache(maxsize=None)
-def _symmetrize_plan(c: int, truncation: int) -> _SymmetrizePlan:
-    """The read-only symmetrizing plan of marked orders 0..truncation over c cells."""
-    sizes = [check_level(c, m + 1) for m in range(truncation + 1)]
-    cols = tuple(np.cumsum([0] + sizes).tolist())
-    target = np.concatenate([raise_maps(c, m)[0] + cols[m] for m in range(truncation + 1)])
-    count = np.concatenate([occ_array(c, m) + 1.0 for m in range(truncation + 1)])
-    source = np.arange(target.size).reshape(target.shape)
-    scale = np.repeat([1.0 / (m + 1) for m in range(truncation + 1)], sizes)
-    plan = _SymmetrizePlan(
-        *(np.ascontiguousarray(a.T).ravel() for a in (source, target, count)), scale, cols
-    )
-    for arr in plan[:4]:
-        arr.setflags(write=False)
-    return plan
+@_table_cache
+def _symmetrize_scale(c: int, truncation: int) -> np.ndarray:
+    """1 / (m + 1) over order m + 1 of the stack of orders 1..truncation + 1."""
+    sizes = [level_dim(c, m + 1) for m in range(truncation + 1)]
+    return np.repeat([1.0 / (m + 1) for m in range(truncation + 1)], sizes)
 
 
 def _symmetrize(grid: CellGrid, kernels: list[np.ndarray]) -> list[np.ndarray]:
     """Average the mark into the closed arguments: order m -> order m + 1.
 
-    All marked orders go through one scatter, and the returned orders are
-    views of one buffer. The division by m + 1 keeps the bits of numpy's
-    complex division by a real: (zr + zi 0, zi - zr 0) times 1 / (m + 1).
+    All marked orders go through one scatter over `fock._divergence_plan`,
+    weighted by the counts alpha_s + 1, and the returned orders are views of
+    one buffer. The division by m + 1 keeps the bits of numpy's complex
+    division by a real: (zr + zi 0, zi - zr 0) times 1 / (m + 1).
     """
-    plan = _symmetrize_plan(grid.n_cells, len(kernels) - 1)
-    terms = np.concatenate(kernels).ravel()[plan.source]
-    summed = _weighted_scatter(plan.target, plan.count, terms, plan.cols[-1])
+    c, M = grid.n_cells, len(kernels) - 1
+    source, target, _, count = _divergence_plan(c, M)
+    cols = _raise_stack(c, M).cols
+    terms = np.concatenate(kernels).ravel()[source]
+    summed = _weighted_scatter(target, count, terms, cols[-1])
     re, im = summed.real, summed.imag
+    scale = _symmetrize_scale(c, M)
     out = np.empty_like(summed)
-    out.real = (re + im * 0.0) * plan.scale
-    out.imag = (im - re * 0.0) * plan.scale
-    cols = plan.cols
-    return [out[cols[m] : cols[m + 1]] for m in range(len(kernels))]
+    out.real = (re + im * 0.0) * scale
+    out.imag = (im - re * 0.0) * scale
+    return [out[cols[m] : cols[m + 1]] for m in range(M + 1)]
 
 
 def _symmetrized_pairing(grid: CellGrid, m: int, tu: np.ndarray, tv: np.ndarray):
@@ -552,7 +528,7 @@ class _OccupationPlan(NamedTuple):
     rest: np.ndarray
 
 
-@lru_cache(maxsize=None)
+@_table_cache
 def _occupation_plan(c: int, truncation: int) -> _OccupationPlan:
     """The read-only occupation plan of levels 0..truncation over c cells."""
     sizes = [check_level(c, n) for n in range(truncation + 1)]
@@ -568,15 +544,12 @@ def _occupation_plan(c: int, truncation: int) -> _OccupationPlan:
         rest.append((col * (truncation + 1) + occ[row, col])[~lead])
         n_rest.append(np.bincount(row[~lead], minlength=occ.shape[0]))
     starts = np.concatenate([[0], np.cumsum(np.concatenate(n_rest))])
-    plan = _OccupationPlan(
+    return _OccupationPlan(
         tuple(np.cumsum([0] + sizes).tolist()),
         np.concatenate(shared),
         starts,
         np.concatenate(rest),
     )
-    for arr in plan[1:]:
-        arr.setflags(write=False)
-    return plan
 
 
 def _walk(

@@ -29,6 +29,13 @@ SUITES = ("fock", "sim", "chaos", "malliavin", "all")
 # floats: 1e-300, clear of 2.2e-308.
 MIN_CELL_MASS = 1e-50
 
+# The most jumps a model may expect per path, its summed rate times the
+# horizon. numpy's Poisson draw refuses rates above about 9.2e18; a drawn jump
+# peaks at about 56 bytes in the sampler, so 1e6 keeps a path's draw near
+# 56 MB, far above the default model (1), the jump-dominated test and
+# benchmark models (about 14) and the heaviest test model (3000).
+_MAX_EXPECTED_JUMPS = 1e6
+
 DEFAULT_TOLERANCES = {
     "algebraic": 1e-12,
     "identity": 1e-11,
@@ -149,6 +156,11 @@ class RunConfig:
             raise ValueError(
                 f"the smallest cell mass {smallest:.3g} is below {MIN_CELL_MASS:g}, "
                 "so Monte Carlo statistics on it underflow"
+            )
+        jumps = max(sum(lam for _, lam in m.atoms) * m.horizon for m in self.models().values())
+        if jumps > _MAX_EXPECTED_JUMPS:
+            raise ValueError(
+                f"the model expects {jumps:.3g} jumps per path, above {_MAX_EXPECTED_JUMPS:g}"
             )
 
     @classmethod

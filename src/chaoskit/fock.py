@@ -29,9 +29,10 @@ modes left to right over every prefix of every occupation up to the roof, so
 each prefix product is computed once, and the ladder maps raise or lower all
 levels through one stacked raise table, one numpy pass per mode. `divergence`
 adds every mark's terms in one `np.bincount` per real and imaginary part over
-a mark-major plan, so each target still adds its terms in ascending mark
-order. Every coefficient gets the same products, added in the same order, as
-in a per-level loop, so the bits do not depend on the roof.
+a mark-major plan, which the kernel route in `chaos` shares, so each target
+still adds its terms in ascending mark order. Every coefficient gets the same
+products, added in the same order, as in a per-level loop, so the bits do not
+depend on the roof.
 """
 from __future__ import annotations
 
@@ -46,6 +47,7 @@ import numpy as np
 
 from .indices import (
     _pos_table,
+    _table_cache,
     check_level,
     factorial_ratio_sqrt,
     level_dim,
@@ -280,7 +282,7 @@ class _FoldPlan(NamedTuple):
     roots: np.ndarray
 
 
-@lru_cache(maxsize=None)
+@_table_cache
 def _fold_plan(d: int, truncation: int) -> _FoldPlan:
     """The read-only fold plan of levels 0..truncation over d modes."""
     sizes = [check_level(d, n) for n in range(truncation + 1)]
@@ -299,8 +301,6 @@ def _fold_plan(d: int, truncation: int) -> _FoldPlan:
         steps[-1] = (steps[-1][0][order], steps[-1][1][order])
     weights = np.concatenate([factorial_ratio_sqrt(d, n) for n in range(truncation + 1)])
     roots = np.repeat([math.sqrt(factorial(n)) for n in range(truncation + 1)], sizes)
-    for arr in (first, weights, roots, *(a for step in steps for a in step)):
-        arr.setflags(write=False)
     bounds = tuple(np.cumsum([0] + sizes).tolist())
     return _FoldPlan(first, tuple(steps), bounds, weights, roots)
 
@@ -402,7 +402,7 @@ class _RaiseStack(NamedTuple):
     cols: tuple[int, ...]
 
 
-@lru_cache(maxsize=None)
+@_table_cache
 def _raise_stack(d: int, truncation: int) -> _RaiseStack:
     """The read-only raising table of levels 0..truncation over d modes."""
     tables = [raise_maps(d, n) for n in range(truncation + 1)]
@@ -411,8 +411,6 @@ def _raise_stack(d: int, truncation: int) -> _RaiseStack:
     cols = tuple(np.cumsum([0] + sizes).tolist())
     target = np.concatenate([t + lo for (t, _), lo in zip(tables, cols)])
     weight = np.concatenate([w for _, w in tables])
-    target.setflags(write=False)
-    weight.setflags(write=False)
     return _RaiseStack(target, weight, rows, cols)
 
 
@@ -463,21 +461,28 @@ def create(f, psi: FockVector) -> tuple[FockVector, float]:
     return _raised(d, M, stack, cols)
 
 
+def _lower(value: Graded) -> list[np.ndarray]:
+    """Levels 1..M of a Fock or marked value lowered, the new mark on axis 1.
+
+    One gather through the raising table of levels 0..M-1 takes every level.
+    """
+    d, M = value.d, value.truncation
+    if M == 0:
+        return []
+    target, weight, rows, _ = _raise_stack(d, M - 1)
+    out = np.concatenate(value.levels[1:])[target]
+    out *= weight.reshape(weight.shape + (1,) * (out.ndim - 2))
+    return [out[rows[n] : rows[n + 1]] for n in range(M)]
+
+
 def gradient(psi: FockVector) -> MarkedFock:
     """Universal lowering map: |alpha> -> sum_i sqrt(alpha_i) |alpha - e_i> (x) slot_i.
 
     Sends level n of exp_vector(f) to level n - 1 (x) f. The output
-    keeps the input truncation; its top marked level is zero. Levels 1..M are
-    gathered at once through the raising table of levels 0..M-1; the output
+    keeps the input truncation; its top marked level is zero. The output
     levels are views of one buffer.
     """
-    d, M = psi.d, psi.truncation
-    if M == 0:
-        return MarkedFock.zero(d, 0)
-    target, weight, rows, _ = _raise_stack(d, M - 1)
-    out = np.concatenate(psi.levels[1:])[target]
-    out *= weight
-    return MarkedFock(d, M, [out[rows[n] : rows[n + 1]] for n in range(M)] + [None])
+    return MarkedFock(psi.d, psi.truncation, _lower(psi) + [None])
 
 
 def _weighted_scatter(target: np.ndarray, weight: np.ndarray, z: np.ndarray, size: int):
@@ -495,21 +500,21 @@ def _weighted_scatter(target: np.ndarray, weight: np.ndarray, z: np.ndarray, siz
     return out
 
 
-@lru_cache(maxsize=None)
+@_table_cache
 def _divergence_plan(d: int, truncation: int) -> tuple[np.ndarray, ...]:
     """`_raise_stack` of levels 0..truncation read mark by mark, as one scatter.
 
-    Read-only (source, target, weight): term k takes entry source[k] =
-    p * d + j of the flattened marked stack, times weight[p, j], to
-    target[p, j] of the raised stack. Marks run in ascending order, so each
-    target adds its terms in ascending mark order.
+    (source, target, weight, count): term k takes entry source[k] = p * d + j
+    of the flattened marked stack, times weight[p, j] in `divergence` or
+    count[p, j] = alpha_j + 1 in `chaos._symmetrize`, to target[p, j] of the
+    raised stack.
+    Marks run in ascending order, so each target adds its terms in ascending
+    mark order.
     """
     target, weight, rows, _ = _raise_stack(d, truncation)
     source = np.arange(rows[-1] * d).reshape(rows[-1], d)
-    plan = tuple(np.ascontiguousarray(a.T).ravel() for a in (source, target, weight))
-    for arr in plan:
-        arr.setflags(write=False)
-    return plan
+    count = np.concatenate([occ_array(d, m) + 1.0 for m in range(truncation + 1)])
+    return tuple(np.ascontiguousarray(a.T).ravel() for a in (source, target, weight, count))
 
 
 def divergence(phi: MarkedFock) -> tuple[FockVector, float]:
@@ -522,7 +527,7 @@ def divergence(phi: MarkedFock) -> tuple[FockVector, float]:
     """
     d, M = phi.d, phi.truncation
     cols = _raise_stack(d, M).cols
-    source, target, weight = _divergence_plan(d, M)
+    source, target, weight, _ = _divergence_plan(d, M)
     terms = np.concatenate(phi.levels).ravel()[source]
     return _raised(d, M, _weighted_scatter(target, weight, terms, cols[-1]), cols)
 
@@ -602,7 +607,7 @@ def _table_positions(sub: np.ndarray, degree: np.ndarray) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=None)
+@_table_cache
 def _split_positions(d: int, n: int, first: tuple[int, ...]):
     """For each level-n position: (n1, pos1, pos2) under the partition.
 
@@ -614,19 +619,16 @@ def _split_positions(d: int, n: int, first: tuple[int, ...]):
     n1 = occ[:, list(first)].sum(axis=1)
     pos1 = _table_positions(occ[:, list(first)], n1)
     pos2 = _table_positions(occ[:, second], n - n1)
-    for arr in (n1, pos1, pos2):
-        arr.setflags(write=False)
     return n1, pos1, pos2
 
 
-@lru_cache(maxsize=None)
+@_table_cache
 def _merge_positions(d: int, first: tuple[int, ...], n1: int, n2: int) -> np.ndarray:
     """Global level-(n1+n2) positions of merged (alpha1, alpha2) pairs."""
     n1s, pos1, pos2 = _split_positions(d, n1 + n2, first)
     sel = n1s == n1
     out = np.empty((level_dim(len(first), n1), level_dim(d - len(first), n2)), dtype=np.int64)
     out[pos1[sel], pos2[sel]] = np.flatnonzero(sel)
-    out.setflags(write=False)
     return out
 
 
@@ -710,16 +712,9 @@ def marked_lower(phi: MarkedFock) -> list[np.ndarray]:
     """Lower the symmetric part of each marked level.
 
     Output[n] has shape (dim_n, d, d); axis 1 is the new mark from lowering,
-    axis 2 the original mark. Levels 1..M are gathered at once, as in
-    `gradient`; the output levels are views of one buffer.
+    axis 2 the original mark. The output levels are views of one buffer.
     """
-    M = phi.truncation
-    if M == 0:
-        return []
-    target, weight, rows, _ = _raise_stack(phi.d, M - 1)
-    out = np.concatenate(phi.levels[1:])[target]
-    out *= weight[:, :, None]
-    return [out[rows[n] : rows[n + 1]] for n in range(M)]
+    return _lower(phi)
 
 
 def marked_exchange(doubled: list[np.ndarray]) -> list[np.ndarray]:

@@ -41,10 +41,13 @@ entries:
 `lower_maps`, `position` and `fock._split_positions` stay on the tuple and
 dict enumeration, so the dense matrices and the split route keep a table
 builder that the kernels they check do not use.
+
+Every cached builder of arrays, here and in `fock`, `chaos` and `suites`, is
+a `_table_cache`, whose arrays are read-only: all callers share one copy.
 """
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, wraps
 from math import comb
 
 import numpy as np
@@ -70,6 +73,26 @@ class GuardLimitError(ValueError):
     """A requested level would exceed the coefficient budget."""
 
 
+def _freeze(table):
+    """Make table's arrays read-only, at any depth of tuples; returns table."""
+    if isinstance(table, np.ndarray):
+        table.setflags(write=False)
+    elif isinstance(table, tuple):
+        for part in table:
+            _freeze(part)
+    return table
+
+
+def _table_cache(build):
+    """An lru_cache of build (with its `cache_info`) that freezes each table."""
+
+    @wraps(build)
+    def frozen(*args):
+        return _freeze(build(*args))
+
+    return lru_cache(maxsize=None)(frozen)
+
+
 def level_dim(d: int, n: int) -> int:
     return comb(n + d - 1, n)
 
@@ -90,7 +113,7 @@ def check_level(d: int, n: int) -> int:
     return size
 
 
-@lru_cache(maxsize=None)
+@_table_cache
 def occ_array(d: int, n: int) -> np.ndarray:
     """Occupation vectors of degree n over d modes as a read-only (dim, d) int array."""
     check_level(d, n)
@@ -108,7 +131,6 @@ def occ_array(d: int, n: int) -> np.ndarray:
     for k, (lead, row) in enumerate(reversed(steps)):
         arr[:, k] = lead[pick]
         pick = row[pick]
-    arr.setflags(write=False)
     return arr
 
 
@@ -133,7 +155,7 @@ def position(occ: tuple[int, ...]) -> int:
         raise ValueError(f"not a valid occupation vector: {occ}") from None
 
 
-@lru_cache(maxsize=None)
+@_table_cache
 def lower_maps(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-mode lowering maps for level n >= 1.
 
@@ -155,8 +177,6 @@ def lower_maps(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
                 low[i] -= 1
                 target[p, i] = table[tuple(low)]
     weight = np.sqrt(occ.astype(np.float64))
-    target.setflags(write=False)
-    weight.setflags(write=False)
     return target, weight
 
 
@@ -168,7 +188,7 @@ def _sum_counts(rows: int, d: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=None)
+@_table_cache
 def raise_maps(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-mode raising maps for level n.
 
@@ -186,12 +206,10 @@ def raise_maps(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     # gain(R_{i+1}) at the raised mode i itself
     target = np.cumsum(gain[rest, t] - after, axis=1) + after + np.arange(occ.shape[0])[:, None]
     weight = np.sqrt(occ.astype(np.float64) + 1.0)
-    target.setflags(write=False)
-    weight.setflags(write=False)
     return target, weight
 
 
-@lru_cache(maxsize=None)
+@_table_cache
 def _pascal_exact(rows: int) -> np.ndarray:
     """C(s, a) for 0 <= s, a < rows as Python integers (object dtype)."""
     out = np.zeros((rows, rows), dtype=object)
@@ -201,13 +219,13 @@ def _pascal_exact(rows: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=None)
+@_table_cache
 def _pascal() -> np.ndarray:
     """C(s, a) for 0 <= s, a <= 62 as int64; C(62, 31) < 2**63."""
     return _pascal_exact(63).astype(np.int64)
 
 
-@lru_cache(maxsize=None)
+@_table_cache
 def factorial_ratio_sqrt(d: int, n: int) -> np.ndarray:
     """Array of sqrt(n! / alpha!) over the level enumeration.
 
@@ -219,15 +237,11 @@ def factorial_ratio_sqrt(d: int, n: int) -> np.ndarray:
     table = _pascal() if n < 63 and d**n < 2**63 else _pascal_exact(n + 1)
     occ = occ_array(d, n)
     multinomial = np.prod(table[np.cumsum(occ, axis=1), occ], axis=1)
-    vals = np.sqrt(multinomial.astype(np.float64))
-    vals.setflags(write=False)
-    return vals
+    return np.sqrt(multinomial.astype(np.float64))
 
 
-@lru_cache(maxsize=None)
+@_table_cache
 def multiplicities(d: int, n: int) -> np.ndarray:
     """Orbit sizes n!/alpha!: how many ordered tuples share each multiset."""
     vals = factorial_ratio_sqrt(d, n) ** 2
-    out = np.round(vals).astype(np.float64)
-    out.setflags(write=False)
-    return out
+    return np.round(vals).astype(np.float64)

@@ -34,29 +34,28 @@ def _fsum_mean(x: np.ndarray) -> float:
         return math.nan
 
 
+def _mean_se(x: np.ndarray) -> tuple[float, float]:
+    """Exact-sum mean of one real part and the standard error of that mean."""
+    n = x.size
+    mean = _fsum_mean(x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        var = _fsum_mean((x - mean) ** 2) * n / max(n - 1, 1)
+    return mean, math.sqrt(var / n)
+
+
 def summarize(values: np.ndarray) -> MCStat:
     """Mean and standard error of per-path samples (real or complex)."""
     v = np.asarray(values)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("summarize expects a nonempty 1-d sample array")
-    n = v.size
-    re = np.ascontiguousarray(v.real, dtype=np.float64)
-    im = np.ascontiguousarray(v.imag, dtype=np.float64) if np.iscomplexobj(v) else None
-    mean_re = _fsum_mean(re)
-    with np.errstate(over="ignore", invalid="ignore"):
-        var_re = _fsum_mean((re - mean_re) ** 2) * n / max(n - 1, 1)
-    se_re = math.sqrt(var_re / n)
-    if im is None:
-        mean_im, se_im = 0.0, 0.0
-    else:
-        mean_im = _fsum_mean(im)
-        with np.errstate(over="ignore", invalid="ignore"):
-            var_im = _fsum_mean((im - mean_im) ** 2) * n / max(n - 1, 1)
-        se_im = math.sqrt(var_im / n)
+    mean_re, se_re = _mean_se(np.ascontiguousarray(v.real, dtype=np.float64))
+    mean_im, se_im = 0.0, 0.0
+    if np.iscomplexobj(v):
+        mean_im, se_im = _mean_se(np.ascontiguousarray(v.imag, dtype=np.float64))
     return MCStat(
         mean=complex(mean_re, mean_im),
         se=math.hypot(se_re, se_im),
         se_re=se_re,
         se_im=se_im,
-        n_paths=n,
+        n_paths=v.size,
     )

@@ -28,7 +28,6 @@ import multiprocessing
 import os
 import time
 import warnings
-from functools import lru_cache
 from hashlib import sha256
 from io import StringIO
 
@@ -80,7 +79,7 @@ from .fock import (
     split_divergence,
     split_gradient,
 )
-from .indices import GuardLimitError, level_dim, raise_maps
+from .indices import GuardLimitError, _table_cache, level_dim, raise_maps
 from .integrals import (
     doleans_exp,
     exp_martingale_grid,
@@ -166,7 +165,7 @@ def _unit_modes(rng, d: int, lo: float = 0.2, hi: float = 1.5) -> np.ndarray:
     return v * (rng.uniform(lo, hi) / nrm)
 
 
-@lru_cache(maxsize=None)
+@_table_cache
 def _draw_plan(shapes: tuple[tuple[int, ...], ...]) -> tuple[np.ndarray, tuple[int, ...]]:
     """(order, bounds): one draw of levels of these shapes, interleaved as complex.
 
@@ -180,7 +179,6 @@ def _draw_plan(shapes: tuple[tuple[int, ...], ...]) -> tuple[np.ndarray, tuple[i
         [np.zeros(0, dtype=np.int64)]
         + [np.arange(2 * lo, 2 * hi).reshape(2, -1).T.ravel() for lo, hi in zip(bounds, bounds[1:])]
     )
-    order.setflags(write=False)
     return order, bounds
 
 

@@ -118,6 +118,9 @@ def test_invalid_config_exits_two(tmp_path, capsys):
         # variance of squared increments underflow
         {"horizon": 1e-300},
         {"sigma": 1e-160, "atoms": []},
+        # more expected jumps per path than the sampler draws
+        {"horizon": 1e19},
+        {"atoms": [[1.0, 1e19]]},
     ],
 )
 def test_bad_config_values_exit_two_without_a_traceback(tmp_path, capsys, probe):

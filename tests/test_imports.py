@@ -8,10 +8,11 @@ multiprocessing pool, which does not need it. A fresh interpreter imports
 chaoskit, then draws an ensemble, runs a chain integral and one suite; none of
 the heavy modules may be loaded at import, and none of them, nor any
 numpy.random submodule, may first be loaded by the work after it (numpy
-imports some modules lazily, at first use). Import builds none of the Fock
-kernels' cached tables (the divergence plan and the level shapes included),
-nor any occupation or symmetrizing plan of the chaos routes. No wall-clock
-time is asserted.
+imports some modules lazily, at first use). Import builds no cached table:
+none of the index tables, of the Fock kernels' tables (the divergence plan
+and the level shapes included), of the chaos routes' plans or of the suites'
+draw plans. Each table is listed at its one owner. No wall-clock time is
+asserted.
 
 The package's modules import each other without a cycle, function-local
 imports included.
@@ -45,15 +46,21 @@ PROBE = """
 import json, sys
 import chaoskit
 loaded = set(sys.modules)
-from chaoskit import chaos, fock
-tables = [
-    fock._fold_plan.cache_info().currsize,
-    fock._raise_stack.cache_info().currsize,
-    fock._divergence_plan.cache_info().currsize,
-    fock._level_shapes.cache_info().currsize,
-    chaos._occupation_plan.cache_info().currsize,
-    chaos._symmetrize_plan.cache_info().currsize,
-]
+from chaoskit import chaos, fock, indices, suites
+# each cached table at its one owner
+OWNERS = {
+    indices: ("occ_array", "lower_maps", "raise_maps", "factorial_ratio_sqrt",
+              "multiplicities", "_pascal", "_pascal_exact"),
+    fock: ("_fold_plan", "_raise_stack", "_divergence_plan", "_level_shapes",
+           "_split_positions", "_merge_positions"),
+    chaos: ("_occupation_plan", "_symmetrize_scale"),
+    suites: ("_draw_plan",),
+}
+tables = {
+    f"{module.__name__}.{name}": getattr(module, name).cache_info().currsize
+    for module, names in OWNERS.items()
+    for name in names
+}
 import numpy as np
 from chaoskit.config import RunConfig
 from chaoskit.integrals import iterated_chain
@@ -106,9 +113,11 @@ def test_import_and_work_load_no_heavy_module(probe):
 
 
 def test_import_builds_no_fold_plan_or_raising_table(probe):
-    # the Fock kernels' tables and the chaos routes' plans are built on first
-    # use, in the process that uses them (each pool worker builds its own)
-    assert probe["tables"] == [0] * 6
+    # the index tables, the Fock kernels' tables and the chaos routes' plans
+    # are built on first use, in the process that uses them (each pool worker
+    # builds its own)
+    assert len(probe["tables"]) == 16
+    assert probe["tables"] == dict.fromkeys(probe["tables"], 0)
 
 
 def test_every_exported_name_resolves():

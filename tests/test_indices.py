@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from chaoskit import chaos, fock, indices, suites
 from chaoskit.indices import (
     MAX_LEVEL_COEFFS,
     GuardLimitError,
@@ -17,6 +18,7 @@ from chaoskit.indices import (
     position,
     raise_maps,
 )
+from chaoskit.levy import CellGrid, LevyModel
 
 dims = st.integers(min_value=1, max_value=5)
 degrees = st.integers(min_value=0, max_value=6)
@@ -61,6 +63,50 @@ def test_occ_array_is_read_only():
     arr = occ_array(3, 2)
     with pytest.raises(ValueError):
         arr[0, 0] = 5
+
+
+def _arrays(table) -> list:
+    if isinstance(table, np.ndarray):
+        return [table]
+    if isinstance(table, tuple):
+        return [a for part in table for a in _arrays(part)]
+    return []
+
+
+_GRID = CellGrid(LevyModel(sigma=1.0, atoms=((1.0, 1.0),)), 2)
+
+
+@pytest.mark.parametrize(
+    "build, args",
+    [
+        pytest.param(build, args, id=f"{build.__module__}.{build.__name__}")
+        for build, args in [
+            (indices.occ_array, (3, 2)),
+            (indices.lower_maps, (3, 2)),
+            (indices.raise_maps, (3, 2)),
+            (indices.factorial_ratio_sqrt, (3, 2)),
+            (indices.multiplicities, (3, 2)),
+            (indices._pascal, ()),
+            (indices._pascal_exact, (5,)),
+            (fock._fold_plan, (3, 3)),
+            (fock._raise_stack, (3, 3)),
+            (fock._divergence_plan, (3, 3)),
+            (fock._split_positions, (3, 2, (0,))),
+            (fock._merge_positions, (3, (0,), 1, 1)),
+            (chaos._occupation_plan, (3, 3)),
+            (chaos._symmetrize_scale, (3, 3)),
+            (chaos._mass_weights, (_GRID, 2)),
+            (chaos._pair_weights, (_GRID, 2)),
+            (chaos._embed_scale, (_GRID, 2)),
+            (suites._draw_plan, (((3,), (3, 2)),)),
+        ]
+    ],
+)
+def test_cached_tables_are_read_only(build, args):
+    # every caller shares one cached table, so no caller may write it
+    arrays = _arrays(build(*args))
+    assert arrays
+    assert not any(a.flags.writeable for a in arrays)
 
 
 @given(dims, st.integers(min_value=0, max_value=5))

@@ -14,7 +14,7 @@ from math import factorial, sqrt
 import numpy as np
 import pytest
 
-from chaoskit import chaos
+from chaoskit import chaos, fock
 from chaoskit.dense import lower_matrix
 from chaoskit.fock import (
     FockVector,
@@ -374,6 +374,30 @@ def test_symmetrize_and_divergence_scatter_in_two_bincounts_at_any_size(monkeypa
             patch.setattr(np, "bincount", counting)
             divergence(phi)
         assert len(calls) == 2
+
+
+def test_symmetrize_and_divergence_read_one_plan(monkeypatch):
+    # the kernel route and the ladder route scatter through the same cached
+    # mark-major plan of the raise targets, each with its own weights
+    grid, truncation = _grids()[0], 3
+    c = grid.n_cells
+    scatter = chaos._weighted_scatter
+    read = []
+
+    def recording(target, weight, z, size):
+        read.append((target, weight))
+        return scatter(target, weight, z, size)
+
+    u = _marked_chaos(np.random.default_rng(670), grid, truncation)
+    with monkeypatch.context() as patch:
+        patch.setattr(chaos, "_weighted_scatter", recording)
+        patch.setattr(fock, "_weighted_scatter", recording)
+        chaos._symmetrize(grid, u.kernels)
+        divergence(MarkedFock(c, truncation, u.kernels))
+    _, target, weight, count = fock._divergence_plan(c, truncation)
+    assert len(read) == 2
+    assert read[0][0] is target and read[1][0] is target
+    assert read[0][1] is count and read[1][1] is weight
 
 
 MODE_VECTORS = {
