@@ -8,15 +8,18 @@ bit-identical and records can be reproduced in isolation.
 
 A check is a function of the config that returns its records. Decorating it
 with @_registered("<suite>.<name>") appends it to that suite, so a suite runs
-its checks in definition order. A Monte Carlo family is declared once: its
-stats(model, grid, ens) generator yields per-path values and their targets,
-and decorating it with @_mc_family("<suite>.<name>", note) registers the check
-that draws, evaluates and reduces it in path blocks, one record per model. A
-check over seeded random trials returns _trials(...). Every check turns many
-residuals into one value with _worst_of (z-scores with their standard errors:
-_worst), so a NaN residual is kept and fails its record; per-path relative
-errors go through _rel_gap, and every other ensemble is drawn by _ensemble
-from the record's own stream.
+its checks in definition order. Two drivers declare a family of per-model
+records once, over a generator. A Monte Carlo family's stats(model, grid, ens)
+yields per-path values and their targets, and @_mc_family("<suite>.<name>",
+note) registers the check that draws, evaluates and reduces it in path
+blocks. An exact family's gaps(cfg, model, grid, ens) yields labelled
+per-path gaps between two routes, and @_exact_family("<suite>.<name>", note,
+max_paths) registers the check that takes the worst of them and stamps the
+(engine, model) pairs it covers. A check over seeded random trials returns
+_trials(...). Every check turns many residuals into one value with _worst_of
+(z-scores with their standard errors: _worst), so a NaN residual is kept and
+fails its record; every other ensemble is drawn by _ensemble from the
+record's own stream.
 
 A guard-rail breach inside a check becomes a failing record, not a crash;
 anything else propagating out of a check is a bug and is allowed to surface.
@@ -145,9 +148,9 @@ def _worst(stats) -> tuple[float, float | None]:
     return max(stats, key=lambda t: _nan_high(t[0]))
 
 
-def _rel_gap(got, want) -> float:
-    """Largest per-path |got - want| relative to max(1, |want|)."""
-    return float(np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))))
+def _path_gaps(got, want) -> np.ndarray:
+    """Per-path |got - want| relative to max(1, |want|)."""
+    return np.abs(got - want) / np.maximum(1.0, np.abs(want))
 
 
 def _ensemble(cfg: RunConfig, check_id: str, model, n_time: int, n_paths: int):
@@ -311,6 +314,51 @@ def _mc_family(family: str, note, models=("poisson", "brownian", "mixed")):
                 records.append(record)
             return records
 
+        return check
+
+    return deco
+
+
+def _exact_family(
+    family, note, max_paths, models=("poisson",), tolerance="pathwise", n_time="n_time", engines=()
+):
+    """Register the exact check `family` built on the decorated
+    gaps(cfg, model, grid, ens) generator, and return the check.
+
+    The check makes one record per model, id `family` for one model and
+    f"{family}.{model}" for several, on min(cfg.n_paths, max_paths) paths of
+    the grid with cfg.<n_time> time cells, drawn by _ensemble from that id's
+    stream. gaps yields (label, gaps) pairs, the gaps per path or one scalar
+    that names no path. The value is the worst gap, the first NaN if there is
+    one; a failing record's note names its label and path. note may name
+    {n_paths}. The check's engines attribute lists the (engine, model) pairs
+    it covers, the cells of the engine x noise matrix."""
+
+    def deco(gaps):
+        @_registered(family)
+        def check(cfg: RunConfig) -> list[CheckRecord]:
+            n_paths = min(cfg.n_paths, max_paths)
+            records = []
+            for name in models:
+                check_id = family if len(models) == 1 else f"{family}.{name}"
+                model = cfg.models()[name]
+                grid, ens = _ensemble(cfg, check_id, model, getattr(cfg, n_time), n_paths)
+                worst = []
+                for label, gap in gaps(cfg, model, grid, ens):
+                    gap = np.asarray(gap, dtype=float)
+                    # argmax stops at the first NaN, as _worst_of does
+                    i = int(np.argmax(gap))
+                    worst.append((float(gap.flat[i]), label, i if gap.ndim else None))
+                value = _worst_of(w for w, _, _ in worst)
+                text = note.format(n_paths=n_paths)
+                record = _make_record(check_id, value, 0.0, cfg.tolerances[tolerance], note=text)
+                if not record.passed:
+                    _, label, i = max(worst, key=lambda t: _nan_high(t[0]))
+                    record.note += f"; worst: {label}" + ("" if i is None else f", path {i}")
+                records.append(record)
+            return records
+
+        check.engines = tuple((engine, name) for engine in engines for name in models)
         return check
 
     return deco
@@ -575,30 +623,20 @@ def _sample_moments(model, grid, ens):
     yield np.diff(ens.offsets).astype(float), rate
 
 
-@_registered("sim.chain_power")
-def _check_chain_power(cfg: RunConfig):
-    check_id = "sim.chain_power"
-    n_paths = min(cfg.n_paths, 400)
-    grid, ens = _ensemble(
-        cfg, check_id, poisson_preset(1.0, cfg.horizon), cfg.n_time, n_paths
-    )
-    field = StepField.from_columns(grid, bins={1: _profile_a(cfg.n_time)})
+@_exact_family(
+    "sim.chain_power",
+    "multiple vs n! * simplex integrals, pure jump, n <= 3, {n_paths} paths",
+    400,
+    engines=("iterated_chain", "power_integrals"),
+)
+def _check_chain_power(cfg, model, grid, ens):
+    field = StepField.from_columns(grid, bins={1: _profile_a(grid.n_time)})
     powers = power_integrals(field, 3, ens)
-
-    def gap(n):
+    for n in (1, 2, 3):
         chain = iterated_chain([field] * n, ens)
+        # one scale over the ensemble: the largest |I_n| or 1
         scale = max(1.0, float(np.abs(powers[:, n]).max()))
-        return float(np.abs(powers[:, n] - math.factorial(n) * chain).max()) / scale
-
-    return [
-        _make_record(
-            check_id,
-            _worst_of(gap(n) for n in (1, 2, 3)),
-            0.0,
-            cfg.tolerances["pathwise"],
-            note=f"multiple vs n! * simplex integrals, pure jump, n <= 3, {n_paths} paths",
-        )
-    ]
+        yield f"order {n}", np.abs(powers[:, n] - math.factorial(n) * chain) / scale
 
 
 @_registered("sim.euler_order")
@@ -628,67 +666,52 @@ def _check_euler_order(cfg: RunConfig):
     ]
 
 
-@_registered("sim.doleans_closed")
-def _check_doleans_closed(cfg: RunConfig):
-    records = []
-    K = cfg.n_time
-    n_paths = min(cfg.n_paths, 2000)
+@_exact_family(
+    "sim.doleans_brownian",
+    "exponential of the diffusion integral minus half the energy, {n_paths} paths",
+    2000,
+    models=("brownian",),
+    tolerance="algebraic",
+    engines=("doleans_exp",),
+)
+def _check_doleans_brownian(cfg, model, grid, ens):
+    prof = _profile_real(grid.n_time, base=0.8, amp=0.5)
+    vals = doleans_exp(StepField.from_columns(grid, diffusion=prof), ens)
+    oracle = np.exp(ens.brownian @ prof - 0.5 * float(np.sum(prof**2)) * grid.dt)
+    yield "closed form", _path_gaps(vals, oracle)
 
-    grid, ens = _ensemble(
-        cfg, "sim.doleans_brownian", brownian_preset(cfg.horizon), K, n_paths
-    )
-    prof = _profile_real(K, base=0.8, amp=0.5)
-    field = StepField.from_columns(grid, diffusion=prof)
-    vals = doleans_exp(field, ens)
-    ito = ens.brownian @ prof
-    oracle = np.exp(ito - 0.5 * float(np.sum(prof**2)) * grid.dt)
-    records.append(
-        _make_record(
-            "sim.doleans_brownian",
-            _rel_gap(vals, oracle),
-            0.0,
-            cfg.tolerances["algebraic"],
-            note=f"exponential of the diffusion integral minus half the energy, "
-            f"{n_paths} paths",
-        )
-    )
 
-    model = poisson_preset(1.0, cfg.horizon)
-    grid, ens = _ensemble(cfg, "sim.doleans_poisson", model, K, n_paths)
-    prof = _profile_b(K)
-    field = StepField.from_columns(grid, bins={1: prof})
-    vals = doleans_exp(field, ens)
+@_exact_family(
+    "sim.doleans_poisson",
+    "compensator exponential times the jump product, per path",
+    2000,
+    tolerance="algebraic",
+    engines=("doleans_exp",),
+)
+def _check_doleans_poisson(cfg, model, grid, ens):
+    prof = _profile_b(grid.n_time)
+    vals = doleans_exp(StepField.from_columns(grid, bins={1: prof}), ens)
     base = np.exp(-float(grid.bin_rates[0]) * np.sum(prof) * grid.dt)
-    oracle = np.empty(n_paths, dtype=np.complex128)
+    # a per-path reference walk over each path's own jumps
+    oracle = np.empty(ens.n_paths, dtype=np.complex128)
     jump_cells, offsets = ens.jump_cells, ens.offsets
-    for i in range(n_paths):
+    for i in range(ens.n_paths):
         cells = jump_cells[offsets[i] : offsets[i + 1]]
         oracle[i] = base * (np.prod(1.0 + prof[cells]) if cells.size else 1.0)
-    records.append(
-        _make_record(
-            "sim.doleans_poisson",
-            _rel_gap(vals, oracle),
-            0.0,
-            cfg.tolerances["algebraic"],
-            note="compensator exponential times the jump product, per path",
-        )
-    )
+    yield "jump product", _path_gaps(vals, oracle)
 
-    grid, ens = _ensemble(cfg, "sim.doleans_counting", model, K, n_paths)
-    ones = StepField.from_columns(grid, bins={1: np.ones(K)})
-    vals = doleans_exp(ones, ens)
-    counts = np.diff(ens.offsets)
-    oracle = 2.0**counts * math.exp(-float(grid.bin_rates[0]) * cfg.horizon)
-    records.append(
-        _make_record(
-            "sim.doleans_counting",
-            _rel_gap(vals, oracle),
-            0.0,
-            cfg.tolerances["algebraic"],
-            note="unit jump field: doubling per jump times the compensator decay",
-        )
-    )
-    return records
+
+@_exact_family(
+    "sim.doleans_counting",
+    "unit jump field: doubling per jump times the compensator decay",
+    2000,
+    tolerance="algebraic",
+    engines=("doleans_exp",),
+)
+def _check_doleans_counting(cfg, model, grid, ens):
+    vals = doleans_exp(StepField.from_columns(grid, bins={1: np.ones(grid.n_time)}), ens)
+    oracle = 2.0 ** np.diff(ens.offsets) * math.exp(-float(grid.bin_rates[0]) * cfg.horizon)
+    yield "doubling", _path_gaps(vals, oracle)
 
 
 @_mc_family(
@@ -714,46 +737,30 @@ def _exp_martingale(model, grid, ens):
     yield mart[:, grid.n_time // 2], 1.0
 
 
-@_registered("sim.martingale_closed")
-def _check_martingale_closed(cfg: RunConfig):
+@_exact_family(
+    "sim.martingale_closed",
+    "martingale at the horizon vs exp(i u X(T) + T eta(u)), constant u = 0.7, "
+    "{n_paths} paths",
+    2000,
+    models=("poisson", "brownian", "mixed"),
+    engines=("exp_martingale_grid",),
+)
+def _check_martingale_closed(cfg, model, grid, ens):
     u = 0.7
-    n_paths = min(cfg.n_paths, 2000)
-    records = []
-    for name, model in cfg.models().items():
-        check_id = f"sim.martingale_closed.{name}"
-        _, ens = _ensemble(cfg, check_id, model, cfg.n_time, n_paths)
-        mart = exp_martingale_grid(np.full(cfg.n_time, u), ens)
-        closed = np.exp(1j * u * terminal_value(ens) + model.horizon * model.symbol(u))
-        records.append(
-            _make_record(
-                check_id,
-                _rel_gap(mart[:, -1], closed),
-                0.0,
-                cfg.tolerances["pathwise"],
-                note=f"martingale at the horizon vs exp(i u X(T) + T eta(u)), "
-                f"constant u = {u}, {n_paths} paths",
-            )
-        )
-    return records
+    mart = exp_martingale_grid(np.full(grid.n_time, u), ens)
+    closed = np.exp(1j * u * terminal_value(ens) + model.horizon * model.symbol(u))
+    yield "horizon", _path_gaps(mart[:, -1], closed)
 
 
-@_registered("sim.representation")
-def _check_representation(cfg: RunConfig):
-    check_id = "sim.representation"
-    n_paths = min(cfg.n_paths, 300)
-    _, ens = _ensemble(
-        cfg, check_id, poisson_preset(1.0, cfg.horizon), cfg.n_time, n_paths
-    )
-    prof = _profile_real(cfg.n_time, base=0.6, amp=0.3)
-    return [
-        _make_record(
-            check_id,
-            _worst_of(representation_residual(prof, ens).tolist()),
-            0.0,
-            cfg.tolerances["pathwise"],
-            note=f"martingale representation residual, pure jump, {n_paths} paths",
-        )
-    ]
+@_exact_family(
+    "sim.representation",
+    "martingale representation residual, pure jump, {n_paths} paths",
+    300,
+    engines=("representation_residual",),
+)
+def _check_representation(cfg, model, grid, ens):
+    prof = _profile_real(grid.n_time, base=0.6, amp=0.3)
+    yield "residual", representation_residual(prof, ens)
 
 
 # ---------------------------------------------------------------------------
@@ -793,31 +800,24 @@ def _duality_tail(model, grid, ens):
         yield dist, _series_tail(energy, roof)
 
 
-@_registered("chaos.engines")
-def _check_engines(cfg: RunConfig):
-    check_id = "chaos.engines"
-    Kc = cfg.chaos_n_time
-    grid, ens = _ensemble(
-        cfg, check_id, poisson_preset(1.0, cfg.horizon), Kc, min(cfg.n_paths, 2000)
-    )
+@_exact_family(
+    "chaos.engines",
+    "generating-series route vs dense occupation route, per path",
+    2000,
+    n_time="chaos_n_time",
+    engines=("chaos_evaluate", "power_integrals"),
+)
+def _check_engines(cfg, model, grid, ens):
     M = min(cfg.chaos_truncation, 3)
-    field1 = StepField.from_columns(grid, bins={1: _profile_a(Kc)})
-    field2 = StepField.from_columns(grid, bins={1: _profile_b(Kc)})
+    field1 = StepField.from_columns(grid, bins={1: _profile_a(grid.n_time)})
+    field2 = StepField.from_columns(grid, bins={1: _profile_b(grid.n_time)})
     F = ChaosCoefficients.doleans(field1, M) + 0.7 * ChaosCoefficients.from_power(
         field2, 2, M
     )
     fast = chaos_evaluate(F, ens)
     dense = F.copy()
     dense.source = None
-    return [
-        _make_record(
-            check_id,
-            _rel_gap(fast, chaos_evaluate(dense, ens)),
-            0.0,
-            cfg.tolerances["pathwise"],
-            note="generating-series route vs dense occupation route, per path",
-        )
-    ]
+    yield "dense route", _path_gaps(fast, chaos_evaluate(dense, ens))
 
 
 @_registered("chaos.projection")
@@ -1062,13 +1062,16 @@ def _check_skorohod_mc(cfg: RunConfig):
     ]
 
 
-@_registered("malliavin.adapted_ito")
-def _check_adapted_ito(cfg: RunConfig):
-    check_id = "malliavin.adapted_ito"
-    n_paths = min(cfg.n_paths, 1000)
-    grid, ens = _ensemble(
-        cfg, check_id, poisson_preset(1.0, cfg.horizon), cfg.chaos_n_time, n_paths
-    )
+@_exact_family(
+    "malliavin.adapted_ito",
+    "divergence of an adapted step process vs the time-ordered sum, "
+    "per path, {n_paths} paths",
+    1000,
+    models=("poisson", "brownian", "mixed"),
+    n_time="chaos_n_time",
+    engines=("chaos.divergence",),
+)
+def _check_adapted_ito(cfg, model, grid, ens):
     c = grid.n_cells
     g = _profile_a(c)
     h = _profile_b(c)
@@ -1081,18 +1084,13 @@ def _check_adapted_ito(cfg: RunConfig):
     u = MarkedChaos(grid, 1, [np.zeros((1, c), dtype=np.complex128), k1])
     du, dropped = chaos_divergence(_lift_marked(u))
     inc = cell_increments(ens)
-    run = np.cumsum(g[None, :] * inc, axis=1) - g[None, :] * inc
+    # the integrand's sum over strictly earlier time cells: per-time totals
+    # over the bins, their exclusive running sum, repeated over each time's bins
+    per_time = (g[None, :] * inc).reshape(ens.n_paths, grid.n_time, -1).sum(axis=2)
+    run = np.repeat(np.cumsum(per_time, axis=1) - per_time, c // grid.n_time, axis=1)
     rhs = np.sum(h[None, :] * run * inc, axis=1)
-    return [
-        _make_record(
-            check_id,
-            _worst_of((_rel_gap(chaos_evaluate(du, ens), rhs), dropped)),
-            0.0,
-            cfg.tolerances["pathwise"],
-            note="divergence of an adapted step process vs the time-ordered sum, "
-            f"per path, {n_paths} paths",
-        )
-    ]
+    yield "time-ordered sum", _path_gaps(chaos_evaluate(du, ens), rhs)
+    yield "dropped mass", dropped
 
 
 @_registered("malliavin.split")

@@ -129,7 +129,8 @@ def test_criterion_14_skorohod_isometry(records):
     mc = must_pass(records, "malliavin.skorohod_mc")
     assert mc.tolerance == 4.0
     assert mc.se is not None
-    assert must_pass(records, "malliavin.adapted_ito").tolerance == 1e-10
+    for name in MODELS:
+        assert must_pass(records, f"malliavin.adapted_ito.{name}").tolerance == 1e-10
 
 
 def test_criterion_15_reports_are_deterministic(tmp_path):

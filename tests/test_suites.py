@@ -49,11 +49,14 @@ SMALL = dict(
 # gained the sim.martingale_closed records. "sim" was re-pinned again when the
 # chain engine began to compose one transfer per run in real arithmetic
 # (ENGINE_VERSION 3: sim.chain_power 1.76e-15 -> 2.67e-15; no other line).
+# "malliavin" was re-pinned, here and in ALGEBRA_SHA256, when
+# malliavin.adapted_ito became one passing record per noise type
+# (malliavin.adapted_ito.{poisson,brownian,mixed}; no other line).
 REPORT_SHA256 = {
     "fock": "0f4c686ef3391e429c95123ff1b4e155f6d5c9f5fae71711f96088b625f78d12",
     "sim": "a55e42b796ba7c09bd4dadc18425b9de5322d9a4954f8d883e01fba716a2747e",
     "chaos": "33bb318bf612ab706b7d0ada65b5dbd4ae018a6e846cdfa56dc72c09f85f0903",
-    "malliavin": "24310f948ac131af746227e8b8b9e6579d586ef161e666a44e81af8c4445cab3",
+    "malliavin": "d7464c2b3172877b6c5892a7160e6bcbb6fb51bdcd004353de4417d08d4a3d76",
 }
 
 # The Fock and Malliavin suites at the benchmark's algebra config (d = 3,
@@ -62,7 +65,7 @@ REPORT_SHA256 = {
 ALGEBRA = dict(d=3, truncation=6, max_degree=7, n_paths=400, seed=7)
 ALGEBRA_SHA256 = {
     "fock": "c14930d1a650a862fec5945821ef7735c2a752e8eb0f282e6213102a287cdf72",
-    "malliavin": "ce19e279eac34e7c5c412ed427f87ef7cd13eaecf68559797a1924452fab594d",
+    "malliavin": "e49e9b2554e61fb3fa337411d90047d943003242c375b4c86d2b649d87784f4c",
 }
 
 
@@ -93,8 +96,12 @@ def test_record_streams_are_keyed_by_seed_and_id():
     assert _check_seed(42, "fock.ccr") != _check_seed(42, "fock.lower_norm")
 
 
+def _per_ids(family, models=("poisson", "brownian", "mixed")):
+    return [f"{family}.{name}" for name in models]
+
+
 def _per_model(family, models=("poisson", "brownian", "mixed")):
-    return [(f"{family}.{name}", family) for name in models]
+    return [(record_id, family) for record_id in _per_ids(family, models)]
 
 
 # (record id, registered check that timed it), in report order; the chaos
@@ -119,9 +126,9 @@ TIMED_UNDER = {
         *_per_model("sim.sample_moments"),
         ("sim.chain_power", "sim.chain_power"),
         ("sim.euler_order", "sim.euler_order"),
-        ("sim.doleans_brownian", "sim.doleans_closed"),
-        ("sim.doleans_poisson", "sim.doleans_closed"),
-        ("sim.doleans_counting", "sim.doleans_closed"),
+        ("sim.doleans_brownian", "sim.doleans_brownian"),
+        ("sim.doleans_poisson", "sim.doleans_poisson"),
+        ("sim.doleans_counting", "sim.doleans_counting"),
         *_per_model("sim.doleans_martingale"),
         *_per_model("sim.exp_martingale"),
         *_per_model("sim.martingale_closed"),
@@ -439,11 +446,11 @@ def _nan_const(real):
 
 
 def _nan_path(real):
-    """The real per-path values with one path's value replaced by NaN."""
+    """The real per-path values with one path's values replaced by NaN."""
 
     def fake(*args, **kwargs):
         out = real(*args, **kwargs)
-        out[out.size // 2] = math.nan
+        out[len(out) // 2] = math.nan
         return out
 
     return fake
@@ -517,11 +524,20 @@ NAN_PROBES = [
         [("iterated_chain", lambda real: lambda fields, ens: math.nan)],
         ["sim.chain_power"],
     ),
+    ("_check_doleans_brownian", [("doleans_exp", _nan_path)], ["sim.doleans_brownian"]),
+    ("_check_doleans_poisson", [("doleans_exp", _nan_path)], ["sim.doleans_poisson"]),
+    ("_check_doleans_counting", [("doleans_exp", _nan_path)], ["sim.doleans_counting"]),
+    (
+        "_check_martingale_closed",
+        [("exp_martingale_grid", _nan_path)],
+        _per_ids("sim.martingale_closed"),
+    ),
     (
         "_check_representation",
         [("representation_residual", _nan_path)],
         ["sim.representation"],
     ),
+    ("_check_engines", [("chaos_evaluate", _nan_path)], ["chaos.engines"]),
     ("_check_projection", [("project_mc", _nan_errors)], ["chaos.projection"]),
     (
         "_check_eigen_relation",
@@ -535,7 +551,11 @@ NAN_PROBES = [
         ["malliavin.skorohod_kernel"],
     ),
     ("_check_skorohod_mc", [("chaos_divergence", _nan_second)], ["malliavin.skorohod_mc"]),
-    ("_check_adapted_ito", [("chaos_divergence", _nan_second)], ["malliavin.adapted_ito"]),
+    (
+        "_check_adapted_ito",
+        [("chaos_divergence", _nan_second)],
+        _per_ids("malliavin.adapted_ito"),
+    ),
     ("_check_split", [("split_divergence", _nan_second)], ["malliavin.split"]),
     (
         "_check_dom_monotone",
@@ -561,3 +581,47 @@ def test_a_nan_inside_a_check_fails_its_records(monkeypatch, check, patches, fai
     records = getattr(suites, check)(RunConfig(**SMALL))
     status = {r.check_id: r.status for r in records}
     assert [status[i] for i in failing] == ["fail"] * len(failing)
+
+
+# The engine x noise matrix: each engine and the noise types on which an exact
+# record checks it route against route, path by path. Filling a cell is an
+# edit of this table.
+ENGINE_MATRIX = {
+    "iterated_chain": {"poisson"},
+    "power_integrals": {"poisson"},
+    "doleans_exp": {"poisson", "brownian"},
+    "exp_martingale_grid": {"poisson", "brownian", "mixed"},
+    "chaos_evaluate": {"poisson"},
+    "representation_residual": {"poisson"},
+    "chaos.divergence": {"poisson", "brownian", "mixed"},
+}
+
+
+def test_the_exact_records_cover_the_engine_noise_matrix():
+    matrix = {}
+    for fn in suite_checks("all"):
+        for engine, model in getattr(fn, "engines", ()):
+            matrix.setdefault(engine, set()).add(model)
+    assert matrix == ENGINE_MATRIX
+
+
+def test_a_failing_exact_record_names_its_worst_label_and_path(monkeypatch):
+    real = suites.exp_martingale_grid
+
+    def off_on_brownian(u, ens):
+        out = real(u, ens)
+        if not ens.grid.model.atoms:
+            out[5, -1] += 1.0
+        return out
+
+    monkeypatch.setattr(suites, "exp_martingale_grid", off_on_brownian)
+    records = suites._check_martingale_closed(RunConfig(**SMALL))
+    assert [r.status for r in records] == ["pass", "fail", "pass"]
+    assert records[1].note.endswith("400 paths; worst: horizon, path 5")
+    assert all("worst" not in r.note for r in (records[0], records[2]))
+
+
+def test_a_failing_scalar_gap_names_no_path(monkeypatch):
+    monkeypatch.setattr(suites, "chaos_divergence", _nan_second(suites.chaos_divergence))
+    records = suites._check_adapted_ito(RunConfig(**SMALL))
+    assert all(r.note.endswith("paths; worst: dropped mass") for r in records)
