@@ -10,22 +10,28 @@ A check is a function of the config that returns its records. Decorating it
 with @_registered("<suite>.<name>") appends it to that suite, so a suite runs
 its checks in definition order. Two drivers declare a family of per-model
 records once, over a generator. A Monte Carlo family's stats(model, grid, ens)
-yields per-path values and their targets, and @_mc_family("<suite>.<name>",
-note) registers the check that draws, evaluates and reduces it in path
-blocks. An exact family's gaps(cfg, model, grid, ens) yields labelled
-per-path gaps between two routes, and @_exact_family("<suite>.<name>", note,
-max_paths) registers the check that takes the worst of them and stamps the
-(engine, model) pairs it covers. A check over seeded random trials returns
-_trials(...). Every check turns many residuals into one value with _worst_of
-(z-scores with their standard errors: _worst), so a NaN residual is kept and
-fails its record; every other ensemble is drawn by _ensemble from the
-record's own stream.
+yields per-path values and their targets, optionally with the exact per-path
+standard deviation that then scores z in place of the sample one, and
+@_mc_family("<suite>.<name>", note) registers the check that draws, evaluates
+and reduces it in path blocks. An exact family's gaps(cfg, model, grid, ens)
+yields labelled per-path gaps between two routes, and
+@_exact_family("<suite>.<name>", note, max_paths) registers the check that
+takes the worst of them and stamps the (engine, model) pairs it covers. A
+check over seeded random trials returns _trials(...). Every check turns many
+residuals into one value with _worst_of (z-scores with their standard errors:
+_worst), so a NaN residual is kept and fails its record; every other ensemble
+is drawn by _ensemble from the record's own stream.
+
+run_suite runs the checks of a suite in registry order, in the calling
+process or over a pool of forked workers that inherit the registry and are
+pinned by the caller, one CPU each; no module state is set for a run.
 
 A guard-rail breach inside a check becomes a failing record, not a crash;
 anything else propagating out of a check is a bug and is allowed to surface.
 """
 from __future__ import annotations
 
+import functools
 import math
 import multiprocessing
 import os
@@ -124,11 +130,11 @@ def _make_record(check_id, value, expected, tolerance, se=None, note="") -> Chec
     return CheckRecord(check_id, status, value, expected, tolerance, se=se, note=note)
 
 
-def _zscore(stat, target) -> float:
-    gap = abs(stat.mean - target)
-    if stat.se == 0.0:
+def _zscore(mean, target, se) -> float:
+    gap = abs(mean - target)
+    if se == 0.0:
         return 0.0 if gap == 0.0 else math.inf
-    return float(gap / stat.se)
+    return float(gap / se)
 
 
 def _nan_high(x: float) -> tuple[bool, float]:
@@ -267,8 +273,11 @@ def _mc_family(family: str, note, models=("poisson", "brownian", "mixed")):
 
     The check makes one mc_sigmas record per model, id f"{family}.{model}":
     the worst z over the (per-path values, target) pairs that stats yields,
-    the first one on a tie. note is a string or a function of (cfg, grid); a
-    failing record whose worst statistic has non-finite samples says how many.
+    the first one on a tie. A statistic may carry its exact per-path standard
+    deviation sd as a third element; its z and se then use sd / sqrt(N) in
+    place of the sample standard error. note is a string or a function of
+    (cfg, grid); a failing record whose worst statistic has non-finite
+    samples says how many.
 
     The paths are drawn, evaluated and kept in blocks of consecutive paths;
     each statistic's values are joined in path order and summarized once, so
@@ -290,11 +299,13 @@ def _mc_family(family: str, note, models=("poisson", "brownian", "mixed")):
                     n = min(step, cfg.n_paths - lo)
                     ens = sample_ensemble(model, grid, seed, n, first=lo)
                     # copies, so a column view does not keep the block's arrays alive
-                    blocks.append([(np.array(v), t) for v, t in stats(model, grid, ens)])
+                    blocks.append([(np.array(v), *rest) for v, *rest in stats(model, grid, ens)])
                 pairs = []
                 for col in zip(*blocks):
-                    stat = summarize(np.concatenate([v for v, _ in col]))
-                    pairs.append((_zscore(stat, col[0][1]), stat.se))
+                    stat = summarize(np.concatenate([c[0] for c in col]))
+                    target, *sd = col[0][1:]
+                    se = sd[0] / math.sqrt(stat.n_paths) if sd else stat.se
+                    pairs.append((_zscore(stat.mean, target, se), se))
                 worst = _worst(pairs)
                 record = _make_record(
                     check_id,
@@ -596,13 +607,17 @@ def _probe_cells(grid: CellGrid) -> list[int]:
 @_mc_family(
     "sim.cell_moments",
     lambda cfg, grid: f"max |z| over mean and second moment at cells "
-    f"{_probe_cells(grid)}, {cfg.n_paths} paths",
+    f"{_probe_cells(grid)}, {cfg.n_paths} paths, exact se",
 )
 def _cell_moments(model, grid, ens):
     inc = cell_increments(ens)
     for ci in _probe_cells(grid):
-        yield inc[:, ci], 0.0
-        yield inc[:, ci] ** 2, grid.cell_masses[ci]
+        m = float(grid.cell_masses[ci])
+        # x of mass m has variance m; x^2 has m + 2m^2 on a jump cell (Poisson
+        # fourth central moment m + 3m^2) and 2m^2 on a diffusion cell
+        jump = m if grid.cell_bin[ci] else 0.0
+        yield inc[:, ci], 0.0, math.sqrt(m)
+        yield inc[:, ci] ** 2, m, math.sqrt(jump + 2.0 * m * m)
 
 
 @_mc_family(
@@ -616,11 +631,12 @@ def _characteristic(model, grid, ens):
         yield np.exp(1j * u * x), target
 
 
-@_mc_family("sim.sample_moments", "max |z| over terminal mean and total jump count")
+@_mc_family("sim.sample_moments", "max |z| over terminal mean and total jump count, exact se")
 def _sample_moments(model, grid, ens):
-    yield terminal_value(ens), model.mean_slope * model.horizon
+    var = (model.sigma**2 + sum(lam * x * x for x, lam in model.atoms)) * model.horizon
+    yield terminal_value(ens), model.mean_slope * model.horizon, math.sqrt(var)
     rate = sum(lam for _, lam in model.atoms) * model.horizon
-    yield np.diff(ens.offsets).astype(float), rate
+    yield np.diff(ens.offsets).astype(float), rate, math.sqrt(rate)
 
 
 @_exact_family(
@@ -1052,7 +1068,7 @@ def _check_skorohod_mc(cfg: RunConfig):
     return [
         _make_record(
             check_id,
-            _worst_of((_zscore(stat, target), drop_u, drop_v)),
+            _worst_of((_zscore(stat.mean, target, stat.se), drop_u, drop_v)),
             0.0,
             cfg.tolerances["mc_sigmas"],
             se=stat.se,
@@ -1259,49 +1275,36 @@ def _run_one(fn, cfg: RunConfig) -> list[CheckRecord]:
     return records
 
 
-# (checks, config) of the run a pool worker serves. _adopt sets it in each
-# forked worker; the calling process never sets it.
-_ADOPTED = None
 # Pool never returns the check a dead worker held (one killed by a signal, for
 # instance), so the runner looks for dead workers this often while it waits.
 _WORKER_POLL_S = 1.0
 
 
-def _adopt(checks, config: RunConfig, cpus: list[int], taken) -> None:
-    """Pool initializer: keep the run, and pin this worker to the next CPU.
+def _run_registered(config: RunConfig, index: int) -> list[CheckRecord]:
+    # a forked worker's registry is its parent's at the fork, wrapped checks included
+    return _run_one(suite_checks(config.suite)[index], config)
 
-    A forked worker starts on its parent's CPU, and a kernel that does not
-    balance load may leave every worker there; so worker i pins itself to
-    cpus[i], counting workers in the shared counter taken. The pin is
-    placement only: if the CPU cannot be had, the worker runs unpinned.
+
+def _forked_batches(config: RunConfig, n_checks: int, n_workers: int) -> list[list[CheckRecord]]:
+    """Each check's records, in order, from a pool of n_workers forked workers.
+
+    A kernel that does not balance load may leave every forked worker on its
+    parent's CPU, so worker i is pinned to CPU i of the parent's set before any
+    check is sent. The pin is placement only: a CPU that cannot be had leaves
+    its worker unpinned. Pool._pool lists this pool's workers only, not those
+    that a call on another thread forks.
     """
-    global _ADOPTED
-    _ADOPTED = (checks, config)
-    with taken.get_lock():
-        index = taken.value
-        taken.value += 1
+    pool = multiprocessing.get_context("fork").Pool(n_workers)
+    workers = list(pool._pool)
+    for worker, cpu in zip(workers, sorted(os.sched_getaffinity(0))):
+        try:
+            os.sched_setaffinity(worker.pid, {cpu})
+        except OSError:
+            pass
     try:
-        os.sched_setaffinity(0, {cpus[index % len(cpus)]})
-    except OSError:
-        pass
-
-
-def _run_adopted(index: int) -> list[CheckRecord]:
-    checks, config = _ADOPTED
-    return _run_one(checks[index], config)
-
-
-def _forked_batches(checks, config: RunConfig, n_workers: int) -> list[list[CheckRecord]]:
-    """Each check's records, in order, from a pool of n_workers forked workers."""
-    before = multiprocessing.active_children()
-    context = multiprocessing.get_context("fork")
-    cpus = sorted(os.sched_getaffinity(0))
-    pool = context.Pool(n_workers, _adopt, (checks, config, cpus, context.Value("i", 0)))
-    workers = [p for p in multiprocessing.active_children() if p not in before]
-    try:
-        results = pool.imap(_run_adopted, range(len(checks)))
+        results = pool.imap(functools.partial(_run_registered, config), range(n_checks))
         batches = []
-        while len(batches) < len(checks):
+        while len(batches) < n_checks:
             try:
                 batches.append(results.next(_WORKER_POLL_S))
             except multiprocessing.TimeoutError:
@@ -1321,10 +1324,12 @@ def run_suite(config: RunConfig) -> list[CheckRecord]:
 
     The checks are mapped over a pool of forked processes, one check at a
     time, with one worker per CPU this process may run on (at most one per
-    check), each pinned to its own CPU of that set. A worker inherits the
-    checks and the config through fork, is sent only a check's index and
-    sends back that check's records, timed in the worker; so a check may be
-    any callable, a wrapped one included. With one usable CPU
+    check); the runner pins each worker it forks to its own CPU of that set
+    before sending any check. A worker inherits the registry through fork, is
+    sent the config and a check's index, and sends back that check's records,
+    timed in the worker; so a check may be any callable, a wrapped one
+    included. No module state is set for a run, so two threads may call
+    run_suite at once. With one usable CPU
     (reporting.usable_cpus, which is 1 off Linux), the checks run one after
     another in the calling process. Every check draws from its own stream,
     so the records do not depend on where it ran. No worker outlives the
@@ -1344,5 +1349,5 @@ def run_suite(config: RunConfig) -> list[CheckRecord]:
     if n_workers < 2:
         batches = [_run_one(fn, config) for fn in checks]
     else:
-        batches = _forked_batches(checks, config, n_workers)
+        batches = _forked_batches(config, len(checks), n_workers)
     return [record for batch in batches for record in batch]

@@ -51,10 +51,13 @@ SMALL = dict(
 # (ENGINE_VERSION 3: sim.chain_power 1.76e-15 -> 2.67e-15; no other line).
 # "malliavin" was re-pinned, here and in ALGEBRA_SHA256, when
 # malliavin.adapted_ito became one passing record per noise type
-# (malliavin.adapted_ito.{poisson,brownian,mixed}; no other line).
+# (malliavin.adapted_ito.{poisson,brownian,mixed}; no other line). "sim" was
+# re-pinned when sim.cell_moments and sim.sample_moments began to score z with
+# their closed-form standard errors (value, se and note of those six records;
+# all still pass, no other line).
 REPORT_SHA256 = {
     "fock": "0f4c686ef3391e429c95123ff1b4e155f6d5c9f5fae71711f96088b625f78d12",
-    "sim": "a55e42b796ba7c09bd4dadc18425b9de5322d9a4954f8d883e01fba716a2747e",
+    "sim": "a64477225e42eb21a6b700b56eff81759eb71b1ead6ea29dbb40855c29ea8b30",
     "chaos": "33bb318bf612ab706b7d0ada65b5dbd4ae018a6e846cdfa56dc72c09f85f0903",
     "malliavin": "d7464c2b3172877b6c5892a7160e6bcbb6fb51bdcd004353de4417d08d4a3d76",
 }
@@ -201,6 +204,37 @@ def test_configs_at_the_cell_mass_floor_are_refused_below_and_run_above(knob):
         ]
     for r in records:
         assert r.passed and math.isfinite(r.value), (r.check_id, r.value, r.se)
+
+
+def test_moments_where_no_path_jumps_are_scored_with_exact_standard_errors():
+    # No path of 1000 jumps by this horizon, so every jump statistic has sample
+    # se 0, and with it the moment records read z = inf. The exact se scores
+    # them. sim.characteristic, sim.doleans_martingale and sim.exp_martingale
+    # still use the sample se and fail here on Poisson noise.
+    cfg = RunConfig(suite="sim", n_paths=1000, seed=42, horizon=1e-4)
+    records = {r.check_id: r for r in suites._cell_moments(cfg) + suites._sample_moments(cfg)}
+    for family in ("sim.cell_moments", "sim.sample_moments"):
+        for record_id in _per_ids(family, ("poisson", "mixed")):
+            record = records[record_id]
+            assert record.passed and math.isfinite(record.value), (record_id, record.value)
+    T, root_n = cfg.horizon, math.sqrt(cfg.n_paths)
+    m = T / cfg.n_time  # every cell's mass: unit rate, and sigma 1 on the mixed model
+    # Poisson paths are deterministic here. A cell increment is -m, whose z
+    # sqrt(m N) beats its square's; X(T) and the jump count both miss their
+    # targets by T with sd sqrt(T), and X(T) comes first.
+    cell = records["sim.cell_moments.poisson"]
+    assert cell.se == pytest.approx(math.sqrt(m) / root_n, rel=1e-15)
+    assert cell.value == pytest.approx(math.sqrt(m * cfg.n_paths), rel=1e-12)
+    terminal = records["sim.sample_moments.poisson"]
+    assert terminal.se == pytest.approx(math.sqrt(T) / root_n, rel=1e-15)
+    assert terminal.value == pytest.approx(math.sqrt(T * cfg.n_paths), rel=1e-12)
+    # on mixed noise the paths are random, but the worst statistic's se is
+    # still one of its family's closed forms
+    cell_sds = (math.sqrt(m), math.sqrt(m + 2.0 * m * m), math.sqrt(2.0 * m * m))
+    mixed = records["sim.cell_moments.mixed"].se * root_n
+    assert any(mixed == pytest.approx(sd, rel=1e-14) for sd in cell_sds), mixed
+    mixed = records["sim.sample_moments.mixed"].se * root_n
+    assert any(mixed == pytest.approx(sd, rel=1e-14) for sd in (math.sqrt(2.0 * T), math.sqrt(T)))
 
 
 def _usable_cpus(monkeypatch, n: int) -> None:
@@ -358,23 +392,18 @@ def test_each_pool_worker_is_pinned_to_its_own_cpu(monkeypatch, tmp_path):
     assert sha256(payload.encode()).hexdigest() == REPORT_SHA256["fock"]
 
 
-@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="Linux only")
-def test_adopt_hands_out_each_worker_index_once():
-    # more workers than CPUs, started at once: a lost update of the shared
-    # counter would hand two workers one index
-    context = multiprocessing.get_context("fork")
-    taken = context.Value("i", 0)
-    cpus = sorted(os.sched_getaffinity(0))
-    n = 4 * len(cpus)
-    workers = [
-        context.Process(target=suites._adopt, args=([], None, cpus, taken)) for _ in range(n)
-    ]
-    for p in workers:
-        p.start()
-    for p in workers:
-        p.join(timeout=30)
-        assert not p.is_alive() and p.exitcode == 0
-    assert taken.value == n
+@pytest.mark.parametrize("suites_in_turn", [("fock", "malliavin"), ("sim", "chaos")])
+def test_run_suite_called_twice_in_one_process_keeps_the_pinned_bytes(
+    monkeypatch, suites_in_turn
+):
+    # the benchmark's algebra and verify-jumps workloads run two suites in one
+    # process, each call forking its own pool
+    _usable_cpus(monkeypatch, 2)
+    for suite in suites_in_turn:
+        records = run_suite(RunConfig(suite=suite, **SMALL))
+        payload = "".join(json.dumps(r.row(), sort_keys=True) + "\n" for r in records)
+        assert sha256(payload.encode()).hexdigest() == REPORT_SHA256[suite], suite
+        assert multiprocessing.active_children() == []
 
 
 def _broken(cfg):
