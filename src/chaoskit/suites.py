@@ -17,10 +17,12 @@ and reduces it in path blocks. An exact family's gaps(cfg, model, grid, ens)
 yields labelled per-path gaps between two routes, and
 @_exact_family("<suite>.<name>", note, max_paths) registers the check that
 takes the worst of them and stamps the (engine, model) pairs it covers. A
-check over seeded random trials returns _trials(...). Every check turns many
-residuals into one value with _worst_of (z-scores with their standard errors:
-_worst), so a NaN residual is kept and fails its record; every other ensemble
-is drawn by _ensemble from the record's own stream.
+residual check's residuals(cfg, rng) generator yields residuals, rng being the
+check's own stream, and @_residual_family("<suite>.<name>", tolerance, note)
+registers the check whose one record is the worst of them. Every check turns
+many residuals into one value with _worst_of (z-scores with their standard
+errors: _worst), so a NaN residual is kept and fails its record; every other
+ensemble is drawn by _ensemble from the record's own stream.
 
 run_suite runs the checks of a suite in registry order, in the calling
 process or over a pool of forked workers that inherit the registry and are
@@ -349,10 +351,11 @@ def _exact_family(
         @_registered(family)
         def check(cfg: RunConfig) -> list[CheckRecord]:
             n_paths = min(cfg.n_paths, max_paths)
+            by_name = cfg.models()
             records = []
             for name in models:
                 check_id = family if len(models) == 1 else f"{family}.{name}"
-                model = cfg.models()[name]
+                model = by_name[name]
                 grid, ens = _ensemble(cfg, check_id, model, getattr(cfg, n_time), n_paths)
                 worst = []
                 for label, gap in gaps(cfg, model, grid, ens):
@@ -375,48 +378,57 @@ def _exact_family(
     return deco
 
 
-def _trials(
-    cfg: RunConfig, check_id: str, n: int, residual, tol: str, note: str
-) -> list[CheckRecord]:
-    """The check's one record: the worst residual(rng) over n trials drawn from
-    the check's own stream. A NaN residual is kept, so the record fails."""
-    rng = _trial_rng(cfg, check_id)
-    worst = _worst_of(residual(rng) for _ in range(n))
-    return [_make_record(check_id, worst, 0.0, cfg.tolerances[tol], note=note)]
+def _residual_family(check_id: str, tolerance: str, note):
+    """Register the check `check_id` built on the decorated
+    residuals(cfg, rng) generator, and return the check.
+
+    The check's one record is the worst residual the generator yields, the
+    first NaN if there is one, so a NaN fails the record. rng is the check's
+    own stream, _trial_rng(cfg, check_id). note is a string or a function of
+    cfg."""
+
+    def deco(residuals):
+        @_registered(check_id)
+        def check(cfg: RunConfig) -> list[CheckRecord]:
+            worst = _worst_of(residuals(cfg, _trial_rng(cfg, check_id)))
+            text = note(cfg) if callable(note) else note
+            return [_make_record(check_id, worst, 0.0, cfg.tolerances[tolerance], note=text)]
+
+        return check
+
+    return deco
 
 
 # ---------------------------------------------------------------------------
 # fock suite
 
 
-@_registered("fock.exp_gram")
-def _check_exp_gram(cfg: RunConfig):
+@_residual_family(
+    "fock.exp_gram",
+    "gram_ratio",
+    "worst kernel error over (tail bound + float allowance), 200 trials, roof 30",
+)
+def _check_exp_gram(cfg: RunConfig, rng):
     roof = 30
-
-    def residual(rng):
+    for _ in range(200):
         d = int(rng.integers(1, 5))
         f = _unit_modes(rng, d, 0.1, 1.5)
         g = _unit_modes(rng, d, 0.1, 1.5)
         approx = exp_vector(f, roof).inner(exp_vector(g, roof))
         exact = complex(np.exp(np.vdot(f, g)))
         allowed = gram_tail_bound(f, g, roof) + 1e-12 * (1.0 + abs(exact))
-        return abs(approx - exact) / allowed
-
-    return _trials(
-        cfg,
-        "fock.exp_gram",
-        200,
-        residual,
-        "gram_ratio",
-        "worst kernel error over (tail bound + float allowance), 200 trials, roof 30",
-    )
+        yield abs(approx - exact) / allowed
 
 
-@_registered("fock.ccr")
-def _check_ccr(cfg: RunConfig):
+@_residual_family(
+    "fock.ccr",
+    "algebraic",
+    lambda cfg: f"commutator residual / norm, 200 trials, d={cfg.d}, "
+    f"roof {max(cfg.truncation, 3)}",
+)
+def _check_ccr(cfg: RunConfig, rng):
     d, M = cfg.d, max(cfg.truncation, 3)
-
-    def residual(rng):
+    for _ in range(200):
         psi = _random_levels(rng, FockVector, d, M, zero_top=2)
         f = _unit_modes(rng, d)
         g = _unit_modes(rng, d)
@@ -424,16 +436,8 @@ def _check_ccr(cfg: RunConfig):
         left = annihilate(f, raised)
         right, _ = create(g, annihilate(f, psi))
         comm = left - right - psi * complex(np.vdot(f, g))
-        return _worst_of((comm.norm() / psi.norm(), spill))
-
-    return _trials(
-        cfg,
-        "fock.ccr",
-        200,
-        residual,
-        "algebraic",
-        f"commutator residual / norm, 200 trials, d={d}, roof {M}",
-    )
+        yield comm.norm() / psi.norm()
+        yield spill
 
 
 @_registered("fock.ladder_norms")
@@ -464,23 +468,17 @@ def _check_ladder_norms(cfg: RunConfig):
     ]
 
 
-@_registered("fock.number_factorization")
-def _check_number_factorization(cfg: RunConfig):
-    d, M = cfg.d, cfg.truncation
-
-    def residual(rng):
-        psi = _random_levels(rng, FockVector, d, M)
+@_residual_family(
+    "fock.number_factorization",
+    "algebraic",
+    "divergence(gradient) vs number operator, 100 random vectors",
+)
+def _check_number_factorization(cfg: RunConfig, rng):
+    for _ in range(100):
+        psi = _random_levels(rng, FockVector, cfg.d, cfg.truncation)
         assembled, dropped = fock_divergence(fock_gradient(psi))
-        return _worst_of(((assembled - number_apply(psi)).norm() / psi.norm(), dropped))
-
-    return _trials(
-        cfg,
-        "fock.number_factorization",
-        100,
-        residual,
-        "algebraic",
-        "divergence(gradient) vs number operator, 100 random vectors",
-    )
+        yield (assembled - number_apply(psi)).norm() / psi.norm()
+        yield dropped
 
 
 def _half_integral(n: int) -> float:
@@ -495,36 +493,29 @@ def _half_integral(n: int) -> float:
     return 2.0 * h * (float(f.sum()) - 0.5 * float(f[0])) / math.sqrt(math.pi)
 
 
-@_registered("fock.q_isometry")
-def _check_q(cfg: RunConfig):
-    d, M = cfg.d, cfg.truncation
-
-    def residual(rng):
-        psi = _random_levels(rng, FockVector, d, M)
-        phi = _random_levels(rng, FockVector, d, M)
+@_residual_family(
+    "fock.q_isometry",
+    "algebraic",
+    "graph inner of scaled pair vs plain inner, 100 random pairs",
+)
+def _check_q(cfg: RunConfig, rng):
+    for _ in range(100):
+        psi = _random_levels(rng, FockVector, cfg.d, cfg.truncation)
+        phi = _random_levels(rng, FockVector, cfg.d, cfg.truncation)
         plain = psi.inner(phi)
         scaled = graph_inner(sobolev_scale(psi), sobolev_scale(phi))
-        return abs(scaled - plain) / max(1.0, abs(plain))
+        yield abs(scaled - plain) / max(1.0, abs(plain))
 
-    nmax = min(cfg.max_degree, 6)
-    return _trials(
-        cfg,
-        "fock.q_isometry",
-        100,
-        residual,
-        "algebraic",
-        "graph inner of scaled pair vs plain inner, 100 random pairs",
-    ) + [
-        _make_record(
-            "fock.q_quadrature",
-            _worst_of(
-                abs(_half_integral(n) - 1.0 / math.sqrt(1.0 + n)) for n in range(nmax + 1)
-            ),
-            0.0,
-            cfg.tolerances["quadrature"],
-            note=f"half-integral quadrature identity for the scale weights, n <= {nmax}",
-        )
-    ]
+
+@_residual_family(
+    "fock.q_quadrature",
+    "quadrature",
+    lambda cfg: "half-integral quadrature identity for the scale weights, "
+    f"n <= {min(cfg.max_degree, 6)}",
+)
+def _check_q_quadrature(cfg: RunConfig, rng):
+    for n in range(min(cfg.max_degree, 6) + 1):
+        yield abs(_half_integral(n) - 1.0 / math.sqrt(1.0 + n))
 
 
 @_registered("fock.ito_skorohod")
@@ -560,11 +551,14 @@ def _check_ito_skorohod(cfg: RunConfig):
     ]
 
 
-@_registered("fock.exp_adjunction")
-def _check_exp_adjunction(cfg: RunConfig):
+@_residual_family(
+    "fock.exp_adjunction",
+    "algebraic",
+    "pairing and shift adjunctions vs kernel closed form, 100 random (f,g,h,t)",
+)
+def _check_exp_adjunction(cfg: RunConfig, rng):
     d = cfg.d
-
-    def residual(rng):
+    for _ in range(100):
         f = _unit_modes(rng, d)
         g = _unit_modes(rng, d)
         h = _unit_modes(rng, d)
@@ -578,22 +572,57 @@ def _check_exp_adjunction(cfg: RunConfig):
         scale = max(1.0, abs(closed))
         lhs2 = exp_gram(exp_shift(h, cf, adjoint=True), cg)
         rhs2 = exp_gram(cf, exp_shift(h, cg))
-        return _worst_of(
-            (
-                abs(lhs - rhs) / scale,
-                abs(lhs - closed) / scale,
-                abs(lhs2 - rhs2) / max(1.0, abs(lhs2)),
-            )
-        )
+        yield abs(lhs - rhs) / scale
+        yield abs(lhs - closed) / scale
+        yield abs(lhs2 - rhs2) / max(1.0, abs(lhs2))
 
-    return _trials(
-        cfg,
-        "fock.exp_adjunction",
-        100,
-        residual,
-        "algebraic",
-        "pairing and shift adjunctions vs kernel closed form, 100 random (f,g,h,t)",
-    )
+
+# Closed-form norms on exponential vectors (Lindsay's maximal-domain calculus):
+# ||grad eps(f)||^2 = x e^x and ||div(eps(f) (x) g)||^2 = e^x (|g|^2 + |<f,g>|^2)
+# with x = |f|^2. At roof M each side misses exact series tails of the
+# exponential, which are added back before the comparison; the roof is at
+# least 1 because the gradient's tail starts above M - 1.
+
+
+@_residual_family(
+    "fock.grad_exp_norm",
+    "identity",
+    lambda cfg: "||gradient eps(f)||^2 + tail vs |f|^2 e^{|f|^2}, 100 trials, "
+    f"d={cfg.d}, roof {max(cfg.truncation, 1)}",
+)
+def _check_grad_exp_norm(cfg: RunConfig, rng):
+    d, M = cfg.d, max(cfg.truncation, 1)
+    for _ in range(100):
+        f = _unit_modes(rng, d)
+        x = float(np.vdot(f, f).real)
+        got = fock_gradient(exp_vector(f, M)).norm_sq() + x * exp_tail_bound(f, M - 1)
+        closed = x * math.exp(x)
+        yield abs(got - closed) / max(1.0, closed)
+
+
+@_residual_family(
+    "fock.div_exp_norm",
+    "identity",
+    lambda cfg: "||divergence(eps(f) (x) g)||^2 + dropped^2 + tails vs "
+    f"e^{{|f|^2}} (|g|^2 + |<f,g>|^2), 100 trials, d={cfg.d}, roof {max(cfg.truncation, 1)}",
+)
+def _check_div_exp_norm(cfg: RunConfig, rng):
+    d, M = cfg.d, max(cfg.truncation, 1)
+    for _ in range(100):
+        f = _unit_modes(rng, d)
+        g = _unit_modes(rng, d)
+        x, y = float(np.vdot(f, f).real), float(np.vdot(g, g).real)
+        fg = abs(complex(np.vdot(f, g))) ** 2
+        phi = MarkedFock(d, M, [np.outer(level, g) for level in exp_vector(f, M).levels])
+        div, dropped = fock_divergence(phi)
+        got = (
+            div.norm_sq()
+            + dropped**2
+            + fg * exp_tail_bound(f, M - 1)
+            + y * exp_tail_bound(f, M)
+        )
+        closed = math.exp(x) * (y + fg)
+        yield abs(got - closed) / max(1.0, closed)
 
 
 # ---------------------------------------------------------------------------
@@ -908,40 +937,35 @@ def _check_serialization(cfg: RunConfig):
 # malliavin suite
 
 
-@_registered("malliavin.eigen_relation")
-def _check_eigen_relation(cfg: RunConfig):
-    check_id = "malliavin.eigen_relation"
-    model = poisson_preset(1.0, cfg.horizon)
-    grid = CellGrid(model, cfg.chaos_n_time)
+@_residual_family(
+    "malliavin.eigen_relation",
+    "algebraic",
+    "derivative of the exponential functional is the profile times itself, "
+    "kernel level; the top order sits above the truncation roof",
+)
+def _check_eigen_relation(cfg: RunConfig, rng):
+    grid = CellGrid(poisson_preset(1.0, cfg.horizon), cfg.chaos_n_time)
     M = cfg.chaos_truncation
     field = StepField.from_columns(grid, bins={1: _profile_a(cfg.chaos_n_time)})
     F = ChaosCoefficients.doleans(field, M)
     G = chaos_gradient(F)
     fc = field.cell_values()
     scale = max(1.0, _worst_of(float(np.abs(k).max(initial=0.0)) for k in F.kernels))
-    worst = _worst_of(
-        float(np.abs(G.kernels[m] - F.kernels[m][:, None] * fc[None, :]).max(initial=0.0))
-        / scale
-        for m in range(M)
-    )
-    return [
-        _make_record(
-            check_id,
-            worst,
-            0.0,
-            cfg.tolerances["algebraic"],
-            note="derivative of the exponential functional is the profile times itself, "
-            "kernel level; the top order sits above the truncation roof",
-        )
-    ]
+    for m in range(M):
+        gap = np.abs(G.kernels[m] - F.kernels[m][:, None] * fc[None, :])
+        yield float(gap.max(initial=0.0)) / scale
 
 
-@_registered("malliavin.embed")
-def _check_embed(cfg: RunConfig):
+@_residual_family(
+    "malliavin.embed",
+    "algebraic",
+    "embedding intertwines inner products, derivative, divergence and "
+    "dropped mass, 40 random draws",
+)
+def _check_embed(cfg: RunConfig, rng):
     grid = CellGrid(cfg.mixed_model(), cfg.chaos_n_time)
     M = min(cfg.chaos_truncation, 3)
-
-    def residual(rng):
+    for _ in range(40):
         C = _random_levels(rng, ChaosCoefficients, grid, M, scale=0.5)
         D = _random_levels(rng, ChaosCoefficients, grid, M, scale=0.5)
         psi = embed_chaos(C)
@@ -951,67 +975,40 @@ def _check_embed(cfg: RunConfig):
         u = _random_levels(rng, MarkedChaos, grid, M, scale=0.5)
         div_c, drop_c = chaos_divergence(u)
         div_f, drop_f = fock_divergence(embed_marked(u))
-        return _worst_of(
-            (
-                abs(psi.inner(chi) - pair) / max(1.0, abs(pair)),
-                (embed_marked(chaos_gradient(C)) - grad).norm() / max(1.0, grad.norm()),
-                (embed_chaos(div_c) - div_f).norm() / max(1.0, div_f.norm()),
-                abs(drop_c - drop_f) / max(1.0, drop_f),
-            )
-        )
-
-    return _trials(
-        cfg,
-        "malliavin.embed",
-        40,
-        residual,
-        "algebraic",
-        "embedding intertwines inner products, derivative, divergence and "
-        "dropped mass, 40 random draws",
-    )
+        yield abs(psi.inner(chi) - pair) / max(1.0, abs(pair))
+        yield (embed_marked(chaos_gradient(C)) - grad).norm() / max(1.0, grad.norm())
+        yield (embed_chaos(div_c) - div_f).norm() / max(1.0, div_f.norm())
+        yield abs(drop_c - drop_f) / max(1.0, drop_f)
 
 
-@_registered("malliavin.number_factorization")
-def _check_number_chaos(cfg: RunConfig):
+@_residual_family(
+    "malliavin.number_factorization",
+    "algebraic",
+    "divergence of the derivative equals the number operator, 100 draws",
+)
+def _check_number_chaos(cfg: RunConfig, rng):
     grid = CellGrid(poisson_preset(1.0, cfg.horizon), cfg.chaos_n_time)
     M = min(cfg.chaos_truncation, 4)
-
-    def residual(rng):
+    for _ in range(100):
         C = _random_levels(rng, ChaosCoefficients, grid, M, scale=0.5)
-        return number_factorization_residual(C) / max(1.0, C.norm())
-
-    return _trials(
-        cfg,
-        "malliavin.number_factorization",
-        100,
-        residual,
-        "algebraic",
-        "divergence of the derivative equals the number operator, 100 draws",
-    )
+        yield number_factorization_residual(C) / max(1.0, C.norm())
 
 
-@_registered("malliavin.duality")
-def _check_duality_adjoint(cfg: RunConfig):
+@_residual_family(
+    "malliavin.duality",
+    "identity",
+    "divergence pairing vs process pairing with the derivative, 100 random pairs",
+)
+def _check_duality_adjoint(cfg: RunConfig, rng):
     grid = CellGrid(poisson_preset(1.0, cfg.horizon), cfg.chaos_n_time)
     M = min(cfg.chaos_truncation, 3)
-
-    def residual(rng):
+    for _ in range(100):
         u = _random_levels(rng, MarkedChaos, grid, M, scale=0.5)
         F = _random_levels(rng, ChaosCoefficients, grid, M, scale=0.5)
         div, _ = chaos_divergence(u)
         lhs = div.inner(F)
         rhs = u.inner(chaos_gradient(F))
-        return abs(lhs - rhs) / max(1.0, abs(lhs))
-
-    return _trials(
-        cfg,
-        "malliavin.duality",
-        100,
-        residual,
-        "identity",
-        "divergence pairing vs process pairing with the derivative, "
-        "100 random pairs",
-    )
+        yield abs(lhs - rhs) / max(1.0, abs(lhs))
 
 
 def _lift_marked(u: MarkedChaos) -> MarkedChaos:
@@ -1022,33 +1019,23 @@ def _lift_marked(u: MarkedChaos) -> MarkedChaos:
     return MarkedChaos(grid, M + 1, [k.copy() for k in u.kernels] + [top])
 
 
-@_registered("malliavin.skorohod_kernel")
-def _check_skorohod_kernel(cfg: RunConfig):
+@_residual_family(
+    "malliavin.skorohod_kernel",
+    "spectral",
+    "kernel route vs abstract ladder route, both sides, 100 random pairs",
+)
+def _check_skorohod_kernel(cfg: RunConfig, rng):
     grid = CellGrid(poisson_preset(1.0, cfg.horizon), cfg.chaos_n_time)
     M = min(cfg.chaos_truncation, 3)
-
-    def residual(rng):
+    for _ in range(100):
         u = _random_levels(rng, MarkedChaos, grid, M, scale=0.5)
         v = _random_levels(rng, MarkedChaos, grid, M, scale=0.5)
         sk = ito_skorohod_chaos(u, v)
         ladder = ito_skorohod(embed_marked(_lift_marked(u)), embed_marked(_lift_marked(v)))
         scale = max(1.0, abs(sk.lhs))
-        return _worst_of(
-            (
-                sk.defect / scale,
-                abs(sk.lhs - ladder.lhs) / scale,
-                abs(sk.rhs - ladder.rhs) / scale,
-            )
-        )
-
-    return _trials(
-        cfg,
-        "malliavin.skorohod_kernel",
-        100,
-        residual,
-        "spectral",
-        "kernel route vs abstract ladder route, both sides, 100 random pairs",
-    )
+        yield sk.defect / scale
+        yield abs(sk.lhs - ladder.lhs) / scale
+        yield abs(sk.rhs - ladder.rhs) / scale
 
 
 @_registered("malliavin.skorohod_mc")
@@ -1187,11 +1174,13 @@ def _check_split(cfg: RunConfig):
     return records
 
 
-@_registered("malliavin.dom_monotone")
-def _check_dom_monotone(cfg: RunConfig):
-    check_id = "malliavin.dom_monotone"
-    model = poisson_preset(1.0, cfg.horizon)
-    grid = CellGrid(model, cfg.chaos_n_time)
+@_residual_family(
+    "malliavin.dom_monotone",
+    "algebraic",
+    "domain functionals grow with the truncation roof, roofs 2..4",
+)
+def _check_dom_monotone(cfg: RunConfig, rng):
+    grid = CellGrid(poisson_preset(1.0, cfg.horizon), cfg.chaos_n_time)
     field = StepField.from_columns(grid, bins={1: _profile_a(cfg.chaos_n_time)})
     roofs = (2, 3, 4)
     grads = [dom_gradient_functional(ChaosCoefficients.doleans(field, M)) for M in roofs]
@@ -1199,45 +1188,36 @@ def _check_dom_monotone(cfg: RunConfig):
         dom_divergence_functional(chaos_gradient(ChaosCoefficients.doleans(field, M)))
         for M in roofs
     ]
-    return [
-        _make_record(
-            check_id,
-            _worst_of(a - b for seq in (grads, divs) for a, b in zip(seq, seq[1:])),
-            0.0,
-            cfg.tolerances["algebraic"],
-            note="domain functionals grow with the truncation roof, roofs 2..4",
-        )
-    ]
+    for seq in (grads, divs):
+        for a, b in zip(seq, seq[1:]):
+            yield a - b
 
 
-@_registered("malliavin.ou")
-def _check_ou(cfg: RunConfig):
+@_residual_family(
+    "malliavin.ou",
+    "algebraic",
+    "semigroup law, contraction, scale isometry; negative time refused",
+)
+def _check_ou(cfg: RunConfig, rng):
     grid = CellGrid(poisson_preset(1.0, cfg.horizon), cfg.chaos_n_time)
     M = min(cfg.chaos_truncation, 3)
-
-    def residual(rng):
+    try:
+        ou_semigroup(ChaosCoefficients.zero(grid, M), -0.5)
+    except ValueError:
+        pass
+    else:
+        yield math.inf
+        return
+    for _ in range(50):
         C = _random_levels(rng, ChaosCoefficients, grid, M, scale=0.5)
         s, t = float(rng.uniform(0.1, 0.6)), float(rng.uniform(0.1, 0.6))
         twice = ou_semigroup(ou_semigroup(C, s), t)
         scaled = chaos_sobolev_scale(C)
         graph = sum((1.0 + n) * scaled.level_norm_sq(n) for n in range(M + 1))
-        return _worst_of(
-            (
-                (twice - ou_semigroup(C, s + t)).norm() / max(1.0, C.norm()),
-                # contraction: only growth counts
-                (ou_semigroup(C, t).norm() - C.norm()) / max(1.0, C.norm()),
-                abs(graph - C.norm_sq()) / max(1.0, C.norm_sq()),
-            )
-        )
-
-    note = "semigroup law, contraction, scale isometry; negative time refused"
-    try:
-        ou_semigroup(ChaosCoefficients.zero(grid, M), -0.5)
-    except ValueError:
-        return _trials(cfg, "malliavin.ou", 50, residual, "algebraic", note)
-    return [
-        _make_record("malliavin.ou", math.inf, 0.0, cfg.tolerances["algebraic"], note=note)
-    ]
+        yield (twice - ou_semigroup(C, s + t)).norm() / max(1.0, C.norm())
+        # contraction: only growth counts
+        yield (ou_semigroup(C, t).norm() - C.norm()) / max(1.0, C.norm())
+        yield abs(graph - C.norm_sq()) / max(1.0, C.norm_sq())
 
 
 # ---------------------------------------------------------------------------

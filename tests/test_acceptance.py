@@ -152,5 +152,5 @@ def test_criterion_15_reports_are_deterministic(tmp_path):
         bundles.append(bundle)
     assert bundles[0] == bundles[1]
     lines = bundles[0]["report.jsonl"].decode().strip().splitlines()
-    assert len(lines) == 11
+    assert len(lines) == 13
     assert all(json.loads(line)["status"] == "pass" for line in lines)

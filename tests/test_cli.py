@@ -41,7 +41,7 @@ def test_fock_suite_writes_a_full_bundle(tmp_path, cfg_path, capsys):
     code = main(["fock", "--config", cfg_path, "--out", out])
     captured = capsys.readouterr().out
     assert code == 0
-    assert "11/11 pass" in captured
+    assert "13/13 pass" in captured
     run_dir = run_dir_of(captured)
     assert os.path.dirname(run_dir) == out
     for name in ("report.jsonl", "report.csv", "manifest.json", "timing.jsonl"):
@@ -50,7 +50,7 @@ def test_fock_suite_writes_a_full_bundle(tmp_path, cfg_path, capsys):
         manifest = json.load(fh)
     assert manifest["suite"] == "fock"
     assert manifest["seed"] == 11
-    assert manifest["passed"] == 11
+    assert manifest["passed"] == 13
 
 
 def test_identical_runs_emit_identical_report_bytes(tmp_path, cfg_path, capsys):

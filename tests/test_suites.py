@@ -20,7 +20,6 @@ from chaoskit.levy import CellGrid
 from chaoskit.suites import (
     _check_seed,
     _make_record,
-    _trials,
     _worst,
     _worst_of,
     run_suite,
@@ -54,9 +53,12 @@ SMALL = dict(
 # (malliavin.adapted_ito.{poisson,brownian,mixed}; no other line). "sim" was
 # re-pinned when sim.cell_moments and sim.sample_moments began to score z with
 # their closed-form standard errors (value, se and note of those six records;
-# all still pass, no other line).
+# all still pass, no other line). "fock" was re-pinned, here and in
+# ALGEBRA_SHA256, when the closed-form norms of the gradient and divergence of
+# exponential vectors were appended (fock.grad_exp_norm and fock.div_exp_norm,
+# two passing lines at the end; no other line).
 REPORT_SHA256 = {
-    "fock": "0f4c686ef3391e429c95123ff1b4e155f6d5c9f5fae71711f96088b625f78d12",
+    "fock": "48c676bd635470c30dd7c9ecff2c937335196b91ed6997e50096141f994776cd",
     "sim": "a64477225e42eb21a6b700b56eff81759eb71b1ead6ea29dbb40855c29ea8b30",
     "chaos": "33bb318bf612ab706b7d0ada65b5dbd4ae018a6e846cdfa56dc72c09f85f0903",
     "malliavin": "d7464c2b3172877b6c5892a7160e6bcbb6fb51bdcd004353de4417d08d4a3d76",
@@ -67,7 +69,7 @@ REPORT_SHA256 = {
 # on larger levels than at SMALL; pinned like REPORT_SHA256.
 ALGEBRA = dict(d=3, truncation=6, max_degree=7, n_paths=400, seed=7)
 ALGEBRA_SHA256 = {
-    "fock": "c14930d1a650a862fec5945821ef7735c2a752e8eb0f282e6213102a287cdf72",
+    "fock": "0b35298ec299adec9c1eb8f4e6df8d3226b7edc37ff62fdf6fce44aa6dee5fc9",
     "malliavin": "e49e9b2554e61fb3fa337411d90047d943003242c375b4c86d2b649d87784f4c",
 }
 
@@ -118,10 +120,12 @@ TIMED_UNDER = {
         ("fock.isometry", "fock.ladder_norms"),
         ("fock.number_factorization", "fock.number_factorization"),
         ("fock.q_isometry", "fock.q_isometry"),
-        ("fock.q_quadrature", "fock.q_isometry"),
+        ("fock.q_quadrature", "fock.q_quadrature"),
         ("fock.ito_skorohod", "fock.ito_skorohod"),
         ("fock.contraction", "fock.ito_skorohod"),
         ("fock.exp_adjunction", "fock.exp_adjunction"),
+        ("fock.grad_exp_norm", "fock.grad_exp_norm"),
+        ("fock.div_exp_norm", "fock.div_exp_norm"),
     ],
     "sim": [
         *_per_model("sim.cell_moments"),
@@ -136,6 +140,19 @@ TIMED_UNDER = {
         *_per_model("sim.exp_martingale"),
         *_per_model("sim.martingale_closed"),
         ("sim.representation", "sim.representation"),
+    ],
+    "malliavin": [
+        ("malliavin.eigen_relation", "malliavin.eigen_relation"),
+        ("malliavin.embed", "malliavin.embed"),
+        ("malliavin.number_factorization", "malliavin.number_factorization"),
+        ("malliavin.duality", "malliavin.duality"),
+        ("malliavin.skorohod_kernel", "malliavin.skorohod_kernel"),
+        ("malliavin.skorohod_mc", "malliavin.skorohod_mc"),
+        *_per_model("malliavin.adapted_ito"),
+        ("malliavin.split", "malliavin.split"),
+        ("malliavin.split_degenerate", "malliavin.split"),
+        ("malliavin.dom_monotone", "malliavin.dom_monotone"),
+        ("malliavin.ou", "malliavin.ou"),
     ],
 }
 
@@ -429,10 +446,14 @@ def test_no_worker_outlives_run_suite(monkeypatch, tmp_path):
 
 
 @pytest.mark.parametrize("residuals", [[math.nan, 0.0], [0.0, math.nan], [0.5, math.nan, 2.0]])
-def test_a_nan_residual_fails_its_record(residuals):
-    it = iter(residuals)
-    cfg = RunConfig(suite="fock", **SMALL)
-    (rec,) = _trials(cfg, "fock.exp_gram", len(residuals), lambda rng: next(it), "identity", "")
+def test_a_nan_residual_fails_its_record(monkeypatch, residuals):
+    # a fresh registry, so the check declared here joins no real suite
+    monkeypatch.setattr(suites, "_SUITE_CHECKS", {"fock": []})
+    check = suites._residual_family("fock.exp_gram", "identity", "")(
+        lambda cfg, rng: iter(residuals)
+    )
+    assert suites._SUITE_CHECKS == {"fock": [check]}
+    (rec,) = check(RunConfig(suite="fock", **SMALL))
     assert math.isnan(rec.value)
     assert rec.status == "fail"
 
@@ -506,7 +527,26 @@ def _nan_ladder(real):
 
 
 def _nan_kernels(real):
-    return lambda F: SimpleNamespace(kernels=[math.nan * k for k in real(F).kernels])
+    # level 0 stays real, so the first level's residual is a number
+    return lambda F: SimpleNamespace(
+        kernels=[k if m == 0 else math.nan * k for m, k in enumerate(real(F).kernels)]
+    )
+
+
+def _nan_after(n_real):
+    """A fake whose first n_real calls give the real results and later ones
+    those times NaN, so the check's first residual is still a number."""
+
+    def build(real):
+        calls = []
+
+        def fake(*args, **kwargs):
+            calls.append(None)
+            return real(*args, **kwargs) * (1.0 if len(calls) <= n_real else math.nan)
+
+        return fake
+
+    return build
 
 
 def _nan_errors(real):
@@ -520,6 +560,7 @@ def _nan_errors(real):
 # (check, what the suite imports, fake built from the real one, records that
 # must fail); every NaN lands where a plain max fold would drop it
 NAN_PROBES = [
+    ("_check_exp_gram", [("gram_tail_bound", _nan_after(1))], ["fock.exp_gram"]),
     ("_check_ccr", [("create", _nan_second)], ["fock.ccr"]),
     (
         "_check_ladder_norms",
@@ -532,10 +573,10 @@ NAN_PROBES = [
         [("fock_divergence", _nan_second)],
         ["fock.number_factorization"],
     ),
-    ("_check_q", [("graph_inner", _nan_const)], ["fock.q_isometry"]),
+    ("_check_q", [("graph_inner", _nan_after(1))], ["fock.q_isometry"]),
     (
-        "_check_q",
-        [("_half_integral", lambda real: lambda n: math.nan)],
+        "_check_q_quadrature",
+        [("_half_integral", _nan_after(1))],
         ["fock.q_quadrature"],
     ),
     (
@@ -548,11 +589,14 @@ NAN_PROBES = [
         [("exp_shift", _nan_shift), ("exp_gram", _nan_gram)],
         ["fock.exp_adjunction"],
     ),
+    ("_check_grad_exp_norm", [("exp_vector", _nan_after(1))], ["fock.grad_exp_norm"]),
+    ("_check_div_exp_norm", [("exp_vector", _nan_after(1))], ["fock.div_exp_norm"]),
     (
         "_check_chain_power",
         [("iterated_chain", lambda real: lambda fields, ens: math.nan)],
         ["sim.chain_power"],
     ),
+    ("_check_euler_order", [("iterated_chain", _nan_path)], ["sim.euler_order"]),
     ("_check_doleans_brownian", [("doleans_exp", _nan_path)], ["sim.doleans_brownian"]),
     ("_check_doleans_poisson", [("doleans_exp", _nan_path)], ["sim.doleans_poisson"]),
     ("_check_doleans_counting", [("doleans_exp", _nan_path)], ["sim.doleans_counting"]),
@@ -575,6 +619,12 @@ NAN_PROBES = [
     ),
     ("_check_embed", [("chaos_divergence", _nan_second)], ["malliavin.embed"]),
     (
+        "_check_number_chaos",
+        [("number_factorization_residual", _nan_after(1))],
+        ["malliavin.number_factorization"],
+    ),
+    ("_check_duality_adjoint", [("chaos_gradient", _nan_after(1))], ["malliavin.duality"]),
+    (
         "_check_skorohod_kernel",
         [("ito_skorohod", _nan_ladder)],
         ["malliavin.skorohod_kernel"],
@@ -588,7 +638,8 @@ NAN_PROBES = [
     ("_check_split", [("split_divergence", _nan_second)], ["malliavin.split"]),
     (
         "_check_dom_monotone",
-        [("dom_gradient_functional", _nan_const)],
+        # roof 4's functional is NaN, so the first difference is a number
+        [("dom_gradient_functional", _nan_after(2))],
         ["malliavin.dom_monotone"],
     ),
     (
